@@ -62,7 +62,6 @@ from .qstate import (
     Branch,
     Frame,
     GridSpec,
-    QlifRecords,
     SuperposedState,
     gaussian_psi,
     inner_product,

@@ -469,8 +469,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="YAML scenario file")
     parser.add_argument("--out", required=True, help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="accepted for interface "
-                        "compatibility; results are thread-count independent")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
@@ -478,10 +476,6 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         _error_record(None, "config", f"cannot create output directory: {exc}")
-        return 2
-
-    if args.threads is not None and args.threads < 1:
-        _error_record(out, "config", "--threads must be >= 1")
         return 2
 
     try:

@@ -34,7 +34,7 @@ class WrongFrame(QlifError):
 
 
 class MissingTetradRecord(QlifError):
-    """P-frame state lacks the per-point tetrad records needed to invert it."""
+    """P-frame branch lacks the source metric needed to invert it (e.g. reloaded from a container)."""
 
 
 class QuadratureNonConvergence(QlifError):

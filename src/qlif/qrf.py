@@ -12,19 +12,23 @@ x_S, the component at probe position x is relabeled as follows:
   overlap in the old one, making the map unitary on the implemented state
   class;
 * the mass coordinate becomes xi_i = b(x, g_i) (x_S - x), the local-frame
-  separation seen from the probe (stored per point in the branch records);
+  separation seen from the probe;
 * the branch metric register becomes the flat metric: by construction
   f^T g_i f = eta at every support point, which is the per-branch locally
   inertial property, verified and reported rather than assumed.
 
 The transformation never mixes branches (it is block-diagonal in the
-(mass_label, metric_id) key), and each output branch keeps the tetrads it
-used so ``from_qlif`` can invert it without re-deriving anything.
+(mass_label, metric_id) key).  It is fixed entirely by the branch metric on
+the source grid, so each output branch keeps only that metric
+(``Branch.source_metric``); the source grid is the negated P-frame grid,
+and the tetrads b(x, g_i), f(x, g_i) and the measure are re-derived from
+the metric wherever they are needed (``tetrad_arrays`` is deterministic,
+so they come out the same every time).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,12 +37,12 @@ from .qstate import (
     Branch,
     Frame,
     GridSpec,
-    QlifRecords,
     SuperposedState,
+    branch_sqrt_neg_det,
     inner_product,
     state_norm,
 )
-from .spacetime import ETA, Minkowski
+from .spacetime import ETA, MetricField, Minkowski
 from .tetrad import tetrad_arrays
 
 
@@ -85,8 +89,7 @@ def _reverse(a: np.ndarray) -> np.ndarray:
 
 def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float]:
     pts = grid.points4()
-    n = pts.shape[0]
-    psi_flat = np.asarray(branch.psi).reshape(n)
+    psi_flat = np.asarray(branch.psi).reshape(-1)
     support = psi_flat != 0
 
     valid = branch.metric.valid_mask(pts)
@@ -97,33 +100,16 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float]:
             f"singular set of {branch.metric.label}"
         )
 
-    # Placeholder eta at invalid points keeps the batch well-formed; those
-    # points carry zero amplitude and weight 1, so they never contribute.
-    g = np.broadcast_to(ETA, (n, 4, 4)).copy()
-    g[valid] = branch.metric.eval_batch(pts[valid])
-    b_arr, f_arr = tetrad_arrays(g)
-    factor = (-np.linalg.det(g)) ** 0.25
-
+    # Certify f^T g f = eta where the branch has amplitude.
+    g = branch.metric.eval_batch(pts[support])
+    _, f_arr = tetrad_arrays(g)
     dev = np.einsum("nam,nab,nbv->nmv", f_arr, g, f_arr) - ETA
-    support_dev = np.abs(dev[support & valid])
-    max_dev = float(np.max(support_dev)) if support_dev.size else 0.0
+    max_dev = float(np.max(np.abs(dev))) if dev.size else 0.0
 
-    dx = branch.mass_position.array[None, :] - pts
-    xi = np.einsum("nij,nj->ni", b_arr, dx)
-
-    psi_weighted = (psi_flat * factor).reshape(grid.shape)
-    psi_new = _reverse(psi_weighted).copy()
+    factor = np.sqrt(branch_sqrt_neg_det(branch, grid))
+    psi_new = _reverse(branch.psi * factor).copy()
     psi_new.setflags(write=False)
 
-    records = QlifRecords(
-        source_metric=branch.metric,
-        source_grid=grid,
-        b=b_arr,
-        f=f_arr,
-        measure_factor=factor,
-        xi=xi,
-        valid=valid,
-    )
     new_branch = Branch(
         amplitude=branch.amplitude,
         mass_label=branch.mass_label,
@@ -131,7 +117,7 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float]:
         metric=Minkowski(branch.metric.units),
         psi=psi_new,
         source_metric_id=branch.key[1],
-        records=records,
+        source_metric=branch.metric,
     )
     return new_branch, max_dev
 
@@ -175,35 +161,40 @@ def to_qlif(s: SuperposedState) -> tuple[SuperposedState, QrfTransformReport]:
     return out, report
 
 
-def from_qlif(s: SuperposedState) -> SuperposedState:
-    """Invert ``to_qlif`` using the stored per-point records.
+def _source_metric(branch: Branch) -> MetricField:
+    if branch.source_metric is None:
+        raise MissingTetradRecord(f"branch {branch.key} carries no source metric")
+    return branch.source_metric
 
-    Raises WrongFrame unless ``s`` is P-frame and MissingTetradRecord if a
-    branch lacks its records (e.g. a state reloaded from a container).
+
+def from_qlif(s: SuperposedState) -> SuperposedState:
+    """Invert ``to_qlif`` by dividing out the source measure (-g_i)^(1/4).
+
+    Points where the measure is 0 (the source metric's singular set, where
+    ``to_qlif`` only admits zero amplitude) come back as 0.  Raises
+    WrongFrame unless ``s`` is P-frame and MissingTetradRecord if a branch
+    lacks its source metric (e.g. a state reloaded from a container).
     """
     if s.frame != Frame.P:
         raise WrongFrame(f"from_qlif needs a P-frame state, got {s.frame.value}-frame")
+    grid = s.grid.negated()
     branches = []
     for branch in s.branches:
-        rec = branch.records
-        if rec is None:
-            raise MissingTetradRecord(f"branch {branch.key} carries no tetrad records")
-        grid = rec.source_grid
-        psi_weighted = _reverse(np.asarray(branch.psi)).reshape(-1)
-        psi = (psi_weighted / rec.measure_factor).reshape(grid.shape)
-        psi.setflags(write=False)
-        branches.append(
-            Branch(
-                amplitude=branch.amplitude,
-                mass_label=branch.mass_label,
-                mass_position=branch.mass_position,
-                metric=rec.source_metric,
-                psi=psi,
-            )
+        restored = Branch(
+            amplitude=branch.amplitude,
+            mass_label=branch.mass_label,
+            mass_position=branch.mass_position,
+            metric=_source_metric(branch),
+            psi=_reverse(branch.psi),
         )
+        factor = np.sqrt(branch_sqrt_neg_det(restored, grid))
+        psi = np.zeros(grid.shape, dtype=complex)
+        np.divide(restored.psi, factor, out=psi, where=factor > 0)
+        psi.setflags(write=False)
+        branches.append(replace(restored, psi=psi))
     return SuperposedState(
         branches=tuple(branches),
-        grid=s.branches[0].records.source_grid,
+        grid=grid,
         frame=Frame.R,
         units=s.units,
         prefactor=s.prefactor,
@@ -228,36 +219,37 @@ def check_qlif_metric(
     For each branch the ``sample_points`` highest-amplitude support points
     are probed along the eight +-axis directions of the local frame at
     distance ``radius`` (plus the origin itself); g' is the source metric
-    pulled back through the point's stored tetrad.  The deviation vanishes
-    at the origin by construction and grows linearly in the radius, which
-    is the leading-order-only locality of the frame.
+    pulled back through the point's tetrad, re-derived from the source
+    metric.  The deviation vanishes at the origin by construction and grows
+    linearly in the radius, which is the leading-order-only locality of the
+    frame.
     """
     if s.frame != Frame.P:
         raise WrongFrame(f"check_qlif_metric needs a P-frame state, got {s.frame.value}-frame")
     if radius < 0.0:
         raise ValueError("radius must be >= 0")
 
+    grid = s.grid.negated()
+    pts = grid.points4()
     rows = []
     for branch in s.branches:
-        rec = branch.records
-        if rec is None:
-            raise MissingTetradRecord(f"branch {branch.key} carries no tetrad records")
-        pts = rec.source_grid.points4()
+        metric = _source_metric(branch)
+        measure = branch_sqrt_neg_det(replace(branch, metric=metric), grid).reshape(-1)
         weight = np.abs(_reverse(np.asarray(branch.psi)).reshape(-1))
-        weight[~rec.valid] = 0.0
+        weight[measure == 0] = 0.0
         order = np.argsort(-weight, kind="stable")
         chosen = order[: min(sample_points, np.count_nonzero(weight))]
+        _, f_chosen = tetrad_arrays(metric.eval_batch(pts[chosen]))
 
         max_dev = 0.0
-        for p in chosen:
-            f = rec.f[p]
+        for p, f in zip(chosen, f_chosen):
             anchor = pts[p]
             disp = np.concatenate([radius * f.T, -radius * f.T], axis=0)  # (8, 4)
             targets = np.vstack([anchor[None, :], anchor[None, :] + disp])
-            ok = rec.source_metric.valid_mask(targets)
+            ok = metric.valid_mask(targets)
             if not np.any(ok):
                 continue
-            g_t = rec.source_metric.eval_batch(targets[ok])
+            g_t = metric.eval_batch(targets[ok])
             pulled = np.einsum("am,nab,bv->nmv", f, g_t, f)
             max_dev = max(max_dev, float(np.max(np.abs(pulled - ETA))))
         rows.append(

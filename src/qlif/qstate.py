@@ -22,6 +22,7 @@ arrays are frozen (writeable = False) on construction.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, replace
@@ -114,26 +115,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QlifRecords:
-    """Per-point data kept by the QLIF transformation so it can be inverted.
-
-    Arrays are flat over the source grid's C-ordered points: ``b`` and
-    ``f`` are the tetrads used at each point, ``measure_factor`` is
-    (-g)^(1/4) (the weight folded into the transformed wavefunction),
-    ``xi`` the local-frame mass coordinates, ``valid`` the metric validity
-    mask.
-    """
-
-    source_metric: MetricField
-    source_grid: GridSpec
-    b: np.ndarray
-    f: np.ndarray
-    measure_factor: np.ndarray
-    xi: np.ndarray
-    valid: np.ndarray
-
-
-@dataclass(frozen=True)
 class Branch:
     """One term of the superposition.
 
@@ -141,8 +122,12 @@ class Branch:
     grid (complex, shape grid.shape).  ``metric`` is the branch's metric
     register; for P-frame branches it is the flat metric and
     ``source_metric_id`` keeps the pre-transformation identity so branch
-    matching survives the frame change.  ``records`` is set only on
-    branches produced by the QLIF transformation.
+    matching survives the frame change.  ``source_metric`` is the
+    pre-transformation metric itself, set only on branches produced by the
+    QLIF transformation: the source grid is the negated state grid, so the
+    tetrads and the measure of the transformation follow from it and
+    nothing per point is stored.  It is None on R-frame branches and on
+    branches reloaded from a container.
     """
 
     amplitude: complex
@@ -151,7 +136,7 @@ class Branch:
     metric: MetricField
     psi: np.ndarray
     source_metric_id: str | None = None
-    records: QlifRecords | None = None
+    source_metric: MetricField | None = None
 
     @property
     def metric_id(self) -> str:
@@ -182,18 +167,31 @@ class SuperposedState:
         return [b.key for b in self.branches]
 
 
+# Distinct (metric, grid) weights kept by ``branch_sqrt_neg_det``.
+MEASURE_CACHE_SIZE = 8
+
+
 def branch_sqrt_neg_det(branch: Branch, grid: GridSpec) -> np.ndarray:
-    """sqrt(-g) of the branch metric over the grid, shape grid.shape.
+    """sqrt(-g) of the branch metric over the grid, shape grid.shape, read-only.
 
     Points inside the metric's singular set get weight 0 (they may only
     carry zero amplitude; ``make_state`` and the QRF operations enforce
-    that)."""
+    that).  Weights are memoized on the metric's value (its canonical
+    ``describe()`` JSON and unit system) and the grid, so equal metrics
+    built separately share one evaluation."""
+    m = branch.metric
+    return _sqrt_neg_det_grid(json.dumps(m.describe(), sort_keys=True), m.units, grid)
+
+
+@functools.lru_cache(maxsize=MEASURE_CACHE_SIZE)
+def _sqrt_neg_det_grid(spec: str, units: UnitSystem, grid: GridSpec) -> np.ndarray:
+    metric = metric_from_dict(json.loads(spec), units)
     pts = grid.points4()
-    valid = branch.metric.valid_mask(pts)
+    valid = metric.valid_mask(pts)
     w = np.zeros(pts.shape[0])
     if np.any(valid):
-        w[valid] = sqrt_neg_det_batch(branch.metric, pts[valid])
-    return w.reshape(grid.shape)
+        w[valid] = sqrt_neg_det_batch(metric, pts[valid])
+    return _freeze(w.reshape(grid.shape))
 
 
 def _branch_measure_norm_sq(branch: Branch, grid: GridSpec) -> float:
@@ -341,9 +339,10 @@ def gaussian_psi(grid: GridSpec, center, sigma, momentum=None, hbar: float = 1.0
 #
 # Layout: magic, format version, u64 header length, UTF-8 JSON header, then
 # per branch (in header order) the raw complex128 little-endian samples,
-# row-major with axis order (x, y, z).  QLIF records are runtime-only and
-# are not serialized; a reloaded P-frame state is archival (it supports
-# overlaps but not inversion).
+# row-major with axis order (x, y, z).  The source metric of a P-frame
+# branch is runtime-only and is not serialized (only its identity string
+# is); a reloaded P-frame state is archival (it supports overlaps but not
+# inversion).
 
 _MAGIC = b"QLIFSTA1"
 

@@ -199,9 +199,10 @@ class WeakFieldPointMass(MetricField):
         self.center = np.asarray(center, dtype=float)
         if self.center.shape != (3,):
             raise ValueError("center must be a 3-vector")
+        x, y, z = (float(v) for v in self.center)
         self.label = (
             f"weak_field_point_mass(mass={self.mass!r},soft={self.soft!r},"
-            f"center=({self.center[0]!r},{self.center[1]!r},{self.center[2]!r}))"
+            f"center=({x!r},{y!r},{z!r}))"
         )
 
     def potential(self, points: np.ndarray) -> np.ndarray:

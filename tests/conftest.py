@@ -3,6 +3,7 @@ import pytest
 
 from qlif.qstate import Branch, GridSpec, gaussian_psi, make_state
 from qlif.spacetime import FourVector, Minkowski, Schwarzschild, UnitSystem, WeakFieldPointMass
+from qlif.tetrad import tetrad_arrays
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +71,11 @@ def two_branch_state(
         ),
     ]
     return make_state(branches, grid, units=units)
+
+
+def derived_b_xi(branch, grid):
+    """Tetrads b and local mass coordinates xi of a P-frame branch over its source grid."""
+    pts = grid.points4()
+    b, _ = tetrad_arrays(branch.source_metric.eval_batch(pts))
+    xi = np.einsum("nij,nj->ni", b, branch.mass_position.array[None, :] - pts)
+    return b, xi

@@ -4,13 +4,17 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the one-line
 verdicts.  Every tolerance is fixed here, not calibrated at runtime.
 """
 
+import hashlib
+import json
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from conftest import random_point, two_branch_state
+from conftest import derived_b_xi, random_point, two_branch_state
 from oracles import (
     free_gaussian_width,
     newtonian_drop,
@@ -80,18 +84,18 @@ def test_criterion_3_branch_classicality(units):
     state = two_branch_state(units, grid=grid)
     single = make_state([state.branches[0]], grid, units=units)
     out, _ = to_qlif(single)
-    rec = out.branches[0].records
-    field = single.branches[0].metric
+    field = out.branches[0].source_metric
     mass_pos = single.branches[0].mass_position
     pts = grid.points4()
+    b, xi = derived_b_xi(out.branches[0], out.grid.negated())
     psi_in = np.asarray(single.branches[0].psi).reshape(-1)
     psi_out_flat = np.asarray(out.branches[0].psi)[::-1, ::-1, ::-1].reshape(-1)
     rng = np.random.default_rng(30)
     worst = 0.0
     for p in rng.choice(pts.shape[0], size=200, replace=False):
         t = build_tetrad(field, FourVector.from_array(pts[p]))
-        worst = max(worst, float(np.max(np.abs(rec.b[p] - t.b))))
-        worst = max(worst, float(np.max(np.abs(rec.xi[p] - to_local(t, mass_pos).array))))
+        worst = max(worst, float(np.max(np.abs(b[p] - t.b))))
+        worst = max(worst, float(np.max(np.abs(xi[p] - to_local(t, mass_pos).array))))
         # transformed sample = classical measure-weighted sample
         g = field.eval_batch(pts[p][None, :])[0]
         classical = psi_in[p] * (-np.linalg.det(g)) ** 0.25
@@ -248,6 +252,11 @@ def test_criterion_7_collapse_module(units):
     )
 
 
+# SHA-256 of every file the determinism run writes; QLIF_UPDATE_GOLDEN=1
+# rewrites it after an intended change of output bits.
+GOLDEN_CLI = Path(__file__).with_name("golden_cli.json")
+
+
 def test_criterion_8_determinism(tmp_path):
     config = {
         "units": "geometric",
@@ -284,4 +293,11 @@ def test_criterion_8_determinism(tmp_path):
     assert set(outputs["r1"]) == set(outputs["r2"])
     for name in outputs["r1"]:
         assert outputs["r1"][name] == outputs["r2"][name], f"{name} differs between runs"
-    _report("8 (determinism)", f"{len(outputs['r1'])} output files byte-identical across two runs")
+    digests = {name.as_posix(): hashlib.sha256(data).hexdigest() for name, data in outputs["r1"].items()}
+    if os.environ.get("QLIF_UPDATE_GOLDEN"):
+        GOLDEN_CLI.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    assert digests == json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))
+    _report(
+        "8 (determinism)",
+        f"{len(outputs['r1'])} output files byte-identical across two runs and to {GOLDEN_CLI.name}",
+    )

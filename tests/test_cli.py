@@ -231,8 +231,3 @@ def test_seed_flag_overrides_config(tmp_path):
     assert main(["selftest", "--config", cfg, "--out", str(out), "--seed", "42"]) == 0
     report = json.loads((out / "selftest_report.json").read_text())
     assert report["seed"] == 42
-
-
-def test_bad_threads_rejected(tmp_path):
-    cfg = write_config(tmp_path, {"units": "geometric"})
-    assert main(["selftest", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "0"]) == 2

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import two_branch_state
+from conftest import derived_b_xi, two_branch_state
 from qlif.errors import MissingTetradRecord, SingularRegion, WrongFrame
 from qlif.qrf import QrfTransformReport, check_qlif_metric, from_qlif, to_qlif
 from qlif.qstate import (
     Branch,
     Frame,
     GridSpec,
+    branch_sqrt_neg_det,
     gaussian_psi,
     inner_product,
     load_state,
@@ -38,9 +39,9 @@ def test_minkowski_branch_is_relational_relabeling(units):
     psi_out = np.asarray(out.branches[0].psi)
     assert np.array_equal(psi_out, psi_in[::-1, ::-1, ::-1])
     # mass local coordinate is mass_position - x at every grid point (b = identity)
-    rec = out.branches[0].records
+    _, xi = derived_b_xi(out.branches[0], out.grid.negated())
     expected_xi = mass_pos.array[None, :] - grid.points4()
-    assert np.max(np.abs(rec.xi - expected_xi)) == 0.0
+    assert np.max(np.abs(xi - expected_xi)) == 0.0
     # metric register is flat
     assert out.branches[0].metric.label == "minkowski"
     assert abs(report.norm_after - report.norm_before) < 1e-12
@@ -93,7 +94,8 @@ def test_single_branch_matches_classical_tetrad_map(units):
     s = two_branch_state(units, grid=grid)
     single = make_state([s.branches[0]], grid, units=units)
     out, _ = to_qlif(single)
-    rec = out.branches[0].records
+    assert out.branches[0].source_metric is single.branches[0].metric
+    b, xi_all = derived_b_xi(out.branches[0], out.grid.negated())
     field = single.branches[0].metric
     mass_pos = single.branches[0].mass_position
     pts = grid.points4()
@@ -101,8 +103,8 @@ def test_single_branch_matches_classical_tetrad_map(units):
     for p in rng.choice(pts.shape[0], size=60, replace=False):
         t = build_tetrad(field, FourVector.from_array(pts[p]))
         xi = to_local(t, mass_pos)
-        assert np.max(np.abs(rec.b[p] - t.b)) < 1e-12
-        assert np.max(np.abs(rec.xi[p] - xi.array)) < 1e-12
+        assert np.max(np.abs(b[p] - t.b)) < 1e-12
+        assert np.max(np.abs(xi_all[p] - xi.array)) < 1e-12
 
 
 def test_transform_never_mixes_branches(units):
@@ -123,9 +125,8 @@ def test_relational_amplitude_profile(units):
     s = two_branch_state(units)
     out, _ = to_qlif(s)
     for b_in, b_out in zip(s.branches, out.branches):
-        rec = b_out.records
         lhs = np.abs(np.asarray(b_out.psi)[::-1, ::-1, ::-1])
-        rhs = np.abs(b_in.psi) * rec.measure_factor.reshape(s.grid.shape)
+        rhs = np.abs(b_in.psi) * np.sqrt(branch_sqrt_neg_det(b_in, s.grid))
         assert np.max(np.abs(lhs - rhs)) < 1e-15
 
 
@@ -171,6 +172,7 @@ def test_reloaded_state_has_no_records(units, tmp_path):
     path = tmp_path / "p.qst"
     save_state(out, path)
     reloaded = load_state(path)
+    assert all(b.source_metric is None for b in reloaded.branches)
     # archival: overlaps work, inversion does not
     assert inner_product(out, reloaded) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(MissingTetradRecord):
@@ -188,6 +190,23 @@ def test_singular_support_rejected(units):
     s = make_state([Branch(1.0, "S", FourVector(0, 5.0, 1.5, 2.5), sch, psi)], grid)
     with pytest.raises(SingularRegion):
         to_qlif(s)
+
+
+def test_round_trip_with_singular_points_on_the_grid(units):
+    # the grid straddles the horizon; psi is exactly 0 on every invalid point
+    sch = Schwarzschild(units, mass=1.0)
+    grid = GridSpec(lo=(1.0, 0.6, 0.1), hi=(8.0, 2.5, 5.0), n=(15, 7, 7))
+    valid = sch.valid_mask(grid.points4()).reshape(grid.shape)
+    assert not np.all(valid)
+    psi = np.where(valid, gaussian_psi(grid, (5.0, 1.5, 2.5), 1.0), 0.0)
+    s = make_state([Branch(1.0, "S", FourVector(0, 5.0, 1.5, 2.5), sch, psi)], grid)
+    out, report = to_qlif(s)
+    back = from_qlif(out)
+    psi_back = np.asarray(back.branches[0].psi)
+    assert np.all(np.isfinite(psi_back))
+    assert np.all(psi_back[~valid] == 0.0)
+    assert abs(inner_product(s, back) - 1.0) < 1e-8
+    assert report.roundtrip_error < 1e-8
 
 
 def test_schwarzschild_support_outside_horizon_passes(units):

@@ -8,6 +8,7 @@ from qlif.qstate import (
     Branch,
     Frame,
     GridSpec,
+    branch_sqrt_neg_det,
     gaussian_psi,
     inner_product,
     load_state,
@@ -16,7 +17,7 @@ from qlif.qstate import (
     state_norm,
     translate_state,
 )
-from qlif.spacetime import FourVector, Minkowski, WeakFieldPointMass
+from qlif.spacetime import FourVector, Minkowski, UnitSystem, WeakFieldPointMass
 
 
 @pytest.fixture
@@ -73,8 +74,6 @@ def test_two_amplitude_norm(units, grid):
     assert abs(s.branches[0].amplitude) == pytest.approx(lam, rel=1e-9)
     assert abs(s.branches[1].amplitude) == pytest.approx(mu, rel=1e-9)
     # prefactor records the absorbed constant: raw weight = amplitude * prefactor
-    from qlif.qstate import branch_sqrt_neg_det
-
     raw_norm = np.sqrt(
         np.sum(
             branch_sqrt_neg_det(s.branches[0], grid)
@@ -87,12 +86,40 @@ def test_two_amplitude_norm(units, grid):
 
 def test_branch_measure_normalization(units, grid):
     s = two_branch_state(units)
-    from qlif.qstate import branch_sqrt_neg_det
-
     for b in s.branches:
         w = branch_sqrt_neg_det(b, s.grid)
         norm = np.sum(w * np.abs(b.psi) ** 2) * s.grid.dvol
         assert norm == pytest.approx(1.0, abs=1e-8)
+
+
+def _weak_branch(units, grid):
+    metric = WeakFieldPointMass(units, mass=1e-4, soft=1e-3, center=(0.5, 0.0, 0.0))
+    return Branch(1.0, "M", FourVector(0, 0.5, 0, 0), metric, gaussian_psi(grid, (0, 0, 0), 0.7))
+
+
+def test_measure_cache_shares_equal_metrics(units, grid):
+    w1 = branch_sqrt_neg_det(_weak_branch(units, grid), grid)
+    w2 = branch_sqrt_neg_det(_weak_branch(units, grid), grid)
+    assert w2 is w1
+    assert w1.shape == grid.shape and not w1.flags.writeable
+
+
+def test_measure_cache_keys_on_units_and_grid(units, grid):
+    w = branch_sqrt_neg_det(_weak_branch(units, grid), grid)
+    other_units = UnitSystem(c=2.0, G=1.0, hbar=1.0)
+    w_units = branch_sqrt_neg_det(_weak_branch(other_units, grid), grid)
+    assert w_units is not w
+    assert not np.array_equal(w_units, w)
+    other_grid = GridSpec(lo=grid.lo, hi=grid.hi, n=(25, 25, 24))
+    w_grid = branch_sqrt_neg_det(_weak_branch(units, grid), other_grid)
+    assert w_grid is not w
+    assert w_grid.shape == other_grid.shape
+
+
+def test_measure_cache_returns_read_only_arrays(units, grid):
+    w = branch_sqrt_neg_det(_weak_branch(units, grid), grid)
+    with pytest.raises(ValueError):
+        w[0, 0, 0] = 1.0
 
 
 def test_make_state_errors(units, grid):

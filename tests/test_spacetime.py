@@ -49,6 +49,12 @@ def test_weak_field_asymptotic_flatness(units):
     assert np.max(np.abs(metric_eval(wf, far) - ETA)) < 1e-12
 
 
+def test_weak_field_label_formats_plain_floats(units):
+    # numpy scalars must not leak their repr (np.float64(...)) into branch keys
+    wf = WeakFieldPointMass(units, 1e-6, 1e-3, (-1.5, 0, 0))
+    assert wf.label == "weak_field_point_mass(mass=1e-06,soft=0.001,center=(-1.5,0.0,0.0))"
+
+
 def test_weak_field_metric_components(units):
     wf = WeakFieldPointMass(units, mass=1e-5, soft=1e-4, center=(0.5, 0.0, 0.0))
     x = FourVector(0.0, 2.0, 1.0, -0.7)
