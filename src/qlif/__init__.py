@@ -38,6 +38,7 @@ from .dynamics import (
     velocity_norm,
 )
 from .errors import (
+    BadContainer,
     DegenerateMetric,
     GridMismatch,
     InfiniteLifetime,

@@ -54,6 +54,10 @@ def _check_keys(mapping, allowed, required, where):
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    _require_keys(mapping, required, where)
+
+
+def _require_keys(mapping, required, where):
     missing = set(required) - set(mapping)
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
@@ -246,9 +250,7 @@ def cmd_transform(scn: Scenario, out: Path) -> int:
 
 
 def cmd_geodesics(scn: Scenario, out: Path) -> int:
-    _check_keys(
-        scn.geodesics, {"local_velocity", "dtau", "steps"}, {"dtau", "steps"}, "geodesics"
-    )
+    _require_keys(scn.geodesics, {"dtau", "steps"}, "geodesics")
     v = scn.geodesics.get("local_velocity", [0.0, 0.0, 0.0])
     dtau = float(scn.geodesics["dtau"])
     steps = int(scn.geodesics["steps"])

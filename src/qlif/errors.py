@@ -37,6 +37,10 @@ class MissingTetradRecord(QlifError):
     """P-frame branch lacks the source metric needed to invert it (e.g. reloaded from a container)."""
 
 
+class BadContainer(QlifError, ValueError):
+    """File is not a well-formed state container (magic, header or payload length)."""
+
+
 class QuadratureNonConvergence(QlifError):
     """Adaptive quadrature did not reach the requested tolerance in budget."""
 

@@ -15,7 +15,10 @@ x_S, the component at probe position x is relabeled as follows:
   separation seen from the probe;
 * the branch metric register becomes the flat metric: by construction
   f^T g_i f = eta at every support point, which is the per-branch locally
-  inertial property, verified and reported rather than assumed.
+  inertial property, verified and reported rather than assumed.  The
+  certificate is max |f^T g_i f - eta| over the support, a batched matrix
+  product; the (diagonal) catalog metrics get their tetrads by a sort and
+  a square root instead of ``eigh`` (see module ``tetrad``).
 
 The transformation never mixes branches (it is block-diagonal in the
 (mass_label, metric_id) key).  It is fixed entirely by the branch metric on
@@ -102,8 +105,8 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float]:
 
     # Certify f^T g f = eta where the branch has amplitude.
     g = branch.metric.eval_batch(pts[support])
-    _, f_arr = tetrad_arrays(g)
-    dev = np.einsum("nam,nab,nbv->nmv", f_arr, g, f_arr) - ETA
+    f_arr = tetrad_arrays(g)[1]  # b is not kept: one (n, 4, 4) array less at the peak
+    dev = np.swapaxes(f_arr, -1, -2) @ g @ f_arr - ETA
     max_dev = float(np.max(np.abs(dev))) if dev.size else 0.0
 
     factor = np.sqrt(branch_sqrt_neg_det(branch, grid))
@@ -211,6 +214,19 @@ class QlifMetricRow:
     max_deviation: float
 
 
+def _heaviest(weight: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest weights, ties in index order.
+
+    Equal to ``np.argsort(-weight, kind="stable")[:k]``; only the points
+    at or above the k-th largest weight are sorted.
+    """
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    threshold = np.partition(weight, weight.size - k)[weight.size - k]
+    candidates = np.flatnonzero(weight >= threshold)
+    return candidates[np.argsort(-weight[candidates], kind="stable")[:k]]
+
+
 def check_qlif_metric(
     s: SuperposedState, radius: float, sample_points: int = 16
 ) -> list[QlifMetricRow]:
@@ -237,8 +253,7 @@ def check_qlif_metric(
         measure = branch_sqrt_neg_det(replace(branch, metric=metric), grid).reshape(-1)
         weight = np.abs(_reverse(np.asarray(branch.psi)).reshape(-1))
         weight[measure == 0] = 0.0
-        order = np.argsort(-weight, kind="stable")
-        chosen = order[: min(sample_points, np.count_nonzero(weight))]
+        chosen = _heaviest(weight, min(sample_points, np.count_nonzero(weight)))
         _, f_chosen = tetrad_arrays(metric.eval_batch(pts[chosen]))
 
         max_dev = 0.0
@@ -250,7 +265,7 @@ def check_qlif_metric(
             if not np.any(ok):
                 continue
             g_t = metric.eval_batch(targets[ok])
-            pulled = np.einsum("am,nab,bv->nmv", f, g_t, f)
+            pulled = f.T @ g_t @ f
             max_dev = max(max_dev, float(np.max(np.abs(pulled - ETA))))
         rows.append(
             QlifMetricRow(

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import GridMismatch, OffGridTranslation, WrongFrame, ZeroNorm
+from .errors import BadContainer, GridMismatch, OffGridTranslation, WrongFrame, ZeroNorm
 from .spacetime import FourVector, MetricField, UnitSystem, metric_from_dict, sqrt_neg_det_batch
 
 
@@ -379,13 +380,29 @@ def save_state(s: SuperposedState, path) -> None:
 
 
 def load_state(path) -> SuperposedState:
-    """Read a state container written by ``save_state``."""
+    """Read a state container written by ``save_state``.
+
+    Raises BadContainer for a wrong magic or format version, a short or
+    unreadable header, a truncated payload and trailing bytes.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
-            raise ValueError(f"not a state container (magic {magic!r})")
+            raise BadContainer(f"not a state container (magic {magic!r})")
+        prefix = len(_MAGIC) + 8
+        if size < prefix:
+            raise BadContainer(f"short header: the file ends after {size} bytes")
         (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        if hlen > size - prefix:
+            raise BadContainer(f"short header: {hlen} bytes announced, {size - prefix} present")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            version = header["format"]
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad UTF-8 or JSON
+            raise BadContainer(f"unreadable header: {exc!r}") from exc
+        if version != 1:
+            raise BadContainer(f"unknown container format {version!r}")
         grid = GridSpec(
             lo=tuple(header["grid"]["lo"]),
             hi=tuple(header["grid"]["hi"]),
@@ -394,6 +411,12 @@ def load_state(path) -> SuperposedState:
         )
         units = UnitSystem(**header["units"])
         count = int(np.prod(grid.shape))
+        payload = size - prefix - hlen
+        expected = 16 * count * len(header["branches"])
+        if payload < expected:
+            raise BadContainer(f"truncated payload: {payload} of {expected} bytes")
+        if payload > expected:
+            raise BadContainer(f"{payload - expected} trailing bytes after the last branch")
         branches = []
         for rec in header["branches"]:
             raw = fh.read(16 * count)

@@ -15,6 +15,12 @@ construction deterministic; the residual local Lorentz freedom (boosts and
 rotations preserving eta) is not factored out, so this is one canonical
 representative of the frame orbit.
 
+Every catalog metric is diagonal.  There O is a permutation: a stable sort
+of the diagonal, each eigenvector a unit vector with entry +1 and the
+eigenvalues the diagonal entries themselves.  A batch of diagonal metrics
+is therefore sorted and square-rooted without ``eigh``, and the frames
+come out identical bit for bit; any other input goes through ``eigh``.
+
 Only the leading (linear) order is built here: the metric pulled back
 through a tetrad deviates from eta linearly in the local distance, since
 constant b, f cannot cancel the Christoffel terms.
@@ -47,14 +53,8 @@ class Tetrad:
     metric_id: str
 
 
-def tetrad_arrays(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched tetrad construction: (N, 4, 4) metrics -> (b, f) arrays.
-
-    Raises DegenerateMetric if any eigenvalue magnitude is below 1e-12 or
-    the signature is not (-, +, +, +).
-    """
-    g = np.asarray(g, dtype=float)
-    w, v = np.linalg.eigh(g)
+def _check_spectrum(w: np.ndarray) -> None:
+    """Raise DegenerateMetric unless every eigenvalue set is (-, +, +, +) above the floor."""
     if np.any(np.abs(w) < EIGENVALUE_FLOOR):
         raise DegenerateMetric(
             f"metric eigenvalue magnitude below {EIGENVALUE_FLOOR:g} (min "
@@ -63,6 +63,33 @@ def tetrad_arrays(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     neg = np.count_nonzero(w < 0.0, axis=-1)
     if np.any(neg != 1):
         raise DegenerateMetric("metric signature is not Lorentzian (-, +, +, +)")
+
+
+def tetrad_arrays(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched tetrad construction: (N, 4, 4) metrics -> (b, f) arrays.
+
+    A batch of diagonal metrics is sorted and square-rooted; any other
+    batch goes through ``eigh``.  Both give the same frames bit for bit on
+    diagonal input.  Raises DegenerateMetric if any eigenvalue magnitude
+    is below 1e-12 or the signature is not (-, +, +, +).
+    """
+    g = np.asarray(g, dtype=float)
+    d = np.diagonal(g, axis1=-2, axis2=-1)
+    if np.count_nonzero(g) == np.count_nonzero(d):  # no off-diagonal entry
+        # What eigh returns here: the diagonal in ascending order, ties in
+        # index order, with unit eigenvectors; so f[order[k], k] =
+        # 1 / scale[k] and b[k, order[k]] = scale[k], every other entry 0.
+        order = np.argsort(d, axis=-1, kind="stable")
+        w = np.take_along_axis(d, order, axis=-1)
+        _check_spectrum(w)
+        scale = np.sqrt(np.abs(w))
+        f = np.zeros_like(g)
+        b = np.zeros_like(g)
+        np.put_along_axis(f, order[..., None, :], (1.0 / scale)[..., None, :], axis=-2)
+        np.put_along_axis(b, order[..., :, None], scale[..., :, None], axis=-1)
+        return b, f
+    w, v = np.linalg.eigh(g)
+    _check_spectrum(w)
     # Deterministic eigenvector signs: largest-|component| entry positive.
     lead = np.argmax(np.abs(v), axis=-2)
     signs = np.sign(np.take_along_axis(v, lead[..., None, :], axis=-2))[..., 0, :]

@@ -84,3 +84,17 @@ def gaussian_delta_energy(G: float, mass: float, width: float, d: float) -> floa
     w0 = mass * mass / (width * sqrt(pi))
     wd = w0 if d == 0.0 else mass * mass * erf(d / (2.0 * width)) / d
     return G * 2.0 * (w0 - wd)
+
+
+def eigh_tetrad(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(b, f) of (N, 4, 4) metrics by eigendecomposition, eigenvector signs fixed.
+
+    Eigenvalues ascend, so the timelike direction is slot 0; each
+    eigenvector's largest-magnitude entry is made positive.
+    """
+    w, v = np.linalg.eigh(g)
+    lead = np.argmax(np.abs(v), axis=-2)
+    signs = np.sign(np.take_along_axis(v, lead[..., None, :], axis=-2))
+    v = v * signs
+    scale = np.sqrt(np.abs(w))[..., None, :]
+    return np.swapaxes(v * scale, -1, -2), v / scale

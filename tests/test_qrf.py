@@ -3,7 +3,7 @@ import pytest
 
 from conftest import derived_b_xi, two_branch_state
 from qlif.errors import MissingTetradRecord, SingularRegion, WrongFrame
-from qlif.qrf import QrfTransformReport, check_qlif_metric, from_qlif, to_qlif
+from qlif.qrf import QrfTransformReport, _heaviest, check_qlif_metric, from_qlif, to_qlif
 from qlif.qstate import (
     Branch,
     Frame,
@@ -209,11 +209,36 @@ def test_round_trip_with_singular_points_on_the_grid(units):
     assert report.roundtrip_error < 1e-8
 
 
-def test_schwarzschild_support_outside_horizon_passes(units):
+def _schwarzschild_state(units):
     sch = Schwarzschild(units, mass=1.0)
     grid = GridSpec(lo=(4.0, 0.8, 0.5), hi=(10.0, 2.2, 4.5), n=(13, 7, 7))
     psi = gaussian_psi(grid, (7.0, 1.5, 2.5), 0.8)
-    s = make_state([Branch(1.0, "S", FourVector(0, 7.0, 1.5, 2.5), sch, psi)], grid)
-    out, report = to_qlif(s)
+    return make_state([Branch(1.0, "S", FourVector(0, 7.0, 1.5, 2.5), sch, psi)], grid)
+
+
+def test_schwarzschild_support_outside_horizon_passes(units):
+    out, report = to_qlif(_schwarzschild_state(units))
     assert report.max_metric_deviation_at_origin < 1e-10
     assert report.roundtrip_error < 1e-8
+
+
+def test_sample_selection_keeps_stable_order_on_ties():
+    rng = np.random.default_rng(5)
+    weight = rng.choice([0.0, 0.25, 0.5, 1.0], size=4096)
+    for k in (1, 7, 16, 600, np.count_nonzero(weight)):
+        expected = np.argsort(-weight, kind="stable")[:k]
+        assert np.array_equal(_heaviest(weight, k), expected)
+    assert _heaviest(weight, 0).size == 0
+
+
+def test_catalog_metrics_never_call_eigh(units, monkeypatch):
+    # Every catalog metric is diagonal, so its tetrads need no eigh.
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called on a catalog metric")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for s in (two_branch_state(units, mass=1e-4), _schwarzschild_state(units)):
+        out, report = to_qlif(s)
+        assert report.max_metric_deviation_at_origin < 1e-10
+        for row in check_qlif_metric(out, 0.05):
+            assert row.max_deviation > 0.0

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import two_branch_state
 from oracles import gaussian_translate_overlap
-from qlif.errors import GridMismatch, OffGridTranslation, WrongFrame, ZeroNorm
+from qlif.errors import BadContainer, GridMismatch, OffGridTranslation, WrongFrame, ZeroNorm
 from qlif.qstate import (
     Branch,
     Frame,
@@ -246,3 +246,59 @@ def test_load_rejects_other_files(tmp_path):
     bad.write_bytes(b"NOTASTATE" + b"\x00" * 32)
     with pytest.raises(ValueError):
         load_state(bad)
+
+
+def _saved_bytes(units, tmp_path):
+    path = tmp_path / "good.qst"
+    save_state(two_branch_state(units), path)
+    return path.read_bytes()
+
+
+def _load_bytes(tmp_path, data):
+    path = tmp_path / "bad.qst"
+    path.write_bytes(data)
+    return load_state(path)
+
+
+def test_load_rejects_wrong_magic(units, tmp_path):
+    data = _saved_bytes(units, tmp_path)
+    with pytest.raises(BadContainer, match="magic"):
+        _load_bytes(tmp_path, b"QLIFSTA0" + data[8:])
+
+
+def test_load_rejects_short_header(units, tmp_path):
+    data = _saved_bytes(units, tmp_path)
+    with pytest.raises(BadContainer, match="short header"):
+        _load_bytes(tmp_path, data[:12])
+    hlen = int.from_bytes(data[8:16], "little")
+    with pytest.raises(BadContainer, match="short header"):
+        _load_bytes(tmp_path, data[: 16 + hlen // 2])
+
+
+def test_load_rejects_truncated_payload(units, tmp_path):
+    data = _saved_bytes(units, tmp_path)
+    with pytest.raises(BadContainer, match="truncated payload"):
+        _load_bytes(tmp_path, data[:-16])
+
+
+def test_load_rejects_trailing_bytes(units, tmp_path):
+    data = _saved_bytes(units, tmp_path)
+    with pytest.raises(BadContainer, match="trailing bytes"):
+        _load_bytes(tmp_path, data + b"\x00")
+
+
+def test_load_rejects_unreadable_header(units, tmp_path):
+    data = _saved_bytes(units, tmp_path)
+    hlen = int.from_bytes(data[8:16], "little")
+    for header in (b"\xff" * hlen, b"[" * hlen, b"[1]".ljust(hlen)):
+        with pytest.raises(BadContainer, match="unreadable header"):
+            _load_bytes(tmp_path, data[:16] + header + data[16 + hlen :])
+
+
+def test_load_rejects_unknown_format(units, tmp_path):
+    data = _saved_bytes(units, tmp_path)
+    hlen = int.from_bytes(data[8:16], "little")
+    header = data[16 : 16 + hlen].replace(b'"format": 1', b'"format": 9')
+    assert len(header) == hlen
+    with pytest.raises(BadContainer, match="format 9"):
+        _load_bytes(tmp_path, data[:16] + header + data[16 + hlen :])

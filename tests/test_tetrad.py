@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_point
+from oracles import eigh_tetrad
 from qlif.errors import DegenerateMetric
 from qlif.spacetime import ETA, FourVector, Minkowski, metric_eval
 from qlif.tetrad import Tetrad, build_tetrad, frame_residual, from_local, tetrad_arrays, to_local
@@ -82,6 +83,45 @@ def test_degenerate_metric_rejected():
         tetrad_arrays(np.diag([1e-13, 1.0, 1.0, 1.0])[None])
     with pytest.raises(DegenerateMetric):  # two timelike directions
         tetrad_arrays(np.diag([-1.0, -1.0, 1.0, 1.0])[None])
+
+
+def test_diagonal_branch_matches_eigh_bit_for_bit(catalog):
+    rng = np.random.default_rng(41)
+    for field in catalog.values():
+        pts = np.array([random_point(field, rng).array for _ in range(500)])
+        g = field.eval_batch(pts)
+        b, f = tetrad_arrays(g)
+        b_ref, f_ref = eigh_tetrad(g)
+        assert np.array_equal(b, b_ref)
+        assert np.array_equal(f, f_ref)
+
+
+def _boost_rotation(rapidity, angle):
+    boost = np.eye(4)
+    boost[0, 0] = boost[1, 1] = np.cosh(rapidity)
+    boost[0, 1] = boost[1, 0] = np.sinh(rapidity)
+    rot = np.eye(4)
+    rot[2, 2] = rot[3, 3] = np.cos(angle)
+    rot[2, 3], rot[3, 2] = -np.sin(angle), np.sin(angle)
+    return boost @ rot
+
+
+def test_non_diagonal_lorentzian_metric_uses_full_construction():
+    lam = _boost_rotation(0.4, 0.7)
+    g = lam.T @ np.diag([-1.3, 0.8, 1.1, 2.5]) @ lam
+    assert np.count_nonzero(g - np.diag(np.diag(g))) > 0
+    b, f = tetrad_arrays(g[None])
+    t = Tetrad(b=b[0], f=f[0], anchor=FourVector(0, 0, 0, 0), metric_id="boosted")
+    assert frame_residual(t, g) < 1e-12
+    assert np.max(np.abs(t.f @ t.b - np.eye(4))) < 1e-12
+
+
+def test_non_diagonal_degenerate_metric_rejected():
+    lam = _boost_rotation(0.3, 0.5)
+    with pytest.raises(DegenerateMetric):  # rank 3: one zero eigenvalue
+        tetrad_arrays((lam.T @ np.diag([-1.0, 0.0, 1.0, 1.0]) @ lam)[None])
+    with pytest.raises(DegenerateMetric):  # two timelike directions
+        tetrad_arrays((lam.T @ np.diag([-1.0, -1.0, 1.0, 1.0]) @ lam)[None])
 
 
 def _pullback_deviation(field, t, radius):
