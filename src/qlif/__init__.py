@@ -21,19 +21,12 @@ from .dynamics import (
     BranchTrajectory,
     GeodesicState,
     Trajectory,
-    Wavepacket1D,
     branch_centroid,
     evolve_free,
-    gaussian_wavepacket,
     geodesic_superposition,
     integrate_geodesic,
     local_frame_velocity,
-    normalize_samples,
-    packet_norm,
-    packet_overlap,
-    packet_width,
     timelike_velocity,
-    translate_packet,
     translation_covariance_check,
     velocity_norm,
 )

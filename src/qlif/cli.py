@@ -23,7 +23,6 @@ from . import collapse as collapse_mod
 from .collapse import CONVENTION, Gaussian, UniformSphere, delta_self_energy
 from .dynamics import (
     GeodesicState,
-    gaussian_wavepacket,
     geodesic_superposition,
     integrate_geodesic,
     timelike_velocity,
@@ -40,7 +39,7 @@ from .qstate import (
     make_state,
     save_state,
 )
-from .spacetime import FourVector, Schwarzschild, UnitSystem, WeakFieldPointMass, metric_from_dict
+from .spacetime import FourVector, Minkowski, Schwarzschild, UnitSystem, WeakFieldPointMass, metric_from_dict
 from .tetrad import build_tetrad, frame_residual
 
 
@@ -74,6 +73,15 @@ def _parse_units(spec) -> UnitSystem:
     raise ConfigError(f"units: expected 'geometric', 'si', or a mapping, got {spec!r}")
 
 
+def _parse_tolerances(section: dict, defaults: dict, where: str) -> dict:
+    given = section.get("tolerances") or {}
+    _check_keys(given, defaults, set(), where)
+    try:
+        return {**defaults, **{k: float(v) for k, v in given.items()}}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _parse_amplitude(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
@@ -83,6 +91,18 @@ def _parse_amplitude(v) -> complex:
 
 
 TOP_KEYS = {"units", "seed", "metrics", "grid", "branches", "transform", "geodesics", "collapse", "selftest"}
+
+# Default tolerances; a config may override any of these keys and no other.
+TRANSFORM_TOLERANCES = {"metric_deviation": 1e-10, "roundtrip": 1e-8, "norm_drift": 1e-8}
+SELFTEST_TOLERANCES = {
+    "tetrad_eta": 1e-10,
+    "tetrad_duality": 1e-12,
+    "unitarity": 1e-8,
+    "roundtrip": 1e-8,
+    "rk4_ratio_lo": 12.0,
+    "rk4_ratio_hi": 20.0,
+    "scaling": 1e-10,
+}
 
 
 class Scenario:
@@ -124,6 +144,7 @@ class Scenario:
                 )
         self.transform = raw.get("transform", {})
         _check_keys(self.transform, {"tolerances", "check_radii"}, set(), "transform")
+        self.transform_tolerances = _parse_tolerances(self.transform, TRANSFORM_TOLERANCES, "transform.tolerances")
         self.geodesics = raw.get("geodesics", {})
         _check_keys(self.geodesics, {"local_velocity", "dtau", "steps"}, set(), "geodesics")
         self.collapse = raw.get("collapse")
@@ -133,6 +154,7 @@ class Scenario:
             )
         self.selftest = raw.get("selftest", {})
         _check_keys(self.selftest, {"tolerances"}, set(), "selftest")
+        self.selftest_tolerances = _parse_tolerances(self.selftest, SELFTEST_TOLERANCES, "selftest.tolerances")
 
     def build_state(self) -> SuperposedState:
         if self.grid is None or not self.branches:
@@ -199,8 +221,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def cmd_transform(scn: Scenario, out: Path) -> int:
-    tol = {"metric_deviation": 1e-10, "roundtrip": 1e-8, "norm_drift": 1e-8}
-    tol.update(scn.transform.get("tolerances") or {})
+    tol = scn.transform_tolerances
     radii = scn.transform.get("check_radii") or []
 
     state = scn.build_state()
@@ -324,16 +345,7 @@ def cmd_collapse(scn: Scenario, out: Path) -> int:
 
 def _selftest_checks(scn: Scenario):
     """(name, value, threshold, passed) rows for the built-in invariant suite."""
-    tol = {
-        "tetrad_eta": 1e-10,
-        "tetrad_duality": 1e-12,
-        "unitarity": 1e-8,
-        "roundtrip": 1e-8,
-        "rk4_ratio_lo": 12.0,
-        "rk4_ratio_hi": 20.0,
-        "scaling": 1e-10,
-    }
-    tol.update(scn.selftest.get("tolerances") or {})
+    tol = scn.selftest_tolerances
     u = UnitSystem.geometric()
     rng = np.random.default_rng(scn.seed)
     rows = []
@@ -423,9 +435,12 @@ def _selftest_checks(scn: Scenario):
     scal = abs(e4 / 4.0 - e1) / e1
     rows.append(("energy_mass_scaling", scal, tol["scaling"], scal < tol["scaling"]))
 
-    # Translation-evolution commutation (flat-space stationarity core).
-    p = gaussian_wavepacket(lo=-20, hi=20, n=512, center=0.0, sigma=1.0)
-    comm = translation_covariance_check(p, 5 * p.dx, 2.0)
+    # Translation-evolution commutation (flat-space stationarity core) on a
+    # one-branch flat state, thin in y and z; |psi|^2 has rms width 1 along x.
+    line = GridSpec(lo=(-20, -1, -1), hi=(20, 1, 1), n=(512, 2, 2))
+    psi = gaussian_psi(line, (0.0, 0.0, 0.0), (np.sqrt(2.0), 1.0, 1.0))
+    flat = make_state([Branch(1.0, "free", FourVector(0, 0, 0, 0), Minkowski(u), psi)], line, units=u)
+    comm = translation_covariance_check(flat, (5 * line.spacing[0], 0.0, 0.0), 2.0, 1.0)
     rows.append(("translation_commutator", comm, 1e-10, comm < 1e-10))
     return rows
 

@@ -1,4 +1,4 @@
-"""Branch-wise geodesic motion and flat-space wavepacket evolution.
+"""Branch-wise geodesic motion and flat-space free evolution of states.
 
 Geodesics are integrated in proper time with classic fixed-step RK4 on the
 pair (x, u):
@@ -9,13 +9,13 @@ using the metric catalog's Christoffel symbols (analytic where available,
 4th-order finite differences otherwise).  Timelike normalization is
 g_munu u^mu u^nu = -c^2, with u^0 = d(ct)/dtau.
 
-The 1D wavepacket half implements the flat-space stationarity demo: free
-evolution under H = P^2 / 2m by the spectral (FFT) method on a periodic
-grid.  On that grid the translation operator is an index roll, which the
-kinetic phase commutes with exactly, so evolving then translating equals
-translating then evolving to machine precision; that commutation is the
-operational content of "a translated superposition accumulates no relative
-phase".
+The flat-space stationarity demo evolves the flat branches of a
+``SuperposedState`` under H = P^2 / 2m by the spectral (FFT) method, each
+grid axis taken as periodic.  On that grid ``translate_state`` is an index
+roll, which the kinetic phase commutes with exactly, so evolving then
+translating equals translating then evolving to machine precision; that
+commutation is the operational content of "a translated superposition
+accumulates no relative phase".
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import OffGridTranslation, QlifError
-from .qstate import SuperposedState, branch_sqrt_neg_det
-from .spacetime import FdConfig, FourVector, MetricField, christoffel
+from .errors import QlifError
+from .qstate import SuperposedState, _freeze, branch_sqrt_neg_det, translate_state
+from .spacetime import FdConfig, FourVector, MetricField, Minkowski, christoffel
 from .tetrad import build_tetrad
 
 
@@ -227,124 +227,52 @@ def geodesic_superposition(
 
 
 # ---------------------------------------------------------------------------
-# Flat-space 1D wavepackets
+# Flat-space free evolution
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Wavepacket1D:
-    """Unit-norm complex samples on a periodic 1D grid x_j = lo + j (hi - lo)/n.
+def evolve_free(s: SuperposedState, t: float, mass: float) -> SuperposedState:
+    """Evolve every branch under H = P^2 / (2 m) for time t >= 0 (spectral, unitary).
 
-    The endpoint is exclusive (period hi - lo), which is what makes the
-    FFT evolution and the index-roll translation exact companions.
+    Each axis is periodic with period n h (h the grid spacing), the
+    convention under which ``translate_state`` is an exact roll; hbar comes
+    from ``s.units``.  Every branch must be flat (metric ``Minkowski``, as
+    are the P-frame registers ``to_qlif`` produces), else ValueError.
     """
-
-    samples: np.ndarray
-    lo: float
-    hi: float
-    mass: float
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
-        if s.ndim != 1 or s.size < 2:
-            raise ValueError("samples must be a 1D array of length >= 2")
-        if not (self.hi > self.lo):
-            raise ValueError("need hi > lo")
-        if not (self.mass > 0.0 and self.hbar > 0.0):
-            raise ValueError("mass and hbar must be > 0")
-        object.__setattr__(self, "samples", s)
-        if abs(packet_norm(self) - 1.0) > 1e-10:
-            raise ValueError("samples must have unit L2 norm (use gaussian_wavepacket "
-                             "or normalize_samples)")
-
-    @property
-    def dx(self) -> float:
-        return (self.hi - self.lo) / self.samples.size
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.lo + self.dx * np.arange(self.samples.size)
-
-
-def packet_norm(p: Wavepacket1D) -> float:
-    return float(np.sqrt(np.sum(np.abs(p.samples) ** 2) * (p.hi - p.lo) / p.samples.size))
-
-
-def packet_overlap(a: Wavepacket1D, b: Wavepacket1D) -> complex:
-    if a.samples.size != b.samples.size or (a.lo, a.hi) != (b.lo, b.hi):
-        raise ValueError("packets live on different grids")
-    return complex(np.sum(np.conj(a.samples) * b.samples) * a.dx)
-
-
-def normalize_samples(samples, lo: float, hi: float, mass: float, hbar: float = 1.0) -> Wavepacket1D:
-    s = np.asarray(samples, dtype=complex)
-    nrm = np.sqrt(np.sum(np.abs(s) ** 2) * (hi - lo) / s.size)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize zero samples")
-    return Wavepacket1D(samples=s / nrm, lo=lo, hi=hi, mass=mass, hbar=hbar)
-
-
-def gaussian_wavepacket(
-    lo: float,
-    hi: float,
-    n: int,
-    center: float,
-    sigma: float,
-    momentum: float = 0.0,
-    mass: float = 1.0,
-    hbar: float = 1.0,
-) -> Wavepacket1D:
-    """Normalized Gaussian exp(-(x - c)^2 / (4 sigma^2) + i p x / hbar).
-
-    ``sigma`` is the rms position width: |psi|^2 has standard deviation
-    sigma, and free evolution spreads it as
-    sigma(t) = sigma sqrt(1 + (hbar t / (2 m sigma^2))^2).
-    """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0")
-    x = lo + (hi - lo) / n * np.arange(n)
-    psi = np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * momentum * x / hbar)
-    return normalize_samples(psi, lo, hi, mass, hbar)
-
-
-def evolve_free(p: Wavepacket1D, t: float) -> Wavepacket1D:
-    """Evolve under H = P^2 / (2 m) for time t >= 0 (spectral, unitary)."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
+    if not mass > 0.0:
+        raise ValueError("mass must be > 0")
+    for b in s.branches:
+        if not isinstance(b.metric, Minkowski):
+            raise ValueError(f"branch {b.key}: free evolution needs a flat (Minkowski) branch")
     if t == 0.0:
-        return p
-    k = 2.0 * np.pi * np.fft.fftfreq(p.samples.size, d=p.dx)
-    phase = np.exp(-1j * p.hbar * k**2 * t / (2.0 * p.mass))
-    return replace(p, samples=np.fft.ifft(np.fft.fft(p.samples) * phase))
+        return s
+    kx, ky, kz = (
+        2.0 * np.pi * np.fft.fftfreq(n, d=h) for n, h in zip(s.grid.n, s.grid.spacing)
+    )
+    k2 = kx[:, None, None] ** 2 + ky[None, :, None] ** 2 + kz[None, None, :] ** 2
+    phase = np.exp(-1j * s.units.hbar * k2 * t / (2.0 * mass))
+    evolved = tuple(
+        replace(b, psi=_freeze(np.fft.ifftn(np.fft.fftn(b.psi) * phase))) for b in s.branches
+    )
+    return replace(s, branches=evolved)
 
 
-def translate_packet(p: Wavepacket1D, d: float) -> Wavepacket1D:
-    """psi(x) -> psi(x - d) for d an integer number of grid steps (exact roll)."""
-    steps = d / p.dx
-    rounded = np.rint(steps)
-    if abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
-        raise OffGridTranslation(f"{d!r} is {steps} grid steps; integer steps required")
-    return replace(p, samples=np.roll(p.samples, int(rounded)))
-
-
-def translation_covariance_check(p: Wavepacket1D, d: float, t: float) -> float:
+def translation_covariance_check(s: SuperposedState, d, t: float, mass: float) -> float:
     """L2 distance between evolve-then-translate and translate-then-evolve.
 
     Zero (to machine precision) for the periodic free Hamiltonian, because
     the kinetic phase is diagonal in the same Fourier basis that
     diagonalizes the roll; this is the operational stationarity statement
-    for translated superpositions.
+    for translated superpositions.  The distance is summed from the sample
+    differences (flat branches have unit measure), not from norms and
+    overlaps, which would cancel down to ~1e-8.
     """
-    a = evolve_free(translate_packet(p, d), t)
-    b = translate_packet(evolve_free(p, t), d)
-    return float(np.sqrt(np.sum(np.abs(a.samples - b.samples) ** 2) * p.dx))
-
-
-def packet_width(p: Wavepacket1D) -> float:
-    """sqrt(<x^2> - <x>^2) of |psi|^2 on the grid."""
-    prob = np.abs(p.samples) ** 2 * p.dx
-    total = float(np.sum(prob))
-    mean = float(np.sum(p.x * prob) / total)
-    var = float(np.sum((p.x - mean) ** 2 * prob) / total)
-    return float(np.sqrt(var))
+    a = evolve_free(translate_state(s, d), t, mass)
+    b = translate_state(evolve_free(s, t, mass), d)
+    dist_sq = sum(
+        abs(ba.amplitude) ** 2 * np.sum(np.abs(ba.psi - bb.psi) ** 2)
+        for ba, bb in zip(a.branches, b.branches)
+    )
+    return float(np.sqrt(dist_sq * s.grid.dvol))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -383,7 +384,8 @@ def load_state(path) -> SuperposedState:
     """Read a state container written by ``save_state``.
 
     Raises BadContainer for a wrong magic or format version, a short or
-    unreadable header, a truncated payload and trailing bytes.
+    unreadable header, a missing or invalid header field, a truncated
+    payload and trailing bytes.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -403,38 +405,35 @@ def load_state(path) -> SuperposedState:
             raise BadContainer(f"unreadable header: {exc!r}") from exc
         if version != 1:
             raise BadContainer(f"unknown container format {version!r}")
-        grid = GridSpec(
-            lo=tuple(header["grid"]["lo"]),
-            hi=tuple(header["grid"]["hi"]),
-            n=tuple(header["grid"]["n"]),
-            t0=header["grid"]["t0"],
-        )
-        units = UnitSystem(**header["units"])
-        count = int(np.prod(grid.shape))
+        try:
+            g = header["grid"]
+            grid = GridSpec(lo=tuple(g["lo"]), hi=tuple(g["hi"]), n=tuple(g["n"]), t0=g["t0"])
+            units = UnitSystem(**header["units"])
+            frame = Frame(header["frame"])
+            prefactor = complex(*header["prefactor"])
+            records = [
+                dict(
+                    amplitude=complex(*rec["amplitude"]),
+                    mass_label=rec["mass_label"],
+                    mass_position=FourVector.from_array(rec["mass_position"]),
+                    metric=metric_from_dict(rec["metric"], units),
+                    source_metric_id=rec["source_metric_id"],
+                )
+                for rec in header["branches"]
+            ]
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise BadContainer(f"bad header field: {exc!r}") from exc
+        count = math.prod(grid.shape)
         payload = size - prefix - hlen
-        expected = 16 * count * len(header["branches"])
+        expected = 16 * count * len(records)
         if payload < expected:
             raise BadContainer(f"truncated payload: {payload} of {expected} bytes")
         if payload > expected:
             raise BadContainer(f"{payload - expected} trailing bytes after the last branch")
         branches = []
-        for rec in header["branches"]:
-            raw = fh.read(16 * count)
-            psi = np.frombuffer(raw, dtype="<c16").reshape(grid.shape)
-            branches.append(
-                Branch(
-                    amplitude=complex(*rec["amplitude"]),
-                    mass_label=rec["mass_label"],
-                    mass_position=FourVector.from_array(rec["mass_position"]),
-                    metric=metric_from_dict(rec["metric"], units),
-                    psi=_freeze(psi.astype(complex)),
-                    source_metric_id=rec["source_metric_id"],
-                )
-            )
+        for rec in records:
+            psi = np.frombuffer(fh.read(16 * count), dtype="<c16").reshape(grid.shape)
+            branches.append(Branch(psi=_freeze(psi.astype(complex)), **rec))
     return SuperposedState(
-        branches=tuple(branches),
-        grid=grid,
-        frame=Frame(header["frame"]),
-        units=units,
-        prefactor=complex(*header["prefactor"]),
+        branches=tuple(branches), grid=grid, frame=frame, units=units, prefactor=prefactor
     )

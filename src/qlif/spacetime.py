@@ -344,8 +344,10 @@ def metric_inverse(field: MetricField, x: FourVector) -> np.ndarray:
 
 
 def metric_det_sqrt(field: MetricField, x: FourVector) -> float:
-    """sqrt(-det g) = sqrt(|det g|) at x."""
-    return float(np.sqrt(-np.linalg.det(metric_eval(field, x))))
+    """sqrt(-det g) = sqrt(|det g|) at x; SingularRegion inside the singular set."""
+    pts = x.array[None, :]
+    field.require_valid(pts)
+    return float(sqrt_neg_det_batch(field, pts)[0])
 
 
 def sqrt_neg_det_batch(field: MetricField, points: np.ndarray) -> np.ndarray:

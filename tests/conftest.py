@@ -79,3 +79,25 @@ def derived_b_xi(branch, grid):
     b, _ = tetrad_arrays(branch.source_metric.eval_batch(pts))
     xi = np.einsum("nij,nj->ni", b, branch.mass_position.array[None, :] - pts)
     return b, xi
+
+
+def line_state(units, sigma, n=2048, half_width=30.0):
+    """One flat branch on an (n, 2, 2) grid over x in [-half_width, half_width].
+
+    ``sigma`` is ``gaussian_psi``'s amplitude width along x, so |psi|^2 has
+    rms width sigma / sqrt(2) there.  The packet is centred between the two
+    samples of the thin y and z axes, so it is constant across them and
+    free evolution moves it along x alone.
+    """
+    grid = GridSpec(lo=(-half_width, -1.0, -1.0), hi=(half_width, 1.0, 1.0), n=(n, 2, 2))
+    psi = gaussian_psi(grid, (0.0, 0.0, 0.0), (sigma, 1.0, 1.0))
+    branch = Branch(1.0, "free", FourVector(grid.t0, 0.0, 0.0, 0.0), Minkowski(units), psi)
+    return make_state([branch], grid, units=units)
+
+
+def x_width(state):
+    """rms width along x of |psi|^2 of a one-branch state."""
+    prob = np.sum(np.abs(state.branches[0].psi) ** 2, axis=(1, 2))
+    x = state.grid.axis(0)
+    mean = np.sum(x * prob) / np.sum(prob)
+    return float(np.sqrt(np.sum((x - mean) ** 2 * prob) / np.sum(prob)))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import derived_b_xi, random_point, two_branch_state
+from conftest import derived_b_xi, line_state, random_point, two_branch_state, x_width
 from oracles import (
     free_gaussian_width,
     newtonian_drop,
@@ -26,9 +26,7 @@ from qlif.collapse import UniformSphere, collapse_time, delta_self_energy, delta
 from qlif.dynamics import (
     GeodesicState,
     evolve_free,
-    gaussian_wavepacket,
     integrate_geodesic,
-    packet_width,
     timelike_velocity,
     translation_covariance_check,
 )
@@ -205,17 +203,22 @@ def test_criterion_5_equivalence_principle_per_branch(units):
     )
 
 
-def test_criterion_6_flat_space_stationarity():
-    packet = gaussian_wavepacket(lo=-30.0, hi=30.0, n=2048, center=0.0, sigma=1.0, mass=1.0)
+def test_criterion_6_flat_space_stationarity(units):
+    # gaussian_psi's sigma is the amplitude width: |psi|^2 has rms width 1 along x
+    sigma = np.sqrt(2.0)
+    state = line_state(units, sigma)
+    h = state.grid.spacing[0]
     worst_comm = 0.0
     for steps in (1, 8, 21):
         for t in (0.3, 1.7, 6.0):
-            worst_comm = max(worst_comm, translation_covariance_check(packet, steps * packet.dx, t))
+            worst_comm = max(
+                worst_comm, translation_covariance_check(state, (steps * h, 0.0, 0.0), t, 1.0)
+            )
     assert worst_comm < 1e-10
     worst_width = 0.0
     for t in (0.5, 2.0, 5.0):
-        width = packet_width(evolve_free(packet, t))
-        oracle = free_gaussian_width(1.0, t, mass=1.0)
+        width = x_width(evolve_free(state, t, 1.0))
+        oracle = free_gaussian_width(sigma / np.sqrt(2.0), t, mass=1.0)
         worst_width = max(worst_width, abs(width - oracle) / oracle)
     assert worst_width < 1e-6
     _report(

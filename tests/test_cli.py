@@ -201,6 +201,24 @@ def test_unknown_keys_rejected(tmp_path):
     payload = two_branch_config()
     payload["metrics"]["g_left"]["spin"] = 0.5
     assert main(["transform", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    payload = two_branch_config()
+    payload["transform"]["tolerances"] = {"roundtip": 1.0e-3}
+    assert main(["transform", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert "roundtip" in json.loads((out / "error.json").read_text())["error"]["message"]
+    assert not (out / "transform_report.json").exists()
+    payload = {"units": "geometric", "selftest": {"tolerances": {"unitarty": 0.0}}}
+    assert main(["selftest", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert "unitarty" in json.loads((out / "error.json").read_text())["error"]["message"]
+
+
+def test_non_numeric_tolerances_rejected(tmp_path):
+    out = tmp_path / "out"
+    payload = two_branch_config()
+    payload["transform"]["tolerances"] = {"roundtrip": None}
+    assert main(["transform", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    payload = {"units": "geometric", "selftest": {"tolerances": {"unitarity": "tight"}}}
+    assert main(["selftest", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert json.loads((out / "error.json").read_text())["error"]["kind"] == "config"
 
 
 def test_undefined_metric_id_rejected(tmp_path):

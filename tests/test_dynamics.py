@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import two_branch_state
+from conftest import line_state, two_branch_state, x_width
 from oracles import (
     free_gaussian_width,
     newtonian_drop,
@@ -11,21 +11,16 @@ from oracles import (
 from qlif.dynamics import (
     GeodesicState,
     evolve_free,
-    gaussian_wavepacket,
     geodesic_superposition,
     integrate_geodesic,
     local_frame_velocity,
-    normalize_samples,
-    packet_norm,
-    packet_overlap,
-    packet_width,
     timelike_velocity,
-    translate_packet,
     translation_covariance_check,
     velocity_norm,
 )
 from qlif.errors import OffGridTranslation
-from qlif.qstate import GridSpec
+from qlif.qrf import to_qlif
+from qlif.qstate import GridSpec, inner_product, state_norm, translate_state
 from qlif.spacetime import FdConfig, FourVector, Minkowski, Schwarzschild, WeakFieldPointMass
 
 
@@ -237,80 +232,93 @@ def test_geodesic_superposition_branches_bend_apart(units):
 
 
 # ---------------------------------------------------------------------------
-# wavepackets
+# flat-space free evolution
 # ---------------------------------------------------------------------------
+
+# gaussian_psi's sigma is the amplitude width; |psi|^2 has rms width sigma / sqrt(2)
+SIGMA = np.sqrt(2.0)
+RMS_WIDTH = SIGMA / np.sqrt(2.0)
 
 
 @pytest.fixture
-def packet():
-    return gaussian_wavepacket(lo=-30.0, hi=30.0, n=2048, center=0.0, sigma=1.0, mass=1.0, hbar=1.0)
+def line(units):
+    return line_state(units, SIGMA)
 
 
-def test_packet_requires_unit_norm():
-    from qlif.dynamics import Wavepacket1D
+def _shift(state, steps):
+    return (steps * state.grid.spacing[0], 0.0, 0.0)
 
+
+def test_evolve_zero_time_is_identity(line):
+    assert np.array_equal(evolve_free(line, 0.0, 1.0).branches[0].psi, line.branches[0].psi)
     with pytest.raises(ValueError):
-        Wavepacket1D(samples=2.0 * np.ones(64, complex), lo=0.0, hi=1.0, mass=1.0)
-    p = normalize_samples(2.0 * np.ones(64), lo=0.0, hi=1.0, mass=1.0)
-    assert packet_norm(p) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_evolve_zero_time_is_identity(packet):
-    assert np.array_equal(evolve_free(packet, 0.0).samples, packet.samples)
+        evolve_free(line, -1.0, 1.0)
     with pytest.raises(ValueError):
-        evolve_free(packet, -1.0)
+        evolve_free(line, 1.0, 0.0)
 
 
-def test_free_gaussian_spreading(packet):
+def test_evolve_rejects_curved_branches(units):
+    s = two_branch_state(units)
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError, match="Minkowski"):
+            evolve_free(s, t, 1.0)
+
+
+def test_evolve_accepts_qlif_frame_registers(units):
+    transformed, _ = to_qlif(two_branch_state(units))
+    evolved = evolve_free(transformed, 0.4, 1.0)
+    assert state_norm(evolved) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_free_gaussian_spreading(line):
     for t in (0.5, 2.0, 5.0):
-        evolved = evolve_free(packet, t)
-        oracle = free_gaussian_width(1.0, t, mass=1.0, hbar=1.0)
-        assert packet_width(evolved) == pytest.approx(oracle, rel=1e-6)
+        evolved = evolve_free(line, t, 1.0)
+        oracle = free_gaussian_width(RMS_WIDTH, t, mass=1.0, hbar=1.0)
+        assert x_width(evolved) == pytest.approx(oracle, rel=1e-6)
 
 
-def test_evolution_is_unitary(packet):
-    evolved = evolve_free(packet, 7.3)
-    assert packet_norm(evolved) == pytest.approx(1.0, abs=1e-12)
+def test_evolution_is_unitary(line):
+    evolved = evolve_free(line, 7.3, 1.0)
+    assert state_norm(evolved) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_evolution_composes(packet):
-    a = evolve_free(evolve_free(packet, 1.3), 0.9)
-    b = evolve_free(packet, 2.2)
-    assert np.max(np.abs(a.samples - b.samples)) < 1e-12
+def test_evolution_composes(line):
+    a = evolve_free(evolve_free(line, 1.3, 1.0), 0.9, 1.0)
+    b = evolve_free(line, 2.2, 1.0)
+    assert np.max(np.abs(a.branches[0].psi - b.branches[0].psi)) < 1e-12
 
 
-def test_translation_covariance_zero_shift(packet):
-    assert translation_covariance_check(packet, 0.0, 2.0) == 0.0
+def test_translation_covariance_zero_shift(line):
+    assert translation_covariance_check(line, (0.0, 0.0, 0.0), 2.0, 1.0) == 0.0
 
 
-def test_translation_covariance_on_grid(packet):
+def test_translation_covariance_on_grid(line):
     for steps in (1, 8, 21):
         for t in (0.3, 1.7, 6.0):
-            assert translation_covariance_check(packet, steps * packet.dx, t) < 1e-10
+            assert translation_covariance_check(line, _shift(line, steps), t, 1.0) < 1e-10
 
 
-def test_translation_off_grid_rejected(packet):
+def test_translation_off_grid_rejected(line):
     with pytest.raises(OffGridTranslation):
-        translate_packet(packet, 0.5 * packet.dx)
+        translate_state(line, _shift(line, 0.5))
     with pytest.raises(OffGridTranslation):
-        translation_covariance_check(packet, 1.4999 * packet.dx, 1.0)
+        translation_covariance_check(line, _shift(line, 1.4999), 1.0, 1.0)
 
 
-def test_branch_overlap_constant_under_common_evolution(packet):
+def test_branch_overlap_constant_under_common_evolution(line):
     # the two amplitudes of a translated superposition evolve under the
     # same free Hamiltonian, so their mutual overlap never changes:
     # |<T_d psi(t) | psi(t)>| = |<T_d psi | psi>| by commutation + unitarity
-    d = 8 * packet.dx
-    ref = abs(packet_overlap(translate_packet(packet, d), packet))
+    d = _shift(line, 8)
+    ref = abs(inner_product(translate_state(line, d), line))
     for t in (0.5, 1.0, 3.0, 10.0):
-        evolved = evolve_free(packet, t)
-        val = abs(packet_overlap(translate_packet(evolved, d), evolved))
+        evolved = evolve_free(line, t, 1.0)
+        val = abs(inner_product(translate_state(evolved, d), evolved))
         assert val == pytest.approx(ref, abs=1e-8)
 
 
-def test_translated_packet_is_phase_shifted_in_momentum(packet):
+def test_translated_packet_is_phase_shifted_in_momentum(line):
     # sanity on the translation itself: probability profile moves rigidly
-    d = 16 * packet.dx
-    moved = translate_packet(packet, d)
-    assert packet_width(moved) == pytest.approx(packet_width(packet), rel=1e-12)
-    assert abs(packet_overlap(moved, packet)) < 1.0
+    moved = translate_state(line, _shift(line, 16))
+    assert x_width(moved) == pytest.approx(x_width(line), rel=1e-12)
+    assert abs(inner_product(moved, line)) < 1.0

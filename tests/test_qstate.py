@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -302,3 +304,46 @@ def test_load_rejects_unknown_format(units, tmp_path):
     assert len(header) == hlen
     with pytest.raises(BadContainer, match="format 9"):
         _load_bytes(tmp_path, data[:16] + header + data[16 + hlen :])
+
+
+def _edited_header(data, edit):
+    """(new header bytes, payload bytes) of a saved container after edit(header)."""
+    hlen = int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16 : 16 + hlen])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    return data[:8] + len(raw).to_bytes(8, "little") + raw, data[16 + hlen :]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h.pop("units"),
+        lambda h: h.pop("grid"),
+        lambda h: h["grid"].pop("n"),
+        lambda h: h["branches"][0].pop("metric"),
+        lambda h: h.update(frame="Q"),
+        lambda h: h["branches"][0]["metric"].update(kind="kerr"),
+        lambda h: h["branches"][0].update(metric="minkowski"),
+        lambda h: h["units"].update(c=-1.0),
+        lambda h: h["branches"][1].update(amplitude=[0.5, 0.0, 0.1]),
+    ],
+    ids=[
+        "no-units", "no-grid", "no-grid-n", "no-metric", "frame-Q",
+        "unknown-kind", "metric-not-mapping", "negative-c", "3-amplitude",
+    ],
+)
+def test_load_rejects_bad_header_fields(units, tmp_path, edit):
+    head, payload = _edited_header(_saved_bytes(units, tmp_path), edit)
+    with pytest.raises(BadContainer, match="bad header field") as info:
+        _load_bytes(tmp_path, head + payload)
+    assert isinstance(info.value.__cause__, (KeyError, ValueError, TypeError, AttributeError))
+
+
+def test_load_rejects_grid_whose_point_count_overflows_int64(units, tmp_path):
+    # 2**22 * 2**22 * 2**20 = 2**64 wraps to 0 in int64 arithmetic
+    head, _ = _edited_header(
+        _saved_bytes(units, tmp_path), lambda h: h["grid"].update(n=[2**22, 2**22, 2**20])
+    )
+    with pytest.raises(BadContainer, match="truncated payload"):
+        _load_bytes(tmp_path, head)
