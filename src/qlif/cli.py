@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,15 @@ from .qstate import (
     make_state,
     save_state,
 )
-from .spacetime import FourVector, Minkowski, Schwarzschild, UnitSystem, WeakFieldPointMass, metric_from_dict
+from .spacetime import (
+    FourVector,
+    MetricField,
+    Minkowski,
+    Schwarzschild,
+    UnitSystem,
+    WeakFieldPointMass,
+    metric_from_dict,
+)
 from .tetrad import build_tetrad, frame_residual
 
 
@@ -53,13 +62,56 @@ def _check_keys(mapping, allowed, required, where):
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    _require_keys(mapping, required, where)
-
-
-def _require_keys(mapping, required, where):
     missing = set(required) - set(mapping)
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+
+
+def _convert(where: str, convert, value):
+    """convert(value), any failure to convert reported as a ConfigError at ``where``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _vector(value, n: int = 3) -> tuple[float, ...]:
+    a = np.asarray(value, dtype=float)
+    if a.shape != (n,):
+        raise ValueError(f"expected {n} numbers, got {value!r}")
+    return tuple(float(v) for v in a)
+
+
+def _positive(value) -> float:
+    v = float(value)
+    if not v > 0.0:
+        raise ValueError(f"expected a number > 0, got {value!r}")
+    return v
+
+
+def _widths(value) -> tuple[float, ...]:
+    """One width > 0 for every axis, or one per axis."""
+    return tuple(_positive(v) for v in ((value,) * 3 if np.ndim(value) == 0 else _vector(value)))
+
+
+def _distances(value) -> tuple[float, ...]:
+    """A list of numbers >= 0."""
+    a = np.asarray(value, dtype=float)
+    if a.ndim != 1 or not np.all(a >= 0.0):
+        raise ValueError(f"expected a list of numbers >= 0, got {value!r}")
+    return tuple(float(v) for v in a)
+
+
+def _count(value) -> int:
+    n = int(value)
+    if n != float(value) or n < 0:
+        raise ValueError(f"expected a whole number >= 0, got {value!r}")
+    return n
+
+
+def _amplitude(value) -> complex:
+    """A number or [re, im]."""
+    return complex(value) if np.ndim(value) == 0 else complex(*_vector(value, 2))
 
 
 def _parse_units(spec) -> UnitSystem:
@@ -69,25 +121,14 @@ def _parse_units(spec) -> UnitSystem:
         return UnitSystem.si()
     if isinstance(spec, dict):
         _check_keys(spec, {"c", "G", "hbar"}, {"c", "G", "hbar"}, "units")
-        return UnitSystem(c=float(spec["c"]), G=float(spec["G"]), hbar=float(spec["hbar"]))
+        return _convert("units", lambda u: UnitSystem(**{k: float(v) for k, v in u.items()}), spec)
     raise ConfigError(f"units: expected 'geometric', 'si', or a mapping, got {spec!r}")
 
 
 def _parse_tolerances(section: dict, defaults: dict, where: str) -> dict:
     given = section.get("tolerances") or {}
     _check_keys(given, defaults, set(), where)
-    try:
-        return {**defaults, **{k: float(v) for k, v in given.items()}}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_amplitude(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ConfigError(f"amplitude must be a number or [re, im], got {v!r}")
+    return {**defaults, **{k: _convert(f"{where}.{k}", float, v) for k, v in given.items()}}
 
 
 TOP_KEYS = {"units", "seed", "metrics", "grid", "branches", "transform", "geodesics", "collapse", "selftest"}
@@ -105,98 +146,115 @@ SELFTEST_TOLERANCES = {
 }
 
 
+@dataclass(frozen=True)
+class BranchSpec:
+    """One configured branch; its wavefunction is a ``gaussian_psi`` packet."""
+
+    label: str
+    amplitude: complex
+    metric: MetricField
+    mass_position: FourVector
+    center: tuple[float, float, float]
+    sigma: tuple[float, float, float]
+    momentum: tuple[float, float, float] | None
+
+
 class Scenario:
-    """Validated configuration, ready to build physics objects from."""
+    """Validated configuration: every value is converted here, once.
+
+    Any key or value problem raises ConfigError; the subcommands read only
+    the typed attributes.
+    """
 
     def __init__(self, raw: dict):
         _check_keys(raw, TOP_KEYS, {"units"}, "config")
         self.units = _parse_units(raw["units"])
-        self.seed = int(raw.get("seed", 0))
-        self.metrics = {}
-        for mid, spec in (raw.get("metrics") or {}).items():
-            try:
-                self.metrics[str(mid)] = metric_from_dict(spec, self.units)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"metrics.{mid}: {exc}") from exc
+        self.seed = _convert("seed", int, raw.get("seed", 0))
+        metrics = raw.get("metrics") or {}
+        if not isinstance(metrics, dict):
+            raise ConfigError("metrics: expected a mapping")
+        self.metrics = {
+            str(mid): _convert(f"metrics.{mid}", lambda spec: metric_from_dict(spec, self.units), spec)
+            for mid, spec in metrics.items()
+        }
         self.grid = None
         if "grid" in raw:
-            g = raw["grid"]
-            _check_keys(g, {"lo", "hi", "n", "t0"}, {"lo", "hi", "n"}, "grid")
-            try:
-                self.grid = GridSpec(
-                    lo=tuple(g["lo"]), hi=tuple(g["hi"]), n=tuple(g["n"]), t0=float(g.get("t0", 0.0))
-                )
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"grid: {exc}") from exc
-        self.branches = raw.get("branches")
-        if self.branches is not None:
-            for i, b in enumerate(self.branches):
-                _check_keys(
-                    b,
-                    {"label", "amplitude", "metric", "mass_position", "packet"},
-                    {"label", "metric", "mass_position", "packet"},
-                    f"branches[{i}]",
-                )
-                if b["metric"] not in self.metrics:
-                    raise ConfigError(f"branches[{i}]: metric id {b['metric']!r} not defined")
-                _check_keys(
-                    b["packet"], {"center", "sigma", "momentum"}, {"center", "sigma"}, f"branches[{i}].packet"
-                )
-        self.transform = raw.get("transform", {})
-        _check_keys(self.transform, {"tolerances", "check_radii"}, set(), "transform")
-        self.transform_tolerances = _parse_tolerances(self.transform, TRANSFORM_TOLERANCES, "transform.tolerances")
-        self.geodesics = raw.get("geodesics", {})
-        _check_keys(self.geodesics, {"local_velocity", "dtau", "steps"}, set(), "geodesics")
-        self.collapse = raw.get("collapse")
-        if self.collapse is not None:
-            _check_keys(
-                self.collapse, {"distribution", "separations", "axis"}, {"distribution", "separations"}, "collapse"
-            )
-        self.selftest = raw.get("selftest", {})
-        _check_keys(self.selftest, {"tolerances"}, set(), "selftest")
-        self.selftest_tolerances = _parse_tolerances(self.selftest, SELFTEST_TOLERANCES, "selftest.tolerances")
+            _check_keys(raw["grid"], {"lo", "hi", "n", "t0"}, {"lo", "hi", "n"}, "grid")
+            self.grid = _convert("grid", lambda g: GridSpec(**{**g, "t0": float(g.get("t0", 0.0))}), raw["grid"])
+        branches = raw.get("branches") or []
+        if not isinstance(branches, list):
+            raise ConfigError("branches: expected a list")
+        self.branches = [self._branch(i, b) for i, b in enumerate(branches)]
+
+        transform = raw.get("transform", {})
+        _check_keys(transform, {"tolerances", "check_radii"}, set(), "transform")
+        self.transform_tolerances = _parse_tolerances(transform, TRANSFORM_TOLERANCES, "transform.tolerances")
+        self.check_radii = _convert("transform.check_radii", _distances, transform.get("check_radii") or [])
+
+        geodesics = raw.get("geodesics", {})
+        _check_keys(geodesics, {"local_velocity", "dtau", "steps"}, set(), "geodesics")
+        self.local_velocity = _convert("geodesics.local_velocity", _vector, geodesics.get("local_velocity", (0.0,) * 3))
+        if np.dot(self.local_velocity, self.local_velocity) >= self.units.c**2:
+            raise ConfigError("geodesics.local_velocity: speed must be below c")
+        self.dtau = _convert("geodesics.dtau", _positive, geodesics["dtau"]) if "dtau" in geodesics else None
+        self.steps = _convert("geodesics.steps", _count, geodesics["steps"]) if "steps" in geodesics else None
+
+        # the distribution record as written is echoed in the collapse summary
+        collapse = raw.get("collapse")
+        self.distribution = self.distribution_spec = self.separations = self.axis = None
+        if collapse is not None:
+            _check_keys(collapse, {"distribution", "separations", "axis"}, {"distribution", "separations"}, "collapse")
+            self.distribution_spec = collapse["distribution"]
+            self.distribution = _parse_distribution(self.distribution_spec)
+            self.separations = _convert("collapse.separations", _distances, collapse["separations"])
+            self.axis = _convert("collapse.axis", _vector, collapse.get("axis", (0.0, 0.0, 1.0)))
+            if not any(self.axis):
+                raise ConfigError("collapse.axis: must not be zero")
+
+        selftest = raw.get("selftest", {})
+        _check_keys(selftest, {"tolerances"}, set(), "selftest")
+        self.selftest_tolerances = _parse_tolerances(selftest, SELFTEST_TOLERANCES, "selftest.tolerances")
+
+    def _branch(self, i: int, b) -> BranchSpec:
+        where = f"branches[{i}]"
+        required = {"label", "metric", "mass_position", "packet"}
+        _check_keys(b, required | {"amplitude"}, required, where)
+        metric = self.metrics.get(str(b["metric"]))
+        if metric is None:
+            raise ConfigError(f"{where}: metric id {b['metric']!r} not defined")
+        pk = b["packet"]
+        _check_keys(pk, {"center", "sigma", "momentum"}, {"center", "sigma"}, f"{where}.packet")
+        return BranchSpec(
+            label=str(b["label"]),
+            amplitude=_convert(f"{where}.amplitude", _amplitude, b.get("amplitude", 1.0)),
+            metric=metric,
+            mass_position=_convert(f"{where}.mass_position", FourVector.from_array, b["mass_position"]),
+            center=_convert(f"{where}.packet.center", _vector, pk["center"]),
+            sigma=_convert(f"{where}.packet.sigma", _widths, pk["sigma"]),
+            momentum=_convert(f"{where}.packet.momentum", lambda m: m if m is None else _vector(m), pk.get("momentum")),
+        )
 
     def build_state(self) -> SuperposedState:
         if self.grid is None or not self.branches:
             raise ConfigError("this command needs 'grid' and 'branches' sections")
-        branches = []
-        for b in self.branches:
-            pk = b["packet"]
-            psi = gaussian_psi(
-                self.grid,
-                center=pk["center"],
-                sigma=pk["sigma"],
-                momentum=pk.get("momentum"),
-                hbar=self.units.hbar,
-            )
-            branches.append(
-                Branch(
-                    amplitude=_parse_amplitude(b.get("amplitude", 1.0)),
-                    mass_label=str(b["label"]),
-                    mass_position=FourVector.from_array(b["mass_position"]),
-                    metric=self.metrics[b["metric"]],
-                    psi=psi,
-                )
-            )
+        psi = [gaussian_psi(self.grid, b.center, b.sigma, b.momentum, self.units.hbar) for b in self.branches]
+        branches = [Branch(b.amplitude, b.label, b.mass_position, b.metric, p) for b, p in zip(self.branches, psi)]
         return make_state(branches, self.grid, units=self.units)
 
-    def build_distribution(self):
-        spec = self.collapse["distribution"]
-        kind = spec.get("kind") if isinstance(spec, dict) else None
-        if kind == "uniform_sphere":
-            _check_keys(spec, {"kind", "mass", "radius", "center"}, {"kind", "mass", "radius"}, "collapse.distribution")
-            cls, size_key = UniformSphere, "radius"
-        elif kind == "gaussian":
-            _check_keys(spec, {"kind", "mass", "width", "center"}, {"kind", "mass", "width"}, "collapse.distribution")
-            cls, size_key = Gaussian, "width"
-        else:
-            raise ConfigError(f"collapse.distribution: unknown kind {kind!r}")
-        try:
-            return cls(
-                spec["mass"], spec[size_key], center=tuple(spec.get("center", (0.0, 0.0, 0.0)))
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"collapse.distribution: {exc}") from exc
+
+# collapse.distribution kinds: (class, name of the size parameter)
+DISTRIBUTIONS = {"uniform_sphere": (UniformSphere, "radius"), "gaussian": (Gaussian, "width")}
+
+
+def _parse_distribution(spec):
+    where = "collapse.distribution"
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in DISTRIBUTIONS:
+        raise ConfigError(f"{where}: unknown kind {kind!r}")
+    cls, size = DISTRIBUTIONS[kind]
+    _check_keys(spec, {"kind", "mass", size, "center"}, {"kind", "mass", size}, where)
+    center = _convert(f"{where}.center", _vector, spec.get("center", (0.0, 0.0, 0.0)))
+    return _convert(where, lambda s: cls(_positive(s["mass"]), _positive(s[size]), center=center), spec)
 
 
 def _fmt(x) -> str:
@@ -222,23 +280,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def cmd_transform(scn: Scenario, out: Path) -> int:
     tol = scn.transform_tolerances
-    radii = scn.transform.get("check_radii") or []
-
     state = scn.build_state()
     transformed, report = to_qlif(state)
     save_state(transformed, out / "state_qlif.qst")
-
-    deviation_rows = []
-    for r in radii:
-        for row in check_qlif_metric(transformed, float(r)):
-            deviation_rows.append(
-                {
-                    "mass_label": row.mass_label,
-                    "metric_id": row.metric_id,
-                    "radius": float(row.radius),
-                    "max_deviation": float(row.max_deviation),
-                }
-            )
 
     checks = {
         "metric_deviation": report.max_metric_deviation_at_origin <= tol["metric_deviation"],
@@ -246,22 +290,9 @@ def cmd_transform(scn: Scenario, out: Path) -> int:
         "norm_drift": abs(report.norm_after - report.norm_before) <= tol["norm_drift"],
     }
     payload = {
-        "report": {
-            "norm_before": float(report.norm_before),
-            "norm_after": float(report.norm_after),
-            "max_metric_deviation_at_origin": float(report.max_metric_deviation_at_origin),
-            "roundtrip_error": float(report.roundtrip_error),
-            "branches": [
-                {
-                    "mass_label": b.mass_label,
-                    "metric_id": b.metric_id,
-                    "max_metric_deviation_at_origin": float(b.max_metric_deviation_at_origin),
-                }
-                for b in report.branches
-            ],
-        },
-        "local_deviation_table": deviation_rows,
-        "tolerances": {k: float(v) for k, v in tol.items()},
+        "report": asdict(report),
+        "local_deviation_table": [asdict(row) for r in scn.check_radii for row in check_qlif_metric(transformed, r)],
+        "tolerances": tol,
         "checks": checks,
         "passed": all(checks.values()),
         "seed": scn.seed,
@@ -271,12 +302,10 @@ def cmd_transform(scn: Scenario, out: Path) -> int:
 
 
 def cmd_geodesics(scn: Scenario, out: Path) -> int:
-    _require_keys(scn.geodesics, {"dtau", "steps"}, "geodesics")
-    v = scn.geodesics.get("local_velocity", [0.0, 0.0, 0.0])
-    dtau = float(scn.geodesics["dtau"])
-    steps = int(scn.geodesics["steps"])
+    if scn.dtau is None or scn.steps is None:
+        raise ConfigError("geodesics: 'dtau' and 'steps' are required")
     state = scn.build_state()
-    results = geodesic_superposition(state, v, dtau, steps)
+    results = geodesic_superposition(state, scn.local_velocity, scn.dtau, scn.steps)
     c = scn.units.c
 
     summary = []
@@ -303,12 +332,9 @@ def cmd_geodesics(scn: Scenario, out: Path) -> int:
 
 
 def cmd_collapse(scn: Scenario, out: Path) -> int:
-    if scn.collapse is None:
+    if scn.distribution is None:
         raise ConfigError("this command needs a 'collapse' section")
-    dist = scn.build_distribution()
-    seps = [float(d) for d in scn.collapse["separations"]]
-    axis = scn.collapse.get("axis", (0.0, 0.0, 1.0))
-    rows = collapse_mod.separation_sweep(dist, seps, scn.units, axis=axis)
+    rows = collapse_mod.separation_sweep(scn.distribution, scn.separations, scn.units, axis=scn.axis)
 
     u = scn.units
     table = []
@@ -335,7 +361,7 @@ def cmd_collapse(scn: Scenario, out: Path) -> int:
         out / "collapse_summary.json",
         {
             "convention": CONVENTION,
-            "distribution": scn.collapse["distribution"],
+            "distribution": scn.distribution_spec,
             "rows": len(table),
             "seed": scn.seed,
         },
@@ -370,31 +396,22 @@ def _selftest_checks(scn: Scenario):
     rows.append(("tetrad_duality", worst_dual, tol["tetrad_duality"], worst_dual < tol["tetrad_duality"]))
 
     # QLIF unitarity and round trip on a small two-branch state.
+    # Metrics are values: the ones built for the second state are the keys
+    # (and the cached measures) of the first.
     grid = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=(17, 17, 17))
-    gl = WeakFieldPointMass(u, mass=1e-6, soft=1e-3, center=(-1.0, 0, 0))
-    gr = WeakFieldPointMass(u, mass=1e-6, soft=1e-3, center=(1.0, 0, 0))
 
     def rand_state():
-        return make_state(
-            [
-                Branch(
-                    complex(rng.normal(), rng.normal()),
-                    "L",
-                    FourVector(0, -1.0, 0, 0),
-                    gl,
-                    gaussian_psi(grid, rng.uniform(-0.5, 0.5, 3), rng.uniform(0.4, 0.8)),
-                ),
-                Branch(
-                    complex(rng.normal(), rng.normal()),
-                    "R",
-                    FourVector(0, 1.0, 0, 0),
-                    gr,
-                    gaussian_psi(grid, rng.uniform(-0.5, 0.5, 3), rng.uniform(0.4, 0.8)),
-                ),
-            ],
-            grid,
-            units=u,
-        )
+        branches = [
+            Branch(
+                complex(rng.normal(), rng.normal()),
+                label,
+                FourVector(0, x, 0, 0),
+                WeakFieldPointMass(u, mass=1e-6, soft=1e-3, center=(x, 0, 0)),
+                gaussian_psi(grid, rng.uniform(-0.5, 0.5, 3), rng.uniform(0.4, 0.8)),
+            )
+            for label, x in (("L", -1.0), ("R", 1.0))
+        ]
+        return make_state(branches, grid, units=u)
 
     a, b = rand_state(), rand_state()
     ta, _ = to_qlif(a)
@@ -464,6 +481,9 @@ def cmd_selftest(scn: Scenario, out: Path) -> int:
     return 0 if ok else 1
 
 
+COMMANDS = {"transform": cmd_transform, "geodesics": cmd_geodesics, "collapse": cmd_collapse, "selftest": cmd_selftest}
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -482,7 +502,7 @@ def main(argv=None) -> int:
         prog="qlif",
         description="Superposed-spacetime state transforms, geodesics, and collapse tables.",
     )
-    parser.add_argument("command", choices=["transform", "geodesics", "collapse", "selftest"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="YAML scenario file")
     parser.add_argument("--out", required=True, help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -508,13 +528,7 @@ def main(argv=None) -> int:
         scn = Scenario(raw if raw is not None else {})
         if args.seed is not None:
             scn.seed = args.seed
-        handler = {
-            "transform": cmd_transform,
-            "geodesics": cmd_geodesics,
-            "collapse": cmd_collapse,
-            "selftest": cmd_selftest,
-        }[args.command]
-        return handler(scn, out)
+        return COMMANDS[args.command](scn, out)
     except ConfigError as exc:
         _error_record(out, "config", str(exc))
         return 2

@@ -222,7 +222,7 @@ def geodesic_superposition(
         traj = integrate_geodesic(
             branch.metric, GeodesicState(x=x0, u=u0, tau=0.0), dtau, n_steps, fd=fd
         )
-        out.append(BranchTrajectory(branch.mass_label, branch.key[1], traj))
+        out.append(BranchTrajectory(branch.mass_label, branch.key[1].label, traj))
     return out
 
 

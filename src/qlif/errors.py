@@ -34,7 +34,7 @@ class WrongFrame(QlifError):
 
 
 class MissingTetradRecord(QlifError):
-    """P-frame branch lacks the source metric needed to invert it (e.g. reloaded from a container)."""
+    """P-frame branch lacks the source metric needed to invert it (built by hand, not by ``to_qlif``)."""
 
 
 class BadContainer(QlifError, ValueError):

@@ -21,9 +21,10 @@ x_S, the component at probe position x is relabeled as follows:
   a square root instead of ``eigh`` (see module ``tetrad``).
 
 The transformation never mixes branches (it is block-diagonal in the
-(mass_label, metric_id) key).  It is fixed entirely by the branch metric on
+(mass_label, metric) key).  It is fixed entirely by the branch metric on
 the source grid, so each output branch keeps only that metric
-(``Branch.source_metric``); the source grid is the negated P-frame grid,
+(``Branch.source_metric``, which also keys it and which the state
+container keeps); the source grid is the negated P-frame grid,
 and the tetrads b(x, g_i), f(x, g_i) and the measure are re-derived from
 the metric wherever they are needed (``tetrad_arrays`` is deterministic,
 so they come out the same every time).
@@ -112,16 +113,7 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float]:
     factor = np.sqrt(branch_sqrt_neg_det(branch, grid))
     psi_new = _reverse(branch.psi * factor).copy()
     psi_new.setflags(write=False)
-
-    new_branch = Branch(
-        amplitude=branch.amplitude,
-        mass_label=branch.mass_label,
-        mass_position=branch.mass_position,
-        metric=Minkowski(branch.metric.units),
-        psi=psi_new,
-        source_metric_id=branch.key[1],
-        source_metric=branch.metric,
-    )
+    new_branch = replace(branch, metric=Minkowski(branch.metric.units), psi=psi_new, source_metric=branch.metric)
     return new_branch, max_dev
 
 
@@ -157,7 +149,7 @@ def to_qlif(s: SuperposedState) -> tuple[SuperposedState, QrfTransformReport]:
         max_metric_deviation_at_origin=max(deviations),
         roundtrip_error=roundtrip,
         branches=tuple(
-            BranchTransformRecord(nb.mass_label, nb.key[1], dev)
+            BranchTransformRecord(nb.mass_label, nb.source_metric.label, dev)
             for nb, dev in zip(new_branches, deviations)
         ),
     )
@@ -176,20 +168,15 @@ def from_qlif(s: SuperposedState) -> SuperposedState:
     Points where the measure is 0 (the source metric's singular set, where
     ``to_qlif`` only admits zero amplitude) come back as 0.  Raises
     WrongFrame unless ``s`` is P-frame and MissingTetradRecord if a branch
-    lacks its source metric (e.g. a state reloaded from a container).
+    lacks its source metric (a P-frame branch built by hand, not by
+    ``to_qlif`` or ``load_state``).
     """
     if s.frame != Frame.P:
         raise WrongFrame(f"from_qlif needs a P-frame state, got {s.frame.value}-frame")
     grid = s.grid.negated()
     branches = []
     for branch in s.branches:
-        restored = Branch(
-            amplitude=branch.amplitude,
-            mass_label=branch.mass_label,
-            mass_position=branch.mass_position,
-            metric=_source_metric(branch),
-            psi=_reverse(branch.psi),
-        )
+        restored = replace(branch, metric=_source_metric(branch), psi=_reverse(branch.psi), source_metric=None)
         factor = np.sqrt(branch_sqrt_neg_det(restored, grid))
         psi = np.zeros(grid.shape, dtype=complex)
         np.divide(restored.psi, factor, out=psi, where=factor > 0)
@@ -267,12 +254,5 @@ def check_qlif_metric(
             g_t = metric.eval_batch(targets[ok])
             pulled = f.T @ g_t @ f
             max_dev = max(max_dev, float(np.max(np.abs(pulled - ETA))))
-        rows.append(
-            QlifMetricRow(
-                mass_label=branch.mass_label,
-                metric_id=branch.key[1],
-                radius=float(radius),
-                max_deviation=max_dev,
-            )
-        )
+        rows.append(QlifMetricRow(branch.mass_label, metric.label, float(radius), max_dev))
     return rows

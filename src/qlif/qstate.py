@@ -7,7 +7,7 @@ particle, sampled on a shared spatial grid at one fixed coordinate time
 axis).  Wavefunctions are measured with the branch's own volume weight
 sqrt(-g_i) d^3x, so
 
-    <a|b> = sum over matching (mass_label, metric_id) branches of
+    <a|b> = sum over matching (mass_label, metric) branches of
             conj(amp_a) amp_b * sum_points conj(psi_a) psi_b sqrt(-g_i) dV
 
 and branches with different labels are orthogonal by construction, which is
@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadContainer, GridMismatch, OffGridTranslation, WrongFrame, ZeroNorm
+from .errors import BadContainer, GridMismatch, MissingTetradRecord, OffGridTranslation, WrongFrame, ZeroNorm
 from .spacetime import FourVector, MetricField, UnitSystem, metric_from_dict, sqrt_neg_det_batch
 
 
@@ -122,14 +122,13 @@ class Branch:
 
     ``psi`` is the relative wavefunction of the probe over the state's
     grid (complex, shape grid.shape).  ``metric`` is the branch's metric
-    register; for P-frame branches it is the flat metric and
-    ``source_metric_id`` keeps the pre-transformation identity so branch
-    matching survives the frame change.  ``source_metric`` is the
-    pre-transformation metric itself, set only on branches produced by the
-    QLIF transformation: the source grid is the negated state grid, so the
+    register; for P-frame branches it is the flat metric.
+    ``source_metric`` is the pre-transformation metric, set only on
+    branches produced by the QLIF transformation (and kept through the
+    state container): it keys the branch, so branch matching survives the
+    frame change, and since the source grid is the negated state grid the
     tetrads and the measure of the transformation follow from it and
-    nothing per point is stored.  It is None on R-frame branches and on
-    branches reloaded from a container.
+    nothing per point is stored.  It is None on R-frame branches.
     """
 
     amplitude: complex
@@ -137,17 +136,12 @@ class Branch:
     mass_position: FourVector
     metric: MetricField
     psi: np.ndarray
-    source_metric_id: str | None = None
     source_metric: MetricField | None = None
 
     @property
-    def metric_id(self) -> str:
-        return self.metric.label
-
-    @property
-    def key(self) -> tuple[str, str]:
-        """(mass_label, metric identity) pair used for branch matching."""
-        return (self.mass_label, self.source_metric_id or self.metric.label)
+    def key(self) -> tuple[str, MetricField]:
+        """(mass_label, metric) pair used for branch matching; the metric compares by value."""
+        return (self.mass_label, self.source_metric or self.metric)
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,7 @@ class SuperposedState:
     units: UnitSystem
     prefactor: complex = 1.0 + 0.0j
 
-    def branch_keys(self) -> list[tuple[str, str]]:
+    def branch_keys(self) -> list[tuple[str, MetricField]]:
         return [b.key for b in self.branches]
 
 
@@ -178,16 +172,13 @@ def branch_sqrt_neg_det(branch: Branch, grid: GridSpec) -> np.ndarray:
 
     Points inside the metric's singular set get weight 0 (they may only
     carry zero amplitude; ``make_state`` and the QRF operations enforce
-    that).  Weights are memoized on the metric's value (its canonical
-    ``describe()`` JSON and unit system) and the grid, so equal metrics
-    built separately share one evaluation."""
-    m = branch.metric
-    return _sqrt_neg_det_grid(json.dumps(m.describe(), sort_keys=True), m.units, grid)
+    that).  Weights are memoized on the metric's value and the grid, so
+    equal metrics built separately share one evaluation."""
+    return _sqrt_neg_det_grid(branch.metric, grid)
 
 
 @functools.lru_cache(maxsize=MEASURE_CACHE_SIZE)
-def _sqrt_neg_det_grid(spec: str, units: UnitSystem, grid: GridSpec) -> np.ndarray:
-    metric = metric_from_dict(json.loads(spec), units)
+def _sqrt_neg_det_grid(metric: MetricField, grid: GridSpec) -> np.ndarray:
     pts = grid.points4()
     valid = metric.valid_mask(pts)
     w = np.zeros(pts.shape[0])
@@ -216,7 +207,7 @@ def make_state(
 
     Raises ZeroNorm for an identically-zero wavefunction, GridMismatch for
     a wavefunction of the wrong shape, and ValueError for duplicate
-    (mass_label, metric_id) pairs or amplitudes that are all zero.
+    (mass_label, metric) pairs or amplitudes that are all zero.
     """
     branches = list(branches)
     if not branches:
@@ -259,7 +250,7 @@ def make_state(
 def inner_product(a: SuperposedState, b: SuperposedState) -> complex:
     """<a|b> with the per-branch sqrt(-g) measure and branch-label orthogonality.
 
-    Branches are matched on their (mass_label, metric_id) key; unmatched
+    Branches are matched on their (mass_label, metric) key; unmatched
     branches contribute exactly zero.  Raises GridMismatch if the grids
     differ and WrongFrame if the frame tags differ.
     """
@@ -341,17 +332,19 @@ def gaussian_psi(grid: GridSpec, center, sigma, momentum=None, hbar: float = 1.0
 #
 # Layout: magic, format version, u64 header length, UTF-8 JSON header, then
 # per branch (in header order) the raw complex128 little-endian samples,
-# row-major with axis order (x, y, z).  The source metric of a P-frame
-# branch is runtime-only and is not serialized (only its identity string
-# is); a reloaded P-frame state is archival (it supports overlaps but not
-# inversion).
+# row-major with axis order (x, y, z).  Format 2 writes each branch's
+# source metric as its ``describe()`` record (null on R-frame branches), so
+# a reloaded P-frame state inverts like the one that was saved.  Format 1
+# kept only a label string for it and is not read: such files are
+# regenerated from their config by ``qlif transform``.
 
 _MAGIC = b"QLIFSTA1"
+FORMAT = 2
 
 
 def _state_header(s: SuperposedState) -> dict:
     return {
-        "format": 1,
+        "format": FORMAT,
         "grid": {"lo": list(s.grid.lo), "hi": list(s.grid.hi), "n": list(s.grid.n), "t0": s.grid.t0},
         "units": {"c": s.units.c, "G": s.units.G, "hbar": s.units.hbar},
         "frame": s.frame.value,
@@ -362,7 +355,7 @@ def _state_header(s: SuperposedState) -> dict:
                 "mass_label": b.mass_label,
                 "mass_position": b.mass_position.array.tolist(),
                 "metric": b.metric.describe(),
-                "source_metric_id": b.source_metric_id,
+                "source_metric": None if b.source_metric is None else b.source_metric.describe(),
             }
             for b in s.branches
         ],
@@ -370,7 +363,13 @@ def _state_header(s: SuperposedState) -> dict:
 
 
 def save_state(s: SuperposedState, path) -> None:
-    """Write the state container (see module notes for the layout)."""
+    """Write the state container (see module notes for the layout).
+
+    Raises MissingTetradRecord for a P-frame branch without a source metric, which could not be reloaded.
+    """
+    for b in s.branches:
+        if s.frame == Frame.P and b.source_metric is None:
+            raise MissingTetradRecord(f"P-frame branch {b.key} has no source metric")
     header = json.dumps(_state_header(s), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -384,8 +383,9 @@ def load_state(path) -> SuperposedState:
     """Read a state container written by ``save_state``.
 
     Raises BadContainer for a wrong magic or format version, a short or
-    unreadable header, a missing or invalid header field, a truncated
-    payload and trailing bytes.
+    unreadable header, a missing or invalid header field, a source metric
+    that does not match the frame (required on P-frame branches, absent on
+    R-frame ones), a truncated payload and trailing bytes.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -403,7 +403,9 @@ def load_state(path) -> SuperposedState:
             version = header["format"]
         except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad UTF-8 or JSON
             raise BadContainer(f"unreadable header: {exc!r}") from exc
-        if version != 1:
+        if version == 1:
+            raise BadContainer("container format 1 is no longer read; regenerate the file")
+        if version != FORMAT:
             raise BadContainer(f"unknown container format {version!r}")
         try:
             g = header["grid"]
@@ -417,12 +419,16 @@ def load_state(path) -> SuperposedState:
                     mass_label=rec["mass_label"],
                     mass_position=FourVector.from_array(rec["mass_position"]),
                     metric=metric_from_dict(rec["metric"], units),
-                    source_metric_id=rec["source_metric_id"],
+                    source_metric=None if rec["source_metric"] is None else metric_from_dict(rec["source_metric"], units),
                 )
                 for rec in header["branches"]
             ]
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise BadContainer(f"bad header field: {exc!r}") from exc
+        for rec in records:
+            if (rec["source_metric"] is None) == (frame == Frame.P):
+                verb = "lacks" if frame == Frame.P else "has"
+                raise BadContainer(f"{frame.value}-frame branch {rec['mass_label']!r} {verb} a source metric")
         count = math.prod(grid.shape)
         payload = size - prefix - hlen
         expected = 16 * count * len(records)

@@ -20,7 +20,9 @@ call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -119,17 +121,47 @@ class FourVector:
         return FourVector.from_array(self.array - other.array)
 
 
+@dataclass(frozen=True)
 class MetricField:
     """A fixed analytic metric g_munu(x) with signature (-, +, +, +).
 
-    Subclasses implement the batched evaluator ``eval_batch`` and the
-    validity mask ``valid_mask``; everything else (inverse, determinant,
-    finite-difference Christoffels) is generic.  ``christoffel_batch`` may
-    be overridden with an analytic fast path.
+    A metric is a value: its unit system, then its parameters (floats > 0,
+    or points of 3-space as 3-tuples of floats), compared and hashed field
+    by field, so it serves as branch key, measure-cache key and, through
+    ``describe()``, container record.  Subclasses set ``kind``, declare
+    their parameters and implement ``eval_batch`` and ``valid_mask``;
+    everything else (inverse, determinant, finite-difference Christoffels)
+    is generic.  ``christoffel_batch`` may be overridden with an analytic
+    fast path.
     """
 
+    kind = ""
     units: UnitSystem
-    label: str
+
+    def __post_init__(self):
+        for f in fields(self)[1:]:
+            v = getattr(self, f.name)
+            if f.type in ("float", float):
+                v = float(v)
+                if not (v > 0.0):
+                    raise ValueError(f"{f.name} must be > 0")
+            else:
+                a = np.asarray(v, dtype=float)
+                if a.shape != (3,):
+                    raise ValueError(f"{f.name} must be a 3-vector")
+                v = tuple(float(x) for x in a)
+            object.__setattr__(self, f.name, v)
+
+    def describe(self) -> dict:
+        """JSON-ready record: kind, then the parameters; ``metric_from_dict`` inverts it."""
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)[1:]}}
+
+    @functools.cached_property
+    def label(self) -> str:
+        """Display form, e.g. ``schwarzschild(mass=1.0)``; units are not shown."""
+        _, *params = self.describe().items()
+        args = ",".join(f"{k}={v!r}".replace(" ", "") for k, v in params)
+        return f"{self.kind}({args})" if params else self.kind
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         """(N, 4) points -> (N, 4, 4) metric components. No validity check."""
@@ -149,35 +181,24 @@ class MetricField:
             bad = np.asarray(points)[np.argmax(~ok)]
             raise SingularRegion(f"{self.label}: point {bad.tolist()} is in the singular set")
 
-    def describe(self) -> dict:
-        """JSON-friendly parameter record (used by the state container and CLI)."""
-        raise NotImplementedError
 
-
+@dataclass(frozen=True)
 class Minkowski(MetricField):
     """Flat spacetime, diag(-1, 1, 1, 1) everywhere."""
 
-    def __init__(self, units: UnitSystem):
-        self.units = units
-        self.label = "minkowski"
+    kind = "minkowski"
 
     def eval_batch(self, points):
-        points = np.asarray(points, dtype=float)
-        n = points.shape[0]
-        return np.broadcast_to(ETA, (n, 4, 4)).copy()
+        return np.broadcast_to(ETA, (len(points), 4, 4)).copy()
 
     def valid_mask(self, points):
-        points = np.asarray(points, dtype=float)
-        return np.ones(points.shape[0], dtype=bool)
+        return np.ones(len(points), dtype=bool)
 
     def christoffel_batch(self, points):
-        points = np.asarray(points, dtype=float)
-        return np.zeros((points.shape[0], 4, 4, 4))
-
-    def describe(self):
-        return {"kind": "minkowski"}
+        return np.zeros((len(points), 4, 4, 4))
 
 
+@dataclass(frozen=True)
 class WeakFieldPointMass(MetricField):
     """Softened point mass in the weak-field (linearized) form, Cartesian chart.
 
@@ -188,22 +209,10 @@ class WeakFieldPointMass(MetricField):
     singular.
     """
 
-    def __init__(self, units: UnitSystem, mass: float, soft: float, center=(0.0, 0.0, 0.0)):
-        if not (mass > 0.0):
-            raise ValueError("mass must be > 0")
-        if not (soft > 0.0):
-            raise ValueError("soft must be > 0")
-        self.units = units
-        self.mass = float(mass)
-        self.soft = float(soft)
-        self.center = np.asarray(center, dtype=float)
-        if self.center.shape != (3,):
-            raise ValueError("center must be a 3-vector")
-        x, y, z = (float(v) for v in self.center)
-        self.label = (
-            f"weak_field_point_mass(mass={self.mass!r},soft={self.soft!r},"
-            f"center=({x!r},{y!r},{z!r}))"
-        )
+    kind = "weak_field_point_mass"
+    mass: float
+    soft: float
+    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def potential(self, points: np.ndarray) -> np.ndarray:
         """Phi at the spatial part of (N, 4) points."""
@@ -232,15 +241,8 @@ class WeakFieldPointMass(MetricField):
     def valid_mask(self, points):
         return np.abs(2.0 * self._phi_over_c2(points)) < 1.0 - 1e-12
 
-    def describe(self):
-        return {
-            "kind": "weak_field_point_mass",
-            "mass": self.mass,
-            "soft": self.soft,
-            "center": self.center.tolist(),
-        }
 
-
+@dataclass(frozen=True)
 class Schwarzschild(MetricField):
     """Schwarzschild exterior in the standard spherical chart (t, r, theta, phi).
 
@@ -249,13 +251,12 @@ class Schwarzschild(MetricField):
     Valid for r > r_s (plus a small margin) and away from the poles.
     """
 
-    def __init__(self, units: UnitSystem, mass: float):
-        if not (mass > 0.0):
-            raise ValueError("mass must be > 0")
-        self.units = units
-        self.mass = float(mass)
-        self.r_s = 2.0 * units.G * mass / units.c**2
-        self.label = f"schwarzschild(mass={self.mass!r})"
+    kind = "schwarzschild"
+    mass: float
+
+    @property
+    def r_s(self) -> float:
+        return 2.0 * self.units.G * self.mass / self.units.c**2
 
     def eval_batch(self, points):
         points = np.asarray(points, dtype=float)
@@ -297,30 +298,26 @@ class Schwarzschild(MetricField):
         gam[:, 3, 2, 3] = gam[:, 3, 3, 2] = cos / sin
         return gam
 
-    def describe(self):
-        return {"kind": "schwarzschild", "mass": self.mass}
+
+METRIC_KINDS = {cls.kind: cls for cls in (Minkowski, WeakFieldPointMass, Schwarzschild)}
 
 
-def metric_from_dict(spec: dict, units: UnitSystem) -> MetricField:
-    """Inverse of ``MetricField.describe`` (used by config and container loaders)."""
-    kind = spec.get("kind")
-    if kind == "minkowski":
-        extra = set(spec) - {"kind"}
-    elif kind == "weak_field_point_mass":
-        extra = set(spec) - {"kind", "mass", "soft", "center"}
-    elif kind == "schwarzschild":
-        extra = set(spec) - {"kind", "mass"}
-    else:
+def metric_from_dict(spec, units: UnitSystem) -> MetricField:
+    """Inverse of ``MetricField.describe`` (used by config and container loaders).
+
+    ValueError for a non-mapping, an unknown kind or key; TypeError for a missing parameter.
+    """
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"metric spec must be a mapping, got {spec!r}")
+    params = dict(spec)
+    kind = params.pop("kind", None)
+    cls = METRIC_KINDS.get(kind)
+    if cls is None:
         raise ValueError(f"unknown metric kind {kind!r}")
+    extra = set(params) - {f.name for f in fields(cls)[1:]}
     if extra:
         raise ValueError(f"unknown metric keys for {kind!r}: {sorted(extra)}")
-    if kind == "minkowski":
-        return Minkowski(units)
-    if kind == "weak_field_point_mass":
-        return WeakFieldPointMass(
-            units, mass=spec["mass"], soft=spec["soft"], center=spec.get("center", (0.0, 0.0, 0.0))
-        )
-    return Schwarzschild(units, mass=spec["mass"])
+    return cls(units, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,12 @@ class Tetrad:
     """Frame-change pair anchored at a point of one metric branch.
 
     b maps coordinate displacements to local-frame components; f is its
-    inverse.  ``metric_id`` records which catalog metric the frame
-    diagonalizes.
+    inverse.
     """
 
     b: np.ndarray
     f: np.ndarray
     anchor: FourVector
-    metric_id: str
 
 
 def _check_spectrum(w: np.ndarray) -> None:
@@ -110,7 +108,7 @@ def build_tetrad(field: MetricField, x: FourVector) -> Tetrad:
     pts = x.array[None, :]
     field.require_valid(pts)
     b, f = tetrad_arrays(field.eval_batch(pts))
-    return Tetrad(b=b[0], f=f[0], anchor=x, metric_id=field.label)
+    return Tetrad(b=b[0], f=f[0], anchor=x)
 
 
 def to_local(t: Tetrad, x_prime: FourVector) -> FourVector:

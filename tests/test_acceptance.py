@@ -255,9 +255,26 @@ def test_criterion_7_collapse_module(units):
     )
 
 
-# SHA-256 of every file the determinism run writes; QLIF_UPDATE_GOLDEN=1
-# rewrites it after an intended change of output bits.
+# SHA-256 of every file the determinism run and the sample-config runs
+# write, one section each; QLIF_UPDATE_GOLDEN=1 rewrites a test's section
+# after an intended change of output bits.
 GOLDEN_CLI = Path(__file__).with_name("golden_cli.json")
+
+
+def _match_golden(section: str, digests: dict) -> None:
+    golden = json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))
+    if os.environ.get("QLIF_UPDATE_GOLDEN"):
+        golden[section] = digests
+        GOLDEN_CLI.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    assert digests == golden.get(section)
+
+
+def _digests(base: Path) -> dict:
+    return {
+        p.relative_to(base).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(base.rglob("*"))
+        if p.is_file()
+    }
 
 
 def test_criterion_8_determinism(tmp_path):
@@ -296,11 +313,27 @@ def test_criterion_8_determinism(tmp_path):
     assert set(outputs["r1"]) == set(outputs["r2"])
     for name in outputs["r1"]:
         assert outputs["r1"][name] == outputs["r2"][name], f"{name} differs between runs"
-    digests = {name.as_posix(): hashlib.sha256(data).hexdigest() for name, data in outputs["r1"].items()}
-    if os.environ.get("QLIF_UPDATE_GOLDEN"):
-        GOLDEN_CLI.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    assert digests == json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))
+    _match_golden("determinism", _digests(tmp_path / "r1"))
     _report(
         "8 (determinism)",
         f"{len(outputs['r1'])} output files byte-identical across two runs and to {GOLDEN_CLI.name}",
     )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# Every subcommand on the sample config that has its section, as in the README.
+SAMPLE_RUNS = [
+    ("transform", "two_branch_weakfield"),
+    ("geodesics", "two_branch_weakfield"),
+    ("collapse", "collapse_si"),
+    ("selftest", "selftest"),
+]
+
+
+def test_sample_configs_match_golden_outputs(tmp_path, capsys):
+    assert {cfg for _, cfg in SAMPLE_RUNS} == {p.stem for p in CONFIGS.glob("*.yaml")}
+    for command, cfg in SAMPLE_RUNS:
+        out = tmp_path / f"{cfg}.{command}"
+        assert cli_main([command, "--config", str(CONFIGS / f"{cfg}.yaml"), "--out", str(out)]) == 0
+    capsys.readouterr()  # the selftest's verdict lines
+    _match_golden("sample_configs", _digests(tmp_path))

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import pytest
 import yaml
 
 from qlif.cli import main
@@ -219,6 +220,62 @@ def test_non_numeric_tolerances_rejected(tmp_path):
     payload = {"units": "geometric", "selftest": {"tolerances": {"unitarity": "tight"}}}
     assert main(["selftest", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
     assert json.loads((out / "error.json").read_text())["error"]["kind"] == "config"
+
+
+def _full_config():
+    payload = two_branch_config()
+    payload["geodesics"] = {"local_velocity": [0.0, 0.0, 0.0], "dtau": 0.5, "steps": 2}
+    payload["collapse"] = {
+        "distribution": {"kind": "uniform_sphere", "mass": 1.0, "radius": 1.0},
+        "separations": [0.0, 0.5],
+        "axis": [0.0, 0.0, 1.0],
+    }
+    return payload
+
+
+# (subcommand, key path into the config, malformed value)
+MALFORMED = [
+    ("transform", ("branches", 0, "packet", "sigma"), "wide"),
+    ("transform", ("branches", 0, "packet", "sigma"), -0.5),
+    ("transform", ("branches", 0, "packet", "center"), "origin"),
+    ("transform", ("branches", 0, "packet", "momentum"), [1.0, "east", 0.0]),
+    ("transform", ("branches", 0, "mass_position"), [0, 1]),
+    ("transform", ("branches", 0, "amplitude"), [1.0, "i"]),
+    ("transform", ("transform", "check_radii"), ["fast"]),
+    ("transform", ("transform", "check_radii"), [-0.1]),
+    ("transform", ("seed",), "x"),
+    ("transform", ("metrics", "g"), 5),
+    ("transform", ("units",), {"c": "fast", "G": 1.0, "hbar": 1.0}),
+    ("geodesics", ("geodesics", "dtau"), "short"),
+    ("geodesics", ("geodesics", "dtau"), 0.0),
+    ("geodesics", ("geodesics", "steps"), "many"),
+    ("geodesics", ("geodesics", "steps"), 2.5),
+    ("geodesics", ("geodesics", "steps"), float("inf")),
+    ("geodesics", ("geodesics", "local_velocity"), "still"),
+    ("geodesics", ("geodesics", "local_velocity"), [1.0, 0.0, 0.0]),
+    ("collapse", ("collapse", "separations"), ["near"]),
+    ("collapse", ("collapse", "separations"), [-1.0]),
+    ("collapse", ("collapse", "axis"), [0, 0]),
+    ("collapse", ("collapse", "axis"), [0, 0, 0]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    MALFORMED,
+    ids=[f"{'.'.join(map(str, path))}={value!r}" for _, path, value in MALFORMED],
+)
+def test_malformed_values_are_config_errors(tmp_path, command, path, value):
+    payload = _full_config()
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"]["kind"] == "config"
+    assert str(path[-1]) in record["error"]["message"]
 
 
 def test_undefined_metric_id_rejected(tmp_path):

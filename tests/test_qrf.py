@@ -166,19 +166,29 @@ def test_wrong_frame_rejected(units):
         check_qlif_metric(s, 0.1)
 
 
-def test_reloaded_state_has_no_records(units, tmp_path):
-    s = two_branch_state(units)
+def test_reloaded_state_inverts(units, tmp_path):
+    # the container keeps each branch's source metric, so the transform
+    # stays invertible across save_state / load_state
+    s = two_branch_state(units, rng=np.random.default_rng(21))
     out, _ = to_qlif(s)
     path = tmp_path / "p.qst"
     save_state(out, path)
     reloaded = load_state(path)
-    assert all(b.source_metric is None for b in reloaded.branches)
-    # archival: overlaps work, inversion does not
-    assert inner_product(out, reloaded) == pytest.approx(1.0, abs=1e-12)
+    assert [b.source_metric for b in reloaded.branches] == [b.metric for b in s.branches]
+    assert reloaded.branch_keys() == s.branch_keys()
+    assert abs(inner_product(s, from_qlif(reloaded)) - 1.0) < 1e-8
+    for radius in (0.0, 0.05):
+        assert check_qlif_metric(reloaded, radius) == check_qlif_metric(out, radius)
+
+
+def test_p_frame_branch_built_by_hand_cannot_invert(units):
+    grid = GridSpec(lo=(-2, -2, -2), hi=(2, 2, 2), n=(9, 9, 9))
+    psi = gaussian_psi(grid, (0, 0, 0), 0.5)
+    s = make_state([Branch(1.0, "M", FourVector(0, 0, 0, 0), Minkowski(units), psi)], grid, frame=Frame.P)
     with pytest.raises(MissingTetradRecord):
-        from_qlif(reloaded)
+        from_qlif(s)
     with pytest.raises(MissingTetradRecord):
-        check_qlif_metric(reloaded, 0.1)
+        check_qlif_metric(s, 0.1)
 
 
 def test_singular_support_rejected(units):

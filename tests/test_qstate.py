@@ -5,7 +5,15 @@ import pytest
 
 from conftest import two_branch_state
 from oracles import gaussian_translate_overlap
-from qlif.errors import BadContainer, GridMismatch, OffGridTranslation, WrongFrame, ZeroNorm
+from qlif.errors import (
+    BadContainer,
+    GridMismatch,
+    MissingTetradRecord,
+    OffGridTranslation,
+    WrongFrame,
+    ZeroNorm,
+)
+from qlif.qrf import to_qlif
 from qlif.qstate import (
     Branch,
     Frame,
@@ -104,6 +112,27 @@ def test_measure_cache_shares_equal_metrics(units, grid):
     w2 = branch_sqrt_neg_det(_weak_branch(units, grid), grid)
     assert w2 is w1
     assert w1.shape == grid.shape and not w1.flags.writeable
+
+
+def test_equal_metrics_built_separately_share_one_key_and_weight(units, grid):
+    psi = gaussian_psi(grid, (0, 0, 0), 0.7)
+    a = WeakFieldPointMass(units, mass=1, soft=1e-3, center=[0.5, 0, 0])
+    b = WeakFieldPointMass(units, mass=1.0, soft=0.001, center=(0.5, 0.0, 0.0))
+    assert a == b and hash(a) == hash(b) and a is not b
+    ba = Branch(1.0, "M", FourVector(0, 0.5, 0, 0), a, psi)
+    bb = Branch(1.0, "M", FourVector(0, 0.5, 0, 0), b, psi)
+    assert ba.key == bb.key and hash(ba.key) == hash(bb.key)
+    assert branch_sqrt_neg_det(bb, grid) is branch_sqrt_neg_det(ba, grid)
+    assert inner_product(make_state([ba], grid), make_state([bb], grid)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_different_units_give_unequal_keys(units, grid):
+    other = UnitSystem(c=2.0, G=1.0, hbar=1.0)
+    a = _weak_branch(units, grid)
+    b = _weak_branch(other, grid)
+    assert a.metric.label == b.metric.label  # the display form omits units
+    assert a.key != b.key
+    assert inner_product(make_state([a], grid), make_state([b], grid, units=units)) == 0j
 
 
 def test_measure_cache_keys_on_units_and_grid(units, grid):
@@ -300,9 +329,18 @@ def test_load_rejects_unreadable_header(units, tmp_path):
 def test_load_rejects_unknown_format(units, tmp_path):
     data = _saved_bytes(units, tmp_path)
     hlen = int.from_bytes(data[8:16], "little")
-    header = data[16 : 16 + hlen].replace(b'"format": 1', b'"format": 9')
-    assert len(header) == hlen
+    header = data[16 : 16 + hlen].replace(b'"format": 2', b'"format": 9')
+    assert header != data[16 : 16 + hlen] and len(header) == hlen
     with pytest.raises(BadContainer, match="format 9"):
+        _load_bytes(tmp_path, data[:16] + header + data[16 + hlen :])
+
+
+def test_load_rejects_format_1_with_a_hint(units, tmp_path):
+    data = _saved_bytes(units, tmp_path)
+    hlen = int.from_bytes(data[8:16], "little")
+    header = data[16 : 16 + hlen].replace(b'"format": 2', b'"format": 1')
+    assert header != data[16 : 16 + hlen]
+    with pytest.raises(BadContainer, match="format 1 .*regenerate"):
         _load_bytes(tmp_path, data[:16] + header + data[16 + hlen :])
 
 
@@ -338,6 +376,41 @@ def test_load_rejects_bad_header_fields(units, tmp_path, edit):
     with pytest.raises(BadContainer, match="bad header field") as info:
         _load_bytes(tmp_path, head + payload)
     assert isinstance(info.value.__cause__, (KeyError, ValueError, TypeError, AttributeError))
+
+
+def _p_frame_bytes(units, tmp_path):
+    path = tmp_path / "p.qst"
+    save_state(to_qlif(two_branch_state(units))[0], path)
+    return path.read_bytes()
+
+
+def test_load_rejects_source_metric_that_does_not_match_the_frame(units, tmp_path):
+    # a P-frame branch needs its source metric to invert; an R-frame branch has none
+    head, payload = _edited_header(
+        _p_frame_bytes(units, tmp_path), lambda h: h["branches"][1].update(source_metric=None)
+    )
+    with pytest.raises(BadContainer, match="P-frame branch 'R' lacks a source metric"):
+        _load_bytes(tmp_path, head + payload)
+    spec = WeakFieldPointMass(units, 1e-6, 1e-3, (1.5, 0.0, 0.0)).describe()
+    head, payload = _edited_header(
+        _saved_bytes(units, tmp_path), lambda h: h["branches"][0].update(source_metric=spec)
+    )
+    with pytest.raises(BadContainer, match="R-frame branch 'L' has a source metric"):
+        _load_bytes(tmp_path, head + payload)
+
+
+def test_load_rejects_bad_source_metric_record(units, tmp_path):
+    head, payload = _edited_header(
+        _p_frame_bytes(units, tmp_path), lambda h: h["branches"][0]["source_metric"].update(mass=-1.0)
+    )
+    with pytest.raises(BadContainer, match="bad header field"):
+        _load_bytes(tmp_path, head + payload)
+
+
+def test_save_rejects_p_frame_branch_without_source_metric(units, grid, tmp_path):
+    s = make_state([flat_branch(units, grid)], grid, frame=Frame.P)
+    with pytest.raises(MissingTetradRecord):
+        save_state(s, tmp_path / "p.qst")
 
 
 def test_load_rejects_grid_whose_point_count_overflows_int64(units, tmp_path):

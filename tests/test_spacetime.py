@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,9 +52,30 @@ def test_weak_field_asymptotic_flatness(units):
 
 
 def test_weak_field_label_formats_plain_floats(units):
-    # numpy scalars must not leak their repr (np.float64(...)) into branch keys
-    wf = WeakFieldPointMass(units, 1e-6, 1e-3, (-1.5, 0, 0))
+    # numpy scalars must not leak their repr (np.float64(...)) into the labels reports print
+    wf = WeakFieldPointMass(units, np.float64(1e-6), 1e-3, np.array([-1.5, 0, 0]))
     assert wf.label == "weak_field_point_mass(mass=1e-06,soft=0.001,center=(-1.5,0.0,0.0))"
+
+
+def test_labels_of_every_kind(units):
+    assert Minkowski(units).label == "minkowski"
+    assert WeakFieldPointMass(units, 2, 0.5).label == "weak_field_point_mass(mass=2.0,soft=0.5,center=(0.0,0.0,0.0))"
+    assert Schwarzschild(units, mass=1).label == "schwarzschild(mass=1.0)"
+
+
+def test_metrics_are_values(units):
+    a = WeakFieldPointMass(units, 1, 1e-3, [0.5, 0, 0])
+    b = WeakFieldPointMass(units, 1.0, 1e-3, (0.5, 0.0, 0.0))
+    assert a == b and hash(a) == hash(b)
+    assert a.center == (0.5, 0.0, 0.0) and type(a.mass) is float
+    assert a != WeakFieldPointMass(UnitSystem(c=2.0, G=1.0, hbar=1.0), 1.0, 1e-3, (0.5, 0.0, 0.0))
+    assert Schwarzschild(units, 1.0) != WeakFieldPointMass(units, 1.0, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.mass = 2.0
+    for bad in ({"mass": 0.0, "soft": 1.0}, {"mass": 1.0, "soft": -1.0}, {"mass": 1.0, "soft": 1.0, "center": (0, 1)}):
+        with pytest.raises(ValueError):
+            WeakFieldPointMass(units, **bad)
+    assert Schwarzschild(units, mass=3.0).r_s == 6.0
 
 
 def test_weak_field_metric_components(units):
@@ -189,8 +212,10 @@ def test_step_too_large(units):
 def test_metric_round_trip_via_describe(units, catalog):
     for field in catalog.values():
         clone = metric_from_dict(field.describe(), units)
-        assert clone.label == field.label
+        assert clone == field and clone.label == field.label
     with pytest.raises(ValueError):
         metric_from_dict({"kind": "schwarzschild", "mass": 1.0, "spin": 0.5}, units)
     with pytest.raises(ValueError):
         metric_from_dict({"kind": "kerr", "mass": 1.0}, units)
+    with pytest.raises(ValueError, match="mapping"):
+        metric_from_dict(5, units)

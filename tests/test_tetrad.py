@@ -52,7 +52,7 @@ def test_minkowski_frame_is_plain_translation(units):
 
 def test_synthetic_tetrad_action():
     b, f = tetrad_arrays(np.diag([-4.0, 1.0, 1.0, 1.0])[None])
-    t = Tetrad(b=b[0], f=f[0], anchor=FourVector(0, 0, 0, 0), metric_id="synthetic")
+    t = Tetrad(b=b[0], f=f[0], anchor=FourVector(0, 0, 0, 0))
     out = to_local(t, FourVector(1.0, 0.0, 0.0, 0.0))
     assert np.array_equal(out.array, np.array([2.0, 0.0, 0.0, 0.0]))
 
@@ -111,7 +111,7 @@ def test_non_diagonal_lorentzian_metric_uses_full_construction():
     g = lam.T @ np.diag([-1.3, 0.8, 1.1, 2.5]) @ lam
     assert np.count_nonzero(g - np.diag(np.diag(g))) > 0
     b, f = tetrad_arrays(g[None])
-    t = Tetrad(b=b[0], f=f[0], anchor=FourVector(0, 0, 0, 0), metric_id="boosted")
+    t = Tetrad(b=b[0], f=f[0], anchor=FourVector(0, 0, 0, 0))
     assert frame_residual(t, g) < 1e-12
     assert np.max(np.abs(t.f @ t.b - np.eye(4))) < 1e-12
 
