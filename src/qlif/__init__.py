@@ -40,7 +40,6 @@ from .errors import (
     QlifError,
     QuadratureNonConvergence,
     SingularRegion,
-    StepTooLarge,
     WrongFrame,
     ZeroNorm,
 )
@@ -67,7 +66,6 @@ from .qstate import (
 )
 from .spacetime import (
     ETA,
-    FdConfig,
     FourVector,
     MetricField,
     Minkowski,

@@ -24,6 +24,7 @@ from . import collapse as collapse_mod
 from .collapse import CONVENTION, Gaussian, UniformSphere, delta_self_energy
 from .dynamics import (
     GeodesicState,
+    drift_figures,
     geodesic_superposition,
     integrate_geodesic,
     timelike_velocity,
@@ -169,7 +170,7 @@ class Scenario:
     def __init__(self, raw: dict):
         _check_keys(raw, TOP_KEYS, {"units"}, "config")
         self.units = _parse_units(raw["units"])
-        self.seed = _convert("seed", int, raw.get("seed", 0))
+        self.seed = _convert("seed", _count, raw.get("seed", 0))
         metrics = raw.get("metrics") or {}
         if not isinstance(metrics, dict):
             raise ConfigError("metrics: expected a mapping")
@@ -309,7 +310,7 @@ def cmd_geodesics(scn: Scenario, out: Path) -> int:
     c = scn.units.c
 
     summary = []
-    for idx, bt in enumerate(results):
+    for idx, (branch, bt) in enumerate(zip(state.branches, results)):
         name = f"geodesic_{idx}_{bt.mass_label}.csv"
         rows = []
         for st in bt.trajectory.states:
@@ -317,6 +318,7 @@ def cmd_geodesics(scn: Scenario, out: Path) -> int:
             uv = st.u.array
             rows.append([st.tau, a[0] / c, a[1], a[2], a[3], uv[0], uv[1], uv[2], uv[3]])
         _write_csv(out / name, ["tau", "t", "x", "y", "z", "u0", "u1", "u2", "u3"], rows)
+        norm_drift, energy_drift = drift_figures(branch.metric, bt.trajectory)
         summary.append(
             {
                 "file": name,
@@ -324,6 +326,8 @@ def cmd_geodesics(scn: Scenario, out: Path) -> int:
                 "metric_id": bt.metric_id,
                 "states": len(bt.trajectory.states),
                 "completed": bt.trajectory.completed,
+                "norm_drift": norm_drift,
+                "energy_drift": energy_drift,
                 "warning": None if bt.trajectory.completed else str(bt.trajectory.error),
             }
         )

@@ -5,9 +5,8 @@ pair (x, u):
 
     dx^mu/dtau = u^mu,    du^mu/dtau = -Gamma^mu_{nu rho} u^nu u^rho,
 
-using the metric catalog's Christoffel symbols (analytic where available,
-4th-order finite differences otherwise).  Timelike normalization is
-g_munu u^mu u^nu = -c^2, with u^0 = d(ct)/dtau.
+using each catalog metric's analytic Christoffel symbols.  Timelike
+normalization is g_munu u^mu u^nu = -c^2, with u^0 = d(ct)/dtau.
 
 The flat-space stationarity demo evolves the flat branches of a
 ``SuperposedState`` under H = P^2 / 2m by the spectral (FFT) method, each
@@ -26,8 +25,11 @@ import numpy as np
 
 from .errors import QlifError
 from .qstate import SuperposedState, _freeze, branch_sqrt_neg_det, translate_state
-from .spacetime import FdConfig, FourVector, MetricField, Minkowski, christoffel
+from .spacetime import FourVector, MetricField, Minkowski
 from .tetrad import build_tetrad
+
+# Relative miss |g(u, u) + c^2| / c^2 accepted in an initial 4-velocity.
+NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -93,41 +95,16 @@ def local_frame_velocity(field: MetricField, x: FourVector, v_local) -> FourVect
     return FourVector.from_array(t.f @ u_local)
 
 
-def _gamma_evaluator(field: MetricField, fd: FdConfig, method: str):
-    if method not in ("auto", "fd", "analytic"):
-        raise ValueError(f"unknown method {method!r}")
-    analytic = method in ("auto", "analytic") and (
-        field.christoffel_batch(np.empty((0, 4))) is not None
-    )
-    if method == "analytic" and not analytic:
-        raise ValueError(f"{field.label} has no analytic Christoffel path")
-    if analytic:
-
-        def gamma(xv: np.ndarray) -> np.ndarray:
-            field.require_valid(xv[None, :])
-            return field.christoffel_batch(xv[None, :])[0]
-
-        return gamma
-
-    def gamma(xv: np.ndarray) -> np.ndarray:
-        return christoffel(field, FourVector.from_array(xv), fd=fd, method="fd")
-
-    return gamma
-
-
 def integrate_geodesic(
     field: MetricField,
     init: GeodesicState,
     dtau: float,
     n_steps: int,
-    fd: FdConfig = FdConfig(richardson=False),
-    method: str = "auto",
-    norm_tol: float = 1e-6,
 ) -> Trajectory:
     """Integrate the geodesic equation from ``init`` for ``n_steps`` RK4 steps.
 
     Returns n_steps + 1 states (including the initial one).  The initial
-    state must be timelike-normalized within ``norm_tol`` (relative to
+    state must be timelike-normalized within ``NORM_TOL`` (relative to
     c^2) and at a valid point, else ValueError / SingularRegion is raised;
     a singular point hit mid-run stops the integration and returns the
     partial trajectory with ``error`` set.
@@ -139,15 +116,15 @@ def integrate_geodesic(
     field.require_valid(init.x.array[None, :])
     c = field.units.c
     miss = abs(velocity_norm(field, init.x, init.u) + c**2)
-    if miss > norm_tol * c**2:
+    if miss > NORM_TOL * c**2:
         raise ValueError(
             f"initial 4-velocity is not normalized: g u u + c^2 = {miss:.3e}"
         )
 
-    gamma = _gamma_evaluator(field, fd, method)
-
     def rhs(y: np.ndarray) -> np.ndarray:
-        gam = gamma(y[:4])
+        pts = y[None, :4]
+        field.require_valid(pts)
+        gam = field.christoffel_batch(pts)[0]
         u = y[4:]
         return np.concatenate([u, -np.einsum("mnr,n,r->m", gam, u, u)])
 
@@ -175,6 +152,21 @@ def integrate_geodesic(
             )
         )
     return Trajectory(states=tuple(states), error=error)
+
+
+def drift_figures(field: MetricField, traj: Trajectory) -> tuple[float, float]:
+    """(norm drift, energy drift) of a trajectory: max |g(u, u) + c^2| / c^2 and max |E / E_0 - 1|.
+
+    E = -g_00 u^0 is the Killing energy, conserved along a geodesic of a
+    static diagonal metric (the whole catalog).
+    """
+    x = np.array([st.x.array for st in traj.states])
+    u = np.array([st.u.array for st in traj.states])
+    g = field.eval_batch(x)
+    c2 = field.units.c**2
+    norm = np.einsum("nij,ni,nj->n", g, u, u)
+    energy = -g[:, 0, 0] * u[:, 0]
+    return float(np.max(np.abs(norm + c2)) / c2), float(np.max(np.abs(energy / energy[0] - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -207,7 +199,6 @@ def geodesic_superposition(
     init_local_velocity,
     dtau: float,
     n_steps: int,
-    fd: FdConfig = FdConfig(richardson=False),
 ) -> list[BranchTrajectory]:
     """One geodesic per branch, started at the branch's wavefunction centroid.
 
@@ -219,9 +210,7 @@ def geodesic_superposition(
     for i, branch in enumerate(state.branches):
         x0 = branch_centroid(state, i)
         u0 = local_frame_velocity(branch.metric, x0, init_local_velocity)
-        traj = integrate_geodesic(
-            branch.metric, GeodesicState(x=x0, u=u0, tau=0.0), dtau, n_steps, fd=fd
-        )
+        traj = integrate_geodesic(branch.metric, GeodesicState(x=x0, u=u0, tau=0.0), dtau, n_steps)
         out.append(BranchTrajectory(branch.mass_label, branch.key[1].label, traj))
     return out
 

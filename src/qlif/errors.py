@@ -9,10 +9,6 @@ class SingularRegion(QlifError):
     """A point lies in (or too close to) a metric's singular set."""
 
 
-class StepTooLarge(QlifError):
-    """Finite-difference step failed its Richardson consistency check."""
-
-
 class DegenerateMetric(QlifError):
     """Metric eigenvalue too small (or signature not Lorentzian) at a point."""
 

@@ -60,7 +60,10 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+        n = tuple(int(v) for v in self.n)
+        if n != tuple(self.n):
+            raise ValueError(f"point counts must be whole numbers, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         if len(self.lo) != 3 or len(self.hi) != 3 or len(self.n) != 3:
             raise ValueError("GridSpec needs 3 spatial axes")
         for lo, hi, n in zip(self.lo, self.hi, self.n):

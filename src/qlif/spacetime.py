@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import SingularRegion, StepTooLarge
+from .errors import SingularRegion
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -129,10 +129,8 @@ class MetricField:
     or points of 3-space as 3-tuples of floats), compared and hashed field
     by field, so it serves as branch key, measure-cache key and, through
     ``describe()``, container record.  Subclasses set ``kind``, declare
-    their parameters and implement ``eval_batch`` and ``valid_mask``;
-    everything else (inverse, determinant, finite-difference Christoffels)
-    is generic.  ``christoffel_batch`` may be overridden with an analytic
-    fast path.
+    their parameters and implement ``eval_batch``, ``valid_mask`` and the
+    analytic ``christoffel_batch``; the inverse and determinant are generic.
     """
 
     kind = ""
@@ -149,7 +147,7 @@ class MetricField:
                 a = np.asarray(v, dtype=float)
                 if a.shape != (3,):
                     raise ValueError(f"{f.name} must be a 3-vector")
-                v = tuple(float(x) for x in a)
+                v = tuple(float(x) + 0.0 for x in a)  # -0.0 -> 0.0: one key, one label
             object.__setattr__(self, f.name, v)
 
     def describe(self) -> dict:
@@ -171,9 +169,9 @@ class MetricField:
         """(N, 4) points -> (N,) bool, True where the point is outside the singular set."""
         raise NotImplementedError
 
-    def christoffel_batch(self, points: np.ndarray):
-        """Analytic Christoffels (N, 4, 4, 4) if available, else None."""
-        return None
+    def christoffel_batch(self, points: np.ndarray) -> np.ndarray:
+        """(N, 4) points -> (N, 4, 4, 4) Christoffel symbols. No validity check."""
+        raise NotImplementedError
 
     def require_valid(self, points: np.ndarray) -> None:
         ok = self.valid_mask(points)
@@ -240,6 +238,24 @@ class WeakFieldPointMass(MetricField):
 
     def valid_mask(self, points):
         return np.abs(2.0 * self._phi_over_c2(points)) < 1.0 - 1e-12
+
+    def christoffel_batch(self, points):
+        # static and diagonal, with phi = Phi/c^2:
+        #   Gamma^0_0i = d_i phi / (1 + 2 phi),  Gamma^i_00 = d_i phi / (1 - 2 phi),
+        #   Gamma^i_jk = -(delta_ij d_k phi + delta_ik d_j phi - delta_jk d_i phi) / (1 - 2 phi)
+        phi = self._phi_over_c2(points)[:, None]
+        dphi = self.potential_gradient(points) / self.units.c**2
+        a = dphi / (1.0 - 2.0 * phi)
+        eye = np.eye(3)
+        gam = np.zeros((len(phi), 4, 4, 4))
+        gam[:, 0, 0, 1:] = gam[:, 0, 1:, 0] = dphi / (1.0 + 2.0 * phi)
+        gam[:, 1:, 0, 0] = a
+        gam[:, 1:, 1:, 1:] = -(
+            eye[:, :, None] * a[:, None, None, :]
+            + eye[:, None, :] * a[:, None, :, None]
+            - eye * a[:, :, None, None]
+        )
+        return gam
 
 
 @dataclass(frozen=True)
@@ -352,90 +368,11 @@ def sqrt_neg_det_batch(field: MetricField, points: np.ndarray) -> np.ndarray:
     return np.sqrt(-np.linalg.det(field.eval_batch(points)))
 
 
-@dataclass(frozen=True)
-class FdConfig:
-    """Finite-difference policy for the generic Christoffel evaluator.
-
-    ``rel_step`` scales per axis with max(1, |x_axis|); an explicit ``step``
-    overrides it for every axis.  When ``richardson`` is on, the derivative
-    is recomputed at half step and StepTooLarge is raised if the two
-    results differ by more than ``richardson_tol`` (max-norm).
-    """
-
-    rel_step: float = 5e-3
-    step: float | None = None
-    richardson: bool = True
-    richardson_tol: float = 1e-6
-
-    def steps_at(self, x: np.ndarray) -> np.ndarray:
-        if self.step is not None:
-            if not (self.step > 0.0):
-                raise ValueError("step must be > 0")
-            return np.full(4, float(self.step))
-        return self.rel_step * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
-
-
-def _metric_partials(field: MetricField, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """dg[sigma, mu, nu] = d_sigma g_munu by 4th-order central differences."""
-    offsets = np.zeros((16, 4))
-    for ax in range(4):
-        h = steps[ax]
-        for j, mult in enumerate((-2.0, -1.0, 1.0, 2.0)):
-            offsets[4 * ax + j, ax] = mult * h
-    pts = x[None, :] + offsets
-    field.require_valid(pts)
-    g = field.eval_batch(pts).reshape(4, 4, 4, 4)  # axis, stencil, mu, nu
-    # f'(x) = (f(x-2h) - 8 f(x-h) + 8 f(x+h) - f(x+2h)) / (12 h)
-    dg = (g[:, 0] - 8.0 * g[:, 1] + 8.0 * g[:, 2] - g[:, 3]) / (12.0 * steps)[:, None, None]
-    return dg
-
-
-def _christoffel_from_partials(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    # Gamma^m_{nr} = 1/2 g^{ms} (d_n g_{sr} + d_r g_{sn} - d_s g_{nr});
-    # a[s,n,r] collects the parenthesis, exactly symmetric in (n, r).
-    a = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    return 0.5 * np.einsum("ms,snr->mnr", ginv, a)
-
-
-def christoffel(
-    field: MetricField,
-    x: FourVector,
-    fd: FdConfig = FdConfig(),
-    method: str = "auto",
-) -> np.ndarray:
+def christoffel(field: MetricField, x: FourVector) -> np.ndarray:
     """Gamma^mu_{nu rho} at x, shape (4, 4, 4), symmetric in the lower pair.
 
-    ``method`` is "auto" (analytic fast path when the metric provides one,
-    else finite differences), "fd" (force finite differences), or
-    "analytic" (require the fast path).
-
-    Raises SingularRegion if x or any stencil point is invalid, and
-    StepTooLarge if the Richardson half-step check fails (fd path only).
+    Raises SingularRegion if x is inside the metric's singular set.
     """
     pts = x.array[None, :]
     field.require_valid(pts)
-    if method not in ("auto", "fd", "analytic"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "analytic"):
-        fast = field.christoffel_batch(pts)
-        if fast is not None:
-            return fast[0]
-        if method == "analytic":
-            raise ValueError(f"{field.label} has no analytic Christoffel path")
-
-    xv = x.array
-    steps = fd.steps_at(xv)
-    ginv = np.linalg.inv(field.eval_batch(pts)[0])
-    gamma = _christoffel_from_partials(ginv, _metric_partials(field, xv, steps))
-    if fd.richardson:
-        gamma_half = _christoffel_from_partials(
-            ginv, _metric_partials(field, xv, 0.5 * steps)
-        )
-        disagreement = float(np.max(np.abs(gamma - gamma_half)))
-        if disagreement > fd.richardson_tol:
-            raise StepTooLarge(
-                f"Christoffel step check: |Gamma(h) - Gamma(h/2)| = {disagreement:.3e} "
-                f"> {fd.richardson_tol:.3e}"
-            )
-        gamma = gamma_half
-    return gamma
+    return field.christoffel_batch(pts)[0]

@@ -28,6 +28,28 @@ def schwarzschild_christoffel(rs: float, r: float, theta: float) -> np.ndarray:
     return gam
 
 
+def fd_christoffel(field, x, step=None, rel_step=5e-3) -> np.ndarray:
+    """Christoffel symbols at FourVector x from 4th-order central differences of ``eval_batch``.
+
+    The step is ``step`` on every axis, else ``rel_step * max(1, |x_axis|)``
+    per axis; the error falls as h^4 (Richardson: halving h cuts it 16x).
+    SingularRegion if a stencil point is invalid.
+    """
+    xv = x.array
+    h = np.full(4, float(step)) if step is not None else rel_step * np.maximum(1.0, np.abs(xv))
+    offsets = np.einsum("j,ab->ajb", [-2.0, -1.0, 1.0, 2.0], np.diag(h)).reshape(16, 4)
+    pts = xv + offsets
+    field.require_valid(pts)
+    g = field.eval_batch(pts).reshape(4, 4, 4, 4)  # axis, stencil, mu, nu
+    # f'(x) = (8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / (12 h); the differences
+    # come first so equal samples give an exact zero
+    dg = (8.0 * (g[:, 2] - g[:, 1]) - (g[:, 3] - g[:, 0])) / (12.0 * h)[:, None, None]
+    ginv = np.linalg.inv(field.eval_batch(xv[None, :])[0])
+    # Gamma^m_{nr} = 1/2 g^{ms} (d_n g_{sr} + d_r g_{sn} - d_s g_{nr})
+    a = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    return 0.5 * np.einsum("ms,snr->mnr", ginv, a)
+
+
 def newtonian_drop(z0: float, g_newton: float, t: float) -> float:
     """Height of a particle released from rest: z0 - g t^2 / 2."""
     return z0 - 0.5 * g_newton * t**2

@@ -32,7 +32,7 @@ from qlif.dynamics import (
 )
 from qlif.qrf import from_qlif, to_qlif
 from qlif.qstate import GridSpec, inner_product, make_state
-from qlif.spacetime import ETA, FdConfig, FourVector, Schwarzschild, WeakFieldPointMass
+from qlif.spacetime import ETA, FourVector, Schwarzschild, WeakFieldPointMass
 from qlif.tetrad import build_tetrad, from_local, to_local
 
 
@@ -148,9 +148,7 @@ def test_criterion_5_equivalence_principle_per_branch(units):
     fall_time = np.sqrt(2.0 * 1e-6 * z0 / g_newton)
     x0 = FourVector(0.0, 0.0, 0.0, z0)
     u0 = timelike_velocity(wf, x0, (0.0, 0.0, 0.0))
-    traj = integrate_geodesic(
-        wf, GeodesicState(x0, u0, 0.0), fall_time / 400, 400, fd=FdConfig(step=0.01, richardson=False)
-    )
+    traj = integrate_geodesic(wf, GeodesicState(x0, u0, 0.0), fall_time / 400, 400)
     drop_err = 0.0
     for st in traj.states[1:]:
         t_coord = st.x.t / units.c

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -118,6 +119,17 @@ def test_geodesics_branches_and_bending(tmp_path):
     assert float(rows_r[-1]["x"]) > float(rows_r[0]["x"])
     summary = json.loads((out / "geodesics_summary.json").read_text())
     assert all(b["completed"] for b in summary["branches"])
+
+
+def test_geodesics_summary_reports_drift_figures(tmp_path):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "two_branch_weakfield.yaml"
+    out = tmp_path / "out"
+    assert main(["geodesics", "--config", str(cfg), "--out", str(out)]) == 0
+    branches = json.loads((out / "geodesics_summary.json").read_text())["branches"]
+    assert len(branches) == 2
+    for b in branches:
+        assert 0.0 <= b["norm_drift"] < 1e-12
+        assert 0.0 <= b["energy_drift"] < 1e-12
 
 
 def test_geodesics_flat_branches_identical_files(tmp_path):
@@ -244,6 +256,8 @@ MALFORMED = [
     ("transform", ("transform", "check_radii"), ["fast"]),
     ("transform", ("transform", "check_radii"), [-0.1]),
     ("transform", ("seed",), "x"),
+    ("transform", ("seed",), 1.5),
+    ("transform", ("grid", "n"), [16.7, 16, 16]),
     ("transform", ("metrics", "g"), 5),
     ("transform", ("units",), {"c": "fast", "G": 1.0, "hbar": 1.0}),
     ("geodesics", ("geodesics", "dtau"), "short"),

@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import schwarzschild_christoffel
+from oracles import fd_christoffel, schwarzschild_christoffel
 from conftest import random_point
-from qlif.errors import SingularRegion, StepTooLarge
+from qlif.errors import SingularRegion
 from qlif.spacetime import (
     ETA,
-    FdConfig,
+    METRIC_KINDS,
     FourVector,
     Minkowski,
     Schwarzschild,
@@ -55,6 +55,12 @@ def test_weak_field_label_formats_plain_floats(units):
     # numpy scalars must not leak their repr (np.float64(...)) into the labels reports print
     wf = WeakFieldPointMass(units, np.float64(1e-6), 1e-3, np.array([-1.5, 0, 0]))
     assert wf.label == "weak_field_point_mass(mass=1e-06,soft=0.001,center=(-1.5,0.0,0.0))"
+
+
+def test_signed_zero_center_has_one_label(units):
+    a = WeakFieldPointMass(units, 1.0, 1.0, (-0.0, 0.0, -0.0))
+    b = WeakFieldPointMass(units, 1.0, 1.0, (0.0, 0.0, 0.0))
+    assert a == b and a.label == b.label == "weak_field_point_mass(mass=1.0,soft=1.0,center=(0.0,0.0,0.0))"
 
 
 def test_labels_of_every_kind(units):
@@ -140,7 +146,7 @@ def test_fd_christoffel_matches_analytic_table(units):
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = FourVector(0.0, rng.uniform(5.0, 15.0), rng.uniform(0.7, 2.4), rng.uniform(0, 2 * np.pi))
-        gam_fd = christoffel(sch, x, fd=FdConfig(rel_step=6e-3, richardson=False), method="fd")
+        gam_fd = fd_christoffel(sch, x, rel_step=6e-3)
         gam_oracle = schwarzschild_christoffel(sch.r_s, x.x, x.y)
         assert np.max(np.abs(gam_fd - gam_oracle)) < 1e-8
 
@@ -148,7 +154,7 @@ def test_fd_christoffel_matches_analytic_table(units):
 def test_analytic_fast_path_matches_table(units):
     sch = Schwarzschild(units, mass=2.5)
     x = FourVector(0.0, 31.0, 1.3, 4.0)
-    gam = christoffel(sch, x, method="analytic")
+    gam = christoffel(sch, x)
     assert np.max(np.abs(gam - schwarzschild_christoffel(sch.r_s, 31.0, 1.3))) < 1e-15
 
 
@@ -156,7 +162,7 @@ def test_weak_field_gamma_i00_is_potential_gradient(units):
     wf = WeakFieldPointMass(units, mass=1e-7, soft=1e-6)
     for spatial in ([1.8, 0.4, -0.6], [2.5, -1.0, 0.8], [0.0, 0.0, 2.2]):
         x = FourVector(0.0, *spatial)
-        gam = christoffel(wf, x, fd=FdConfig(step=0.03, richardson=False), method="fd")
+        gam = christoffel(wf, x)
         grad = wf.potential_gradient(x.array[None, :])[0] / units.c**2
         rel = np.linalg.norm(gam[1:, 0, 0] - grad) / np.linalg.norm(grad)
         assert rel < 1e-6
@@ -166,7 +172,7 @@ def test_christoffel_lower_index_symmetry_is_exact(units, catalog):
     rng = np.random.default_rng(11)
     for field in catalog.values():
         x = random_point(field, rng)
-        gam = christoffel(field, x, fd=FdConfig(richardson=False), method="fd")
+        gam = christoffel(field, x)
         assert np.array_equal(gam, gam.transpose(0, 2, 1))
 
 
@@ -176,7 +182,7 @@ def test_fd_convergence_is_fourth_order(units):
     oracle = schwarzschild_christoffel(sch.r_s, 16.0, 1.0)
 
     def err(h):
-        gam = christoffel(sch, x, fd=FdConfig(step=h, richardson=False), method="fd")
+        gam = fd_christoffel(sch, x, step=h)
         return np.max(np.abs(gam - oracle))
 
     ratio = err(0.8) / err(0.4)
@@ -194,19 +200,35 @@ def test_singular_region(units):
     deep = WeakFieldPointMass(units, mass=1.0, soft=1e-4)
     with pytest.raises(SingularRegion):  # potential deep enough to flip the signature
         metric_eval(deep, FourVector(0.0, 1e-3, 0.0, 0.0))
-    # stencil reaching into the singular set also raises
-    with pytest.raises(SingularRegion):
-        christoffel(sch, FourVector(0.0, sch.r_s + 0.05, 1.0, 0.0), fd=FdConfig(step=0.1), method="fd")
 
 
-def test_step_too_large(units):
+def test_christoffel_raises_in_the_singular_set(units):
+    # Minkowski has no singular set; each other kind is probed inside its own
     sch = Schwarzschild(units, mass=1.0)
-    x = FourVector(0.0, 10.0, 1.1, 0.0)
-    with pytest.raises(StepTooLarge):
-        christoffel(sch, x, fd=FdConfig(step=3.0, richardson=True, richardson_tol=1e-6), method="fd")
-    # same step with the check disabled returns (inaccurate) numbers
-    gam = christoffel(sch, x, fd=FdConfig(step=3.0, richardson=False), method="fd")
-    assert np.all(np.isfinite(gam))
+    deep = WeakFieldPointMass(units, mass=1.0, soft=1e-4)
+    for field, x in (
+        (sch, FourVector(0.0, 0.5 * sch.r_s, 1.0, 0.0)),
+        (sch, FourVector(0.0, 10.0, 0.0, 0.0)),
+        (deep, FourVector(0.0, 1e-3, 0.0, 0.0)),
+    ):
+        with pytest.raises(SingularRegion):
+            christoffel(field, x)
+
+
+def test_every_kind_has_its_own_analytic_christoffels():
+    for cls in METRIC_KINDS.values():
+        assert "christoffel_batch" in cls.__dict__, cls.kind
+
+
+def test_weak_field_christoffel_matches_fd_oracle(units):
+    # mass 2e-2: a 1e-6 field would lose its digits to differencing 1 +- 1e-6
+    wf = WeakFieldPointMass(units, mass=2e-2, soft=0.2, center=(0.3, -0.2, 0.1))
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        x = random_point(wf, rng)
+        gam = christoffel(wf, x)
+        oracle = fd_christoffel(wf, x, step=1e-3)
+        assert np.max(np.abs(gam - oracle)) < 1e-9 * np.max(np.abs(oracle))
 
 
 def test_metric_round_trip_via_describe(units, catalog):
