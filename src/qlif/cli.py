@@ -531,7 +531,7 @@ def main(argv=None) -> int:
     try:
         scn = Scenario(raw if raw is not None else {})
         if args.seed is not None:
-            scn.seed = args.seed
+            scn.seed = _convert("--seed", _count, args.seed)
         return COMMANDS[args.command](scn, out)
     except ConfigError as exc:
         _error_record(out, "config", str(exc))

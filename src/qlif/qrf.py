@@ -16,9 +16,13 @@ x_S, the component at probe position x is relabeled as follows:
 * the branch metric register becomes the flat metric: by construction
   f^T g_i f = eta at every support point, which is the per-branch locally
   inertial property, verified and reported rather than assumed.  The
-  certificate is max |f^T g_i f - eta| over the support, a batched matrix
-  product; the (diagonal) catalog metrics get their tetrads by a sort and
-  a square root instead of ``eigh`` (see module ``tetrad``).
+  certificate is max |f^T g_i f - eta| over the support.  Every catalog
+  metric is diagonal, so it is computed from the diagonal d alone:
+  f^T g_i f is diagonal with entries f d f, f = |d|^(-1/2), each to be
+  compared with sign(d), since the frame of ``tetrad_arrays`` (a sort of
+  the diagonal, see module ``tetrad``) only permutes them onto eta's
+  slots.  No (N, 4, 4) array is built, and the figure is the one the
+  matrix product f^T g_i f - eta would give, bit for bit.
 
 The transformation never mixes branches (it is block-diagonal in the
 (mass_label, metric) key).  It is fixed entirely by the branch metric on
@@ -47,7 +51,7 @@ from .qstate import (
     state_norm,
 )
 from .spacetime import ETA, MetricField, Minkowski
-from .tetrad import tetrad_arrays
+from .tetrad import _check_spectrum, tetrad_arrays
 
 
 @dataclass(frozen=True)
@@ -104,11 +108,13 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float]:
             f"singular set of {branch.metric.label}"
         )
 
-    # Certify f^T g f = eta where the branch has amplitude.
-    g = branch.metric.eval_batch(pts[support])
-    f_arr = tetrad_arrays(g)[1]  # b is not kept: one (n, 4, 4) array less at the peak
-    dev = np.swapaxes(f_arr, -1, -2) @ g @ f_arr - ETA
-    max_dev = float(np.max(np.abs(dev))) if dev.size else 0.0
+    # Certify f^T g f = eta where the branch has amplitude, from the
+    # diagonal of g alone (see the module docstring).
+    d = branch.metric.diagonal_batch(pts[support])
+    _check_spectrum(d)
+    f = 1.0 / np.sqrt(np.abs(d))
+    dev = np.abs(f * d * f - np.sign(d))
+    max_dev = float(np.max(dev)) if dev.size else 0.0
 
     factor = np.sqrt(branch_sqrt_neg_det(branch, grid))
     psi_new = _reverse(branch.psi * factor).copy()
@@ -233,7 +239,6 @@ def check_qlif_metric(
         raise ValueError("radius must be >= 0")
 
     grid = s.grid.negated()
-    pts = grid.points4()
     rows = []
     for branch in s.branches:
         metric = _source_metric(branch)
@@ -241,11 +246,11 @@ def check_qlif_metric(
         weight = np.abs(_reverse(np.asarray(branch.psi)).reshape(-1))
         weight[measure == 0] = 0.0
         chosen = _heaviest(weight, min(sample_points, np.count_nonzero(weight)))
-        _, f_chosen = tetrad_arrays(metric.eval_batch(pts[chosen]))
+        anchors = grid.points4_at(chosen)
+        _, f_chosen = tetrad_arrays(metric.eval_batch(anchors))
 
         max_dev = 0.0
-        for p, f in zip(chosen, f_chosen):
-            anchor = pts[p]
+        for anchor, f in zip(anchors, f_chosen):
             disp = np.concatenate([radius * f.T, -radius * f.T], axis=0)  # (8, 4)
             targets = np.vstack([anchor[None, :], anchor[None, :] + disp])
             ok = metric.valid_mask(targets)

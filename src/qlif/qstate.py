@@ -103,6 +103,15 @@ class GridSpec:
         pts[:, 3] = zz.ravel()
         return pts
 
+    def points4_at(self, flat: np.ndarray) -> np.ndarray:
+        """Rows ``flat`` of ``points4()``, built from the axes without the whole grid."""
+        idx = np.unravel_index(flat, self.n)
+        pts = np.empty((len(flat), 4))
+        pts[:, 0] = self.t0
+        for i in range(3):
+            pts[:, i + 1] = self.axis(i)[idx[i]]
+        return pts
+
     def negated(self) -> "GridSpec":
         """The grid of point-wise negated coordinates (lo, hi swap and flip)."""
         return GridSpec(

@@ -129,8 +129,11 @@ class MetricField:
     or points of 3-space as 3-tuples of floats), compared and hashed field
     by field, so it serves as branch key, measure-cache key and, through
     ``describe()``, container record.  Subclasses set ``kind``, declare
-    their parameters and implement ``eval_batch``, ``valid_mask`` and the
-    analytic ``christoffel_batch``; the inverse and determinant are generic.
+    their parameters and implement ``diagonal_batch``, ``valid_mask`` and
+    the analytic ``christoffel_batch``.  Every catalog metric is diagonal in
+    its chart, so the diagonal is the one evaluation a kind defines;
+    ``eval_batch`` embeds it in (N, 4, 4) arrays, and the inverse and
+    determinant are generic.
     """
 
     kind = ""
@@ -161,9 +164,16 @@ class MetricField:
         args = ",".join(f"{k}={v!r}".replace(" ", "") for k, v in params)
         return f"{self.kind}({args})" if params else self.kind
 
-    def eval_batch(self, points: np.ndarray) -> np.ndarray:
-        """(N, 4) points -> (N, 4, 4) metric components. No validity check."""
+    def diagonal_batch(self, points: np.ndarray) -> np.ndarray:
+        """(N, 4) points -> (N, 4) diagonal components g_00 .. g_33. No validity check."""
         raise NotImplementedError
+
+    def eval_batch(self, points: np.ndarray) -> np.ndarray:
+        """(N, 4) points -> (N, 4, 4) metric components, zero off the diagonal. No validity check."""
+        d = self.diagonal_batch(points)
+        g = np.zeros((len(d), 4, 4))
+        g.reshape(-1, 16)[:, ::5] = d  # flat slots 0, 5, 10, 15: the diagonal
+        return g
 
     def valid_mask(self, points: np.ndarray) -> np.ndarray:
         """(N, 4) points -> (N,) bool, True where the point is outside the singular set."""
@@ -186,8 +196,8 @@ class Minkowski(MetricField):
 
     kind = "minkowski"
 
-    def eval_batch(self, points):
-        return np.broadcast_to(ETA, (len(points), 4, 4)).copy()
+    def diagonal_batch(self, points):
+        return np.broadcast_to(np.diag(ETA), (len(points), 4)).copy()
 
     def valid_mask(self, points):
         return np.ones(len(points), dtype=bool)
@@ -227,14 +237,12 @@ class WeakFieldPointMass(MetricField):
     def _phi_over_c2(self, points):
         return self.potential(points) / self.units.c**2
 
-    def eval_batch(self, points):
+    def diagonal_batch(self, points):
         phi = self._phi_over_c2(points)
-        n = phi.shape[0]
-        g = np.zeros((n, 4, 4))
-        g[:, 0, 0] = -(1.0 + 2.0 * phi)
-        for i in (1, 2, 3):
-            g[:, i, i] = 1.0 - 2.0 * phi
-        return g
+        d = np.empty((len(phi), 4))
+        d[:, 0] = -(1.0 + 2.0 * phi)
+        d[:, 1:] = (1.0 - 2.0 * phi)[:, None]
+        return d
 
     def valid_mask(self, points):
         return np.abs(2.0 * self._phi_over_c2(points)) < 1.0 - 1e-12
@@ -274,18 +282,12 @@ class Schwarzschild(MetricField):
     def r_s(self) -> float:
         return 2.0 * self.units.G * self.mass / self.units.c**2
 
-    def eval_batch(self, points):
+    def diagonal_batch(self, points):
         points = np.asarray(points, dtype=float)
         r = points[:, 1]
         th = points[:, 2]
         f = 1.0 - self.r_s / r
-        n = points.shape[0]
-        g = np.zeros((n, 4, 4))
-        g[:, 0, 0] = -f
-        g[:, 1, 1] = 1.0 / f
-        g[:, 2, 2] = r**2
-        g[:, 3, 3] = r**2 * np.sin(th) ** 2
-        return g
+        return np.stack([-f, 1.0 / f, r**2, r**2 * np.sin(th) ** 2], axis=-1)
 
     def valid_mask(self, points):
         points = np.asarray(points, dtype=float)

@@ -7,6 +7,8 @@ is a real check and not a tautology.
 
 import numpy as np
 
+from qlif.tetrad import tetrad_arrays
+
 
 def schwarzschild_christoffel(rs: float, r: float, theta: float) -> np.ndarray:
     """Classic Schwarzschild connection table in the (t, r, theta, phi) chart.
@@ -120,3 +122,12 @@ def eigh_tetrad(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = v * signs
     scale = np.sqrt(np.abs(w))[..., None, :]
     return np.swapaxes(v * scale, -1, -2), v / scale
+
+
+def matmul_certificate(g: np.ndarray) -> float:
+    """max |f^T g f - eta| over (N, 4, 4) metrics as batched matrix products: the full-matrix route.
+
+    f comes from ``tetrad_arrays``, which ``test_tetrad`` ties to ``eigh_tetrad``.
+    """
+    _, f = tetrad_arrays(g)
+    return float(np.max(np.abs(np.swapaxes(f, -1, -2) @ g @ f - np.diag([-1.0, 1.0, 1.0, 1.0]))))

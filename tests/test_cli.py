@@ -320,3 +320,13 @@ def test_seed_flag_overrides_config(tmp_path):
     assert main(["selftest", "--config", cfg, "--out", str(out), "--seed", "42"]) == 0
     report = json.loads((out / "selftest_report.json").read_text())
     assert report["seed"] == 42
+
+
+def test_negative_seed_flag_is_config_error(tmp_path):
+    cfg = write_config(tmp_path, {"units": "geometric", "seed": 1})
+    out = tmp_path / "out"
+    assert main(["selftest", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"]["kind"] == "config"
+    assert "--seed" in record["error"]["message"]
+    assert not (out / "selftest_report.json").exists()

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import derived_b_xi, two_branch_state
+from oracles import matmul_certificate
 from qlif.errors import MissingTetradRecord, SingularRegion, WrongFrame
 from qlif.qrf import QrfTransformReport, _heaviest, check_qlif_metric, from_qlif, to_qlif
 from qlif.qstate import (
@@ -16,7 +19,7 @@ from qlif.qstate import (
     save_state,
     state_norm,
 )
-from qlif.spacetime import FourVector, Minkowski, Schwarzschild
+from qlif.spacetime import FourVector, Minkowski, Schwarzschild, WeakFieldPointMass
 from qlif.tetrad import build_tetrad, to_local
 
 
@@ -200,6 +203,12 @@ def test_singular_support_rejected(units):
     s = make_state([Branch(1.0, "S", FourVector(0, 5.0, 1.5, 2.5), sch, psi)], grid)
     with pytest.raises(SingularRegion):
         to_qlif(s)
+    # a weak field deep enough to lose its signature (|2 Phi/c^2| >= 1) at the packet
+    deep = WeakFieldPointMass(units, mass=0.3, soft=0.1)
+    grid = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=(13, 13, 13))
+    s = make_state([Branch(1.0, "D", FourVector(0, 0, 0, 0), deep, gaussian_psi(grid, (0, 0, 0), 0.5))], grid)
+    with pytest.raises(SingularRegion):
+        to_qlif(s)
 
 
 def test_round_trip_with_singular_points_on_the_grid(units):
@@ -224,6 +233,41 @@ def _schwarzschild_state(units):
     grid = GridSpec(lo=(4.0, 0.8, 0.5), hi=(10.0, 2.2, 4.5), n=(13, 7, 7))
     psi = gaussian_psi(grid, (7.0, 1.5, 2.5), 0.8)
     return make_state([Branch(1.0, "S", FourVector(0, 7.0, 1.5, 2.5), sch, psi)], grid)
+
+
+def _minkowski_state(units):
+    grid = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=(11, 11, 11))
+    psi = gaussian_psi(grid, (0.3, 0, 0), 0.6)
+    return make_state([Branch(1.0, "M", FourVector(0, 0.8, -0.2, 0.4), Minkowski(units), psi)], grid)
+
+
+@pytest.mark.parametrize("make", [two_branch_state, _schwarzschild_state, _minkowski_state])
+def test_certificate_equals_the_matmul_route_bit_for_bit(units, make):
+    s = make(units)
+    _, report = to_qlif(s)
+    pts = s.grid.points4()
+    for branch, rec in zip(s.branches, report.branches):
+        g = branch.metric.eval_batch(pts[np.asarray(branch.psi).reshape(-1) != 0])
+        assert rec.max_metric_deviation_at_origin == matmul_certificate(g)
+        if isinstance(branch.metric, Schwarzschild):
+            # r^2 sin^2(theta) < r^2: the sorted frame swaps the two angular slots
+            d = np.diagonal(g, axis1=1, axis2=2)
+            assert np.all(np.argsort(d, axis=1, kind="stable")[:, 2:] == [3, 2])
+
+
+def test_to_qlif_peak_memory_is_linear_in_the_grid(units):
+    # with a warm measure cache the peak stays below 256 bytes a point;
+    # one (N, 4, 4) float array alone takes 128
+    n = 32
+    s = two_branch_state(units, grid=GridSpec(lo=(-4, -4, -4), hi=(4, 4, 4), n=(n, n, n)))
+    to_qlif(s)
+    tracemalloc.start()
+    try:
+        to_qlif(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n**3 * 256
 
 
 def test_schwarzschild_support_outside_horizon_passes(units):

@@ -220,6 +220,23 @@ def test_every_kind_has_its_own_analytic_christoffels():
         assert "christoffel_batch" in cls.__dict__, cls.kind
 
 
+def test_every_kind_defines_only_its_diagonal():
+    for cls in METRIC_KINDS.values():
+        assert "diagonal_batch" in cls.__dict__, cls.kind
+        assert "eval_batch" not in cls.__dict__, cls.kind
+
+
+def test_eval_batch_embeds_the_diagonal_bit_for_bit(catalog):
+    assert {field.kind for field in catalog.values()} == set(METRIC_KINDS)
+    rng = np.random.default_rng(4)
+    for field in catalog.values():
+        pts = np.array([random_point(field, rng).array for _ in range(40)])
+        d = field.diagonal_batch(pts)
+        assert d.shape == (40, 4)
+        assert field.eval_batch(pts).tobytes() == np.apply_along_axis(np.diag, 1, d).tobytes()
+        assert field.eval_batch(pts[:0]).shape == (0, 4, 4)
+
+
 def test_weak_field_christoffel_matches_fd_oracle(units):
     # mass 2e-2: a 1e-6 field would lose its digits to differencing 1 +- 1e-6
     wf = WeakFieldPointMass(units, mass=2e-2, soft=0.2, center=(0.3, -0.2, 0.1))
