@@ -318,7 +318,7 @@ def cmd_geodesics(scn: Scenario, out: Path) -> int:
             uv = st.u.array
             rows.append([st.tau, a[0] / c, a[1], a[2], a[3], uv[0], uv[1], uv[2], uv[3]])
         _write_csv(out / name, ["tau", "t", "x", "y", "z", "u0", "u1", "u2", "u3"], rows)
-        norm_drift, energy_drift = drift_figures(branch.metric, bt.trajectory)
+        norm_drift, energy_drift, angular_momentum_drift = drift_figures(branch.metric, bt.trajectory)
         summary.append(
             {
                 "file": name,
@@ -328,6 +328,7 @@ def cmd_geodesics(scn: Scenario, out: Path) -> int:
                 "completed": bt.trajectory.completed,
                 "norm_drift": norm_drift,
                 "energy_drift": energy_drift,
+                "angular_momentum_drift": angular_momentum_drift,
                 "warning": None if bt.trajectory.completed else str(bt.trajectory.error),
             }
         )

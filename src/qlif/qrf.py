@@ -96,13 +96,12 @@ def _reverse(a: np.ndarray) -> np.ndarray:
 
 
 def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float]:
-    pts = grid.points4()
-    psi_flat = np.asarray(branch.psi).reshape(-1)
-    support = psi_flat != 0
-
-    valid = branch.metric.valid_mask(pts)
-    if np.any(support & ~valid):
-        bad = pts[np.argmax(support & ~valid)]
+    support = np.asarray(branch.psi).reshape(-1) != 0
+    # the cached measure is exactly 0 on the singular set and > 0 elsewhere
+    measure = branch_sqrt_neg_det(branch, grid)
+    singular = support & (measure.reshape(-1) == 0)
+    if np.any(singular):
+        bad = grid.points4_at(np.array([np.argmax(singular)]))[0]
         raise SingularRegion(
             f"branch {branch.key}: support point {bad.tolist()} is in the "
             f"singular set of {branch.metric.label}"
@@ -110,13 +109,13 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float]:
 
     # Certify f^T g f = eta where the branch has amplitude, from the
     # diagonal of g alone (see the module docstring).
-    d = branch.metric.diagonal_batch(pts[support])
+    d = branch.metric.diagonal_batch(grid.points4_at(np.flatnonzero(support)))
     _check_spectrum(d)
     f = 1.0 / np.sqrt(np.abs(d))
     dev = np.abs(f * d * f - np.sign(d))
     max_dev = float(np.max(dev)) if dev.size else 0.0
 
-    factor = np.sqrt(branch_sqrt_neg_det(branch, grid))
+    factor = np.sqrt(measure)
     psi_new = _reverse(branch.psi * factor).copy()
     psi_new.setflags(write=False)
     new_branch = replace(branch, metric=Minkowski(branch.metric.units), psi=psi_new, source_metric=branch.metric)

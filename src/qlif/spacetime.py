@@ -1,4 +1,4 @@
-"""Analytic spacetime metrics: evaluation, determinant, and Christoffel symbols.
+"""Analytic spacetime metrics: evaluation, determinant, Christoffel symbols and geodesic accelerations.
 
 Conventions used throughout the package:
 
@@ -21,7 +21,8 @@ call concurrently.
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
+import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -96,7 +97,7 @@ class FourVector:
 
     def __post_init__(self):
         for name in ("t", "x", "y", "z"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"FourVector.{name} must be finite")
 
     @classmethod
@@ -129,11 +130,12 @@ class MetricField:
     or points of 3-space as 3-tuples of floats), compared and hashed field
     by field, so it serves as branch key, measure-cache key and, through
     ``describe()``, container record.  Subclasses set ``kind``, declare
-    their parameters and implement ``diagonal_batch``, ``valid_mask`` and
-    the analytic ``christoffel_batch``.  Every catalog metric is diagonal in
-    its chart, so the diagonal is the one evaluation a kind defines;
-    ``eval_batch`` embeds it in (N, 4, 4) arrays, and the inverse and
-    determinant are generic.
+    their parameters and implement ``diagonal_batch``, ``valid_mask``, the
+    analytic ``christoffel_batch``, the closed-form
+    ``geodesic_acceleration`` the integrator runs on, and
+    ``angular_momentum``.  Every catalog metric is diagonal in its chart, so
+    the diagonal is the one evaluation a kind defines; ``eval_batch`` embeds
+    it in (N, 4, 4) arrays, and the inverse and determinant are generic.
     """
 
     kind = ""
@@ -183,11 +185,34 @@ class MetricField:
         """(N, 4) points -> (N, 4, 4, 4) Christoffel symbols. No validity check."""
         raise NotImplementedError
 
+    def geodesic_acceleration(self) -> Callable[..., tuple[float, float, float, float]]:
+        """a^mu = -Gamma^mu_{nu rho} u^nu u^rho in closed form, as a function of plain floats.
+
+        The returned function maps (x0, x1, x2, x3, u0, u1, u2, u3) to
+        (a0, a1, a2, a3).  The kind's constants are bound once, here, so an
+        integrator builds it once per run and calls it at every stage.  It
+        raises SingularRegion, with the message of ``require_valid``, at a
+        point in the singular set, judged from the same evaluation.
+        """
+        raise NotImplementedError
+
+    def angular_momentum(self, points: np.ndarray, velocities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(L, r) at (N, 4) points and 4-velocities.
+
+        L, shape (N, 3) or (N, 1), is the angular momentum the metric
+        conserves along geodesics, about the kind's centre; r, shape (N,), is
+        the distance from that centre.
+        """
+        raise NotImplementedError
+
     def require_valid(self, points: np.ndarray) -> None:
         ok = self.valid_mask(points)
         if not np.all(ok):
-            bad = np.asarray(points)[np.argmax(~ok)]
-            raise SingularRegion(f"{self.label}: point {bad.tolist()} is in the singular set")
+            raise _singular(self.label, np.asarray(points)[np.argmax(~ok)])
+
+
+def _singular(label: str, point) -> SingularRegion:
+    return SingularRegion(f"{label}: point {[float(v) for v in point]} is in the singular set")
 
 
 @dataclass(frozen=True)
@@ -204,6 +229,16 @@ class Minkowski(MetricField):
 
     def christoffel_batch(self, points):
         return np.zeros((len(points), 4, 4, 4))
+
+    def geodesic_acceleration(self):
+        def accel(x0, x1, x2, x3, u0, u1, u2, u3):
+            return 0.0, 0.0, 0.0, 0.0
+
+        return accel
+
+    def angular_momentum(self, points, velocities):
+        x = np.asarray(points, dtype=float)[:, 1:]
+        return np.cross(x, np.asarray(velocities, dtype=float)[:, 1:]), np.linalg.norm(x, axis=1)
 
 
 @dataclass(frozen=True)
@@ -265,6 +300,36 @@ class WeakFieldPointMass(MetricField):
         )
         return gam
 
+    def geodesic_acceleration(self):
+        # with A = grad phi / (1 - 2 phi), the Christoffels above contract to
+        #   a^0 = -2 u^0 (grad phi . u) / (1 + 2 phi),  a^i = 2 u^i (A . u) - A_i ((u^0)^2 + |u|^2)
+        gm = self.units.G * self.mass
+        c2 = self.units.c**2
+        soft2 = self.soft**2
+        cx, cy, cz = self.center
+        label = self.label
+
+        def accel(x0, x1, x2, x3, u0, u1, u2, u3):
+            dx, dy, dz = x1 - cx, x2 - cy, x3 - cz
+            q = dx * dx + dy * dy + dz * dz + soft2
+            phi = -gm / math.sqrt(q) / c2
+            if not abs(2.0 * phi) < 1.0 - 1e-12:  # valid_mask's test
+                raise _singular(label, (x0, x1, x2, x3))
+            k = -phi / q  # grad phi = k (x - center)
+            gu = k * (dx * u1 + dy * u2 + dz * u3)
+            w = 1.0 / (1.0 - 2.0 * phi)
+            s = 2.0 * w * gu
+            t = w * k * (u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3)
+            return -2.0 * u0 * gu / (1.0 + 2.0 * phi), s * u1 - t * dx, s * u2 - t * dy, s * u3 - t * dz
+
+        return accel
+
+    def angular_momentum(self, points, velocities):
+        # the rotations about the centre are Killing: L = g_ii (x - center) x u
+        d = np.asarray(points, dtype=float)[:, 1:] - self.center
+        lever = (1.0 - 2.0 * self._phi_over_c2(points))[:, None]
+        return lever * np.cross(d, np.asarray(velocities, dtype=float)[:, 1:]), np.linalg.norm(d, axis=1)
+
 
 @dataclass(frozen=True)
 class Schwarzschild(MetricField):
@@ -315,6 +380,39 @@ class Schwarzschild(MetricField):
         gam[:, 3, 1, 3] = gam[:, 3, 3, 1] = 1.0 / r
         gam[:, 3, 2, 3] = gam[:, 3, 3, 2] = cos / sin
         return gam
+
+    def geodesic_acceleration(self):
+        rs = self.r_s
+        r_min = rs * (1.0 + HORIZON_MARGIN)
+        label = self.label
+
+        def accel(x0, r, th, ph, u0, ur, uth, uph):
+            sin = math.sin(th)
+            if not (r > r_min and abs(sin) > POLAR_MARGIN):  # valid_mask's test
+                raise _singular(label, (x0, r, th, ph))
+            cos = math.cos(th)
+            f = 1.0 - rs / r
+            a = rs / (2.0 * (r * r))
+            # the entries of christoffel_batch, each term (Gamma u^nu) u^rho and
+            # the terms summed in (nu, rho) order: the einsum contraction bit for bit
+            g0, g1 = a / f, 1.0 / r
+            g22, g33 = -(r - rs), -(r - rs) * (sin * sin)
+            g233, g323 = -sin * cos, cos / sin
+            return (
+                -(g0 * u0 * ur + g0 * ur * u0),
+                -(a * f * u0 * u0 + -g0 * ur * ur + g22 * uth * uth + g33 * uph * uph),
+                -(g1 * ur * uth + g1 * uth * ur + g233 * uph * uph),
+                -(g1 * ur * uph + g323 * uth * uph + g1 * uph * ur + g323 * uph * uth),
+            )
+
+        return accel
+
+    def angular_momentum(self, points, velocities):
+        # L_z = g_33 u^phi, the Killing momentum of the azimuth
+        points = np.asarray(points, dtype=float)
+        r = points[:, 1]
+        lz = r**2 * np.sin(points[:, 2]) ** 2 * np.asarray(velocities, dtype=float)[:, 3]
+        return lz[:, None], r
 
 
 METRIC_KINDS = {cls.kind: cls for cls in (Minkowski, WeakFieldPointMass, Schwarzschild)}

@@ -130,6 +130,7 @@ def test_geodesics_summary_reports_drift_figures(tmp_path):
     for b in branches:
         assert 0.0 <= b["norm_drift"] < 1e-12
         assert 0.0 <= b["energy_drift"] < 1e-12
+        assert 0.0 <= b["angular_momentum_drift"] < 1e-12
 
 
 def test_geodesics_flat_branches_identical_files(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from oracles import (
 )
 from qlif.dynamics import (
     GeodesicState,
+    drift_figures,
     evolve_free,
     geodesic_superposition,
     integrate_geodesic,
@@ -18,10 +21,18 @@ from qlif.dynamics import (
     translation_covariance_check,
     velocity_norm,
 )
-from qlif.errors import OffGridTranslation
+from qlif.errors import OffGridTranslation, SingularRegion
 from qlif.qrf import to_qlif
 from qlif.qstate import GridSpec, inner_product, state_norm, translate_state
-from qlif.spacetime import FourVector, Minkowski, Schwarzschild, UnitSystem, WeakFieldPointMass
+from qlif.spacetime import (
+    METRIC_KINDS,
+    FourVector,
+    MetricField,
+    Minkowski,
+    Schwarzschild,
+    UnitSystem,
+    WeakFieldPointMass,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +209,77 @@ def test_partial_trajectory_on_singularity(units):
     assert not traj.completed
     assert 0 < len(traj.states) < 201
     assert traj.error is not None
+
+
+def test_weak_field_dive_into_signature_loss_keeps_a_valid_partial_trajectory(units):
+    # |2 Phi / c^2| reaches 1 near r = 2 G M / c^2 = 2; the orbit spirals in from r = 6
+    deep = WeakFieldPointMass(units, mass=1.0, soft=1e-4)
+    x0 = FourVector(0.0, 6.0, 0.0, 0.0)
+    u0 = local_frame_velocity(deep, x0, (0.0, 0.1, 0.0))
+    traj = integrate_geodesic(deep, GeodesicState(x0, u0, 0.0), 0.05, 2000)
+    assert isinstance(traj.error, SingularRegion)
+    assert "is in the singular set" in str(traj.error)
+    assert 1 < len(traj.states) < 2001
+    x = np.array([st.x.array for st in traj.states])
+    assert np.all(deep.valid_mask(x))
+    assert np.linalg.norm(x[-1, 1:]) < 2.1
+
+
+def test_integration_builds_no_christoffel_table(catalog, monkeypatch):
+    # the loop runs on each kind's closed-form acceleration; the initial
+    # validity and normalization checks may use np.einsum (the weak-field
+    # potential sums r^2 with it), but no step adds a call
+    starts = {}
+    for name, field in catalog.items():
+        x0 = FourVector(0.0, 8.0, 1.2, 0.3) if name == "schwarzschild" else FourVector(0.0, 1.0, 0.5, -0.4)
+        starts[name] = GeodesicState(x0, timelike_velocity(field, x0, (0.01, 0.002, -0.003)), 0.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Christoffel table built during integration")
+
+    monkeypatch.setattr(MetricField, "christoffel_batch", forbidden)
+    for cls in METRIC_KINDS.values():
+        monkeypatch.setattr(cls, "christoffel_batch", forbidden)
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or einsum(*a, **k))
+    for name, field in catalog.items():
+        counts = []
+        for n in (0, 50):
+            calls.clear()
+            traj = integrate_geodesic(field, starts[name], 0.1, n)
+            assert traj.completed and len(traj.states) == n + 1
+            counts.append(len(calls))
+        assert counts[0] == counts[1], name
+
+
+def test_angular_momentum_drift_is_tiny_on_orbits(catalog):
+    mink, wf, sch = catalog["minkowski"], catalog["weak_field"], catalog["schwarzschild"]
+    x_mink = FourVector(0.0, 1.0, -2.0, 0.5)
+    x_wf = FourVector(0.0, 1.3, -0.2, 0.1)  # unit distance from the centre, circular speed sqrt(G M / r)
+    x_sch, u_sch = _eccentric_orbit_ic(sch, 20.0, 1.001)
+    t_orbit = 2.0 * np.pi * np.sqrt(20.0**3)
+    cases = [
+        (mink, GeodesicState(x_mink, timelike_velocity(mink, x_mink, (0.1, 0.2, -0.05)), 0.0), 1.0, 200),
+        (wf, GeodesicState(x_wf, local_frame_velocity(wf, x_wf, (0.0, np.sqrt(1e-5), 0.0)), 0.0), 5.0, 400),
+        (sch, GeodesicState(x_sch, u_sch, 0.0), t_orbit / 500, 500),
+    ]
+    for field, init, dtau, n in cases:
+        traj = integrate_geodesic(field, init, dtau, n)
+        assert traj.completed
+        ang, r = field.angular_momentum(np.array([init.x.array]), np.array([init.u.array]))
+        assert np.linalg.norm(ang) > 1e-3 and r[0] > 0.5
+        assert drift_figures(field, traj)[2] < 1e-12, field.kind
+    # a start at the centre (L_0 = 0, r_0 = 0): the largest distance reached stands for r_0
+    origin = FourVector(0.0, 0.0, 0.0, 0.0)
+    radial = GeodesicState(origin, timelike_velocity(mink, origin, (0.1, 0.2, -0.05)), 0.0)
+    assert 0.0 <= drift_figures(mink, integrate_geodesic(mink, radial, 1.0, 20))[2] < 1e-12
+    # the figure is |L - L_0| / (r_0 c): a 1e-6 kick to the last u^phi reads L / r_0 * 1e-6
+    last = traj.states[-1]
+    kicked = replace(last, u=FourVector(last.u.t, last.u.x, last.u.y, last.u.z * (1.0 + 1e-6)))
+    bumped = replace(traj, states=traj.states[:-1] + (kicked,))
+    lz = last.x.x**2 * last.u.z
+    assert drift_figures(sch, bumped)[2] == pytest.approx(1e-6 * lz / 20.0, rel=1e-6)
 
 
 def test_geodesic_superposition_flat_branches_identical(units):

@@ -194,6 +194,13 @@ def test_p_frame_branch_built_by_hand_cannot_invert(units):
         check_qlif_metric(s, 0.1)
 
 
+def _first_singular_support_point(s):
+    b = s.branches[0]
+    pts = s.grid.points4()
+    bad = (b.psi.reshape(-1) != 0) & ~b.metric.valid_mask(pts)
+    return f"branch {b.key}: support point {pts[np.argmax(bad)].tolist()} is in the singular set of {b.metric.label}"
+
+
 def test_singular_support_rejected(units):
     # spherical-chart grid straddling the horizon with a wavefunction that
     # is nonzero there
@@ -201,14 +208,16 @@ def test_singular_support_rejected(units):
     grid = GridSpec(lo=(1.0, 0.6, 0.1), hi=(8.0, 2.5, 5.0), n=(15, 7, 7))
     psi = gaussian_psi(grid, (5.0, 1.5, 2.5), 1.0)
     s = make_state([Branch(1.0, "S", FourVector(0, 5.0, 1.5, 2.5), sch, psi)], grid)
-    with pytest.raises(SingularRegion):
+    with pytest.raises(SingularRegion) as err:
         to_qlif(s)
+    assert str(err.value) == _first_singular_support_point(s)
     # a weak field deep enough to lose its signature (|2 Phi/c^2| >= 1) at the packet
     deep = WeakFieldPointMass(units, mass=0.3, soft=0.1)
     grid = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=(13, 13, 13))
     s = make_state([Branch(1.0, "D", FourVector(0, 0, 0, 0), deep, gaussian_psi(grid, (0, 0, 0), 0.5))], grid)
-    with pytest.raises(SingularRegion):
+    with pytest.raises(SingularRegion) as err:
         to_qlif(s)
+    assert str(err.value) == _first_singular_support_point(s)
 
 
 def test_round_trip_with_singular_points_on_the_grid(units):

@@ -147,6 +147,24 @@ def test_measure_cache_keys_on_units_and_grid(units, grid):
     assert w_grid.shape == other_grid.shape
 
 
+def test_measure_is_zero_exactly_on_the_singular_set(units, catalog):
+    # to_qlif finds singular support points from the cached measure alone
+    cube = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=(13, 13, 13))
+    cases = [
+        (catalog["minkowski"], cube, False),
+        (catalog["weak_field"], cube, False),
+        (WeakFieldPointMass(units, mass=0.3, soft=0.1), cube, True),  # loses its signature near the centre
+        (catalog["schwarzschild"], GridSpec(lo=(1.0, 0.6, 0.1), hi=(8.0, 2.5, 5.0), n=(15, 7, 7)), True),
+        (catalog["schwarzschild"], GridSpec(lo=(2.0, 0.0, 0.0), hi=(9.0, np.pi, 6.0), n=(8, 9, 5)), True),  # poles
+    ]
+    for metric, grid, has_singular_points in cases:
+        w = branch_sqrt_neg_det(Branch(1.0, "M", FourVector(0, 0, 0, 0), metric, np.ones(grid.shape)), grid)
+        valid = metric.valid_mask(grid.points4())
+        assert np.array_equal(w.reshape(-1) > 0, valid), metric.label
+        assert np.all(w.reshape(-1)[~valid] == 0.0)
+        assert (not np.all(valid)) == has_singular_points
+
+
 def test_measure_cache_returns_read_only_arrays(units, grid):
     w = branch_sqrt_neg_det(_weak_branch(units, grid), grid)
     with pytest.raises(ValueError):

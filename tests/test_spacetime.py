@@ -5,6 +5,7 @@ import pytest
 
 from oracles import fd_christoffel, schwarzschild_christoffel
 from conftest import random_point
+from qlif.dynamics import timelike_velocity
 from qlif.errors import SingularRegion
 from qlif.spacetime import (
     ETA,
@@ -218,6 +219,58 @@ def test_christoffel_raises_in_the_singular_set(units):
 def test_every_kind_has_its_own_analytic_christoffels():
     for cls in METRIC_KINDS.values():
         assert "christoffel_batch" in cls.__dict__, cls.kind
+
+
+def test_every_kind_has_its_own_geodesic_acceleration_and_angular_momentum():
+    for cls in METRIC_KINDS.values():
+        assert "geodesic_acceleration" in cls.__dict__, cls.kind
+        assert "angular_momentum" in cls.__dict__, cls.kind
+
+
+def _contraction(gam, u):
+    """-Gamma^m_nr u^n u^r, and the sum of its terms' magnitudes (the scale of its rounding)."""
+    return -np.einsum("mnr,n,r->m", gam, u, u), np.einsum("mnr,n,r->m", np.abs(gam), np.abs(u), np.abs(u))
+
+
+def test_geodesic_acceleration_matches_the_christoffel_contraction(catalog):
+    rng = np.random.default_rng(11)
+    for field in catalog.values():
+        accel = field.geodesic_acceleration()
+        for _ in range(50):
+            x = random_point(field, rng)
+            u = timelike_velocity(field, x, rng.uniform(-0.05, 0.05, 3)).array
+            want, scale = _contraction(field.christoffel_batch(x.array[None, :])[0], u)
+            got = np.array(accel(*x.array, *u))
+            assert np.all(np.abs(got - want) <= 1e-14 * scale), field.kind
+            if field.kind != "weak_field_point_mass":  # summed in the contraction's order
+                assert np.array_equal(got, want), field.kind
+
+
+def test_weak_field_acceleration_matches_fd_oracle(units):
+    wf = WeakFieldPointMass(units, mass=2e-2, soft=0.2, center=(0.3, -0.2, 0.1))
+    accel = wf.geodesic_acceleration()
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        x = random_point(wf, rng)
+        u = timelike_velocity(wf, x, rng.uniform(-0.3, 0.3, 3)).array
+        want, _ = _contraction(fd_christoffel(wf, x, step=1e-3), u)
+        assert np.max(np.abs(np.array(accel(*x.array, *u)) - want)) < 1e-9 * np.max(np.abs(want))
+
+
+def test_geodesic_acceleration_raises_in_the_singular_set(units):
+    sch = Schwarzschild(units, mass=1.0)
+    deep = WeakFieldPointMass(units, mass=1.0, soft=1e-4)
+    u = (1.0, 0.0, 0.0, 0.0)
+    for field, x in (
+        (sch, FourVector(0.0, 0.5 * sch.r_s, 1.0, 0.0)),
+        (sch, FourVector(0.0, 10.0, 0.0, 0.0)),
+        (deep, FourVector(0.0, 1e-3, 0.0, 0.0)),
+    ):
+        with pytest.raises(SingularRegion) as from_mask:
+            field.require_valid(x.array[None, :])
+        with pytest.raises(SingularRegion) as from_accel:
+            field.geodesic_acceleration()(*x.array, *u)
+        assert str(from_accel.value) == str(from_mask.value)
 
 
 def test_every_kind_defines_only_its_diagonal():
