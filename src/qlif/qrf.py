@@ -22,7 +22,10 @@ x_S, the component at probe position x is relabeled as follows:
   compared with sign(d), since the frame of ``tetrad_arrays`` (a sort of
   the diagonal, see module ``tetrad``) only permutes them onto eta's
   slots.  No (N, 4, 4) array is built, and the figure is the one the
-  matrix product f^T g_i f - eta would give, bit for bit.
+  matrix product f^T g_i f - eta would give, bit for bit.  The per-point
+  figure comes from the same diagonal evaluation as the measure, once per
+  (metric, grid) (``qstate.metric_on_grid``), so ``to_qlif`` evaluates no
+  metric: the certificate is the max of the cached figure over the support.
 
 The transformation never mixes branches (it is block-diagonal in the
 (mass_label, metric) key).  It is fixed entirely by the branch metric on
@@ -48,6 +51,7 @@ from .qstate import (
     SuperposedState,
     branch_sqrt_neg_det,
     inner_product,
+    metric_on_grid,
     state_norm,
 )
 from .spacetime import ETA, MetricField, Minkowski
@@ -97,8 +101,8 @@ def _reverse(a: np.ndarray) -> np.ndarray:
 
 def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float]:
     support = np.asarray(branch.psi).reshape(-1) != 0
+    measure, deviation = metric_on_grid(branch.metric, grid)
     # the cached measure is exactly 0 on the singular set and > 0 elsewhere
-    measure = branch_sqrt_neg_det(branch, grid)
     singular = support & (measure.reshape(-1) == 0)
     if np.any(singular):
         bad = grid.points4_at(np.array([np.argmax(singular)]))[0]
@@ -107,13 +111,12 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float]:
             f"singular set of {branch.metric.label}"
         )
 
-    # Certify f^T g f = eta where the branch has amplitude, from the
-    # diagonal of g alone (see the module docstring).
-    d = branch.metric.diagonal_batch(grid.points4_at(np.flatnonzero(support)))
-    _check_spectrum(d)
-    f = 1.0 / np.sqrt(np.abs(d))
-    dev = np.abs(f * d * f - np.sign(d))
-    max_dev = float(np.max(dev)) if dev.size else 0.0
+    # Certify f^T g f = eta where the branch has amplitude (see the module
+    # docstring); +inf marks a point without a frame, whose diagonal is
+    # evaluated again only to raise DegenerateMetric with its spectrum.
+    max_dev = float(np.max(deviation.reshape(-1)[support], initial=0.0))
+    if not np.isfinite(max_dev):
+        _check_spectrum(branch.metric.diagonal_batch(grid.points4_at(np.flatnonzero(support))))
 
     factor = np.sqrt(measure)
     psi_new = _reverse(branch.psi * factor).copy()
@@ -246,17 +249,21 @@ def check_qlif_metric(
         weight[measure == 0] = 0.0
         chosen = _heaviest(weight, min(sample_points, np.count_nonzero(weight)))
         anchors = grid.points4_at(chosen)
-        _, f_chosen = tetrad_arrays(metric.eval_batch(anchors))
+        _, f = tetrad_arrays(metric.diagonal_batch(anchors))
 
-        max_dev = 0.0
-        for anchor, f in zip(anchors, f_chosen):
-            disp = np.concatenate([radius * f.T, -radius * f.T], axis=0)  # (8, 4)
-            targets = np.vstack([anchor[None, :], anchor[None, :] + disp])
-            ok = metric.valid_mask(targets)
-            if not np.any(ok):
-                continue
-            g_t = metric.eval_batch(targets[ok])
-            pulled = f.T @ g_t @ f
-            max_dev = max(max_dev, float(np.max(np.abs(pulled - ETA))))
+        # per anchor: the anchor, then anchor +- radius * (column of f)
+        ft = np.swapaxes(f, -1, -2)
+        targets = np.empty((len(anchors), 9, 4))
+        targets[:, 0] = anchors
+        targets[:, 1:] = anchors[:, None, :] + np.concatenate([radius * ft, -radius * ft], axis=1)
+        targets = targets.reshape(-1, 4)
+        ok = metric.valid_mask(targets)
+        # Column k of a diagonal metric's frame holds one entry, f[order[k], k] > 0,
+        # so f^T g f is diagonal with entries (f_k g_order[k]) f_k: each of them the
+        # one nonzero term of the matrix product, which therefore gives the same bits.
+        order = np.repeat(np.argmax(f, axis=-2), 9, axis=0)[ok]
+        fk = np.repeat(np.max(f, axis=-2), 9, axis=0)[ok]
+        d = np.take_along_axis(metric.diagonal_batch(targets[ok]), order, axis=-1)
+        max_dev = float(np.max(np.abs(fk * d * fk - np.diag(ETA)), initial=0.0))
         rows.append(QlifMetricRow(branch.mass_label, metric.label, float(radius), max_dev))
     return rows

@@ -29,11 +29,13 @@ import os
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadContainer, GridMismatch, MissingTetradRecord, OffGridTranslation, WrongFrame, ZeroNorm
-from .spacetime import FourVector, MetricField, UnitSystem, metric_from_dict, sqrt_neg_det_batch
+from .spacetime import FourVector, MetricField, UnitSystem, metric_from_dict, sqrt_neg_det_diagonal
+from .tetrad import diagonal_frame_deviation
 
 
 class Frame(str, Enum):
@@ -175,8 +177,41 @@ class SuperposedState:
         return [b.key for b in self.branches]
 
 
-# Distinct (metric, grid) weights kept by ``branch_sqrt_neg_det``.
+class MetricOnGrid(NamedTuple):
+    """Per-point figures of one metric over one grid, each shape grid.shape and read-only.
+
+    ``measure`` is sqrt(-g), 0 inside the singular set; ``deviation`` is the
+    QLIF certificate max |f^T g f - eta| of the point's frame
+    (``diagonal_frame_deviation``), +inf inside the singular set and where
+    no frame exists.
+    """
+
+    measure: np.ndarray
+    deviation: np.ndarray
+
+
+# Distinct (metric, grid) evaluations kept by ``metric_on_grid``.
 MEASURE_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=MEASURE_CACHE_SIZE)
+def metric_on_grid(metric: MetricField, grid: GridSpec) -> MetricOnGrid:
+    """The measure and the certificate of ``metric`` over ``grid``, from one diagonal evaluation.
+
+    Memoized on the metric's value and the grid, so equal metrics built
+    separately share one evaluation, and every sqrt(-g) of the package
+    (make_state, overlaps, norms, centroids, the QLIF transform and its
+    inverse) and every certificate of ``to_qlif`` comes from it.
+    """
+    pts = grid.points4()
+    valid = metric.valid_mask(pts)
+    measure = np.zeros(len(pts))
+    deviation = np.full(len(pts), np.inf)
+    if np.any(valid):
+        d = metric.diagonal_batch(pts[valid])
+        measure[valid] = sqrt_neg_det_diagonal(d)
+        deviation[valid] = diagonal_frame_deviation(d)
+    return MetricOnGrid(_freeze(measure.reshape(grid.shape)), _freeze(deviation.reshape(grid.shape)))
 
 
 def branch_sqrt_neg_det(branch: Branch, grid: GridSpec) -> np.ndarray:
@@ -184,19 +219,8 @@ def branch_sqrt_neg_det(branch: Branch, grid: GridSpec) -> np.ndarray:
 
     Points inside the metric's singular set get weight 0 (they may only
     carry zero amplitude; ``make_state`` and the QRF operations enforce
-    that).  Weights are memoized on the metric's value and the grid, so
-    equal metrics built separately share one evaluation."""
-    return _sqrt_neg_det_grid(branch.metric, grid)
-
-
-@functools.lru_cache(maxsize=MEASURE_CACHE_SIZE)
-def _sqrt_neg_det_grid(metric: MetricField, grid: GridSpec) -> np.ndarray:
-    pts = grid.points4()
-    valid = metric.valid_mask(pts)
-    w = np.zeros(pts.shape[0])
-    if np.any(valid):
-        w[valid] = sqrt_neg_det_batch(metric, pts[valid])
-    return _freeze(w.reshape(grid.shape))
+    that).  Read from ``metric_on_grid``."""
+    return metric_on_grid(branch.metric, grid).measure
 
 
 def _branch_measure_norm_sq(branch: Branch, grid: GridSpec) -> float:

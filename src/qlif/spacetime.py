@@ -135,7 +135,8 @@ class MetricField:
     ``geodesic_acceleration`` the integrator runs on, and
     ``angular_momentum``.  Every catalog metric is diagonal in its chart, so
     the diagonal is the one evaluation a kind defines; ``eval_batch`` embeds
-    it in (N, 4, 4) arrays, and the inverse and determinant are generic.
+    it in (N, 4, 4) arrays, the determinant is the product of the diagonal and
+    the inverse is generic.
     """
 
     kind = ""
@@ -457,7 +458,7 @@ def metric_inverse(field: MetricField, x: FourVector) -> np.ndarray:
 
 
 def metric_det_sqrt(field: MetricField, x: FourVector) -> float:
-    """sqrt(-det g) = sqrt(|det g|) at x; SingularRegion inside the singular set."""
+    """sqrt(-det g) at x, as sqrt(-g_00 g_11 g_22 g_33); SingularRegion inside the singular set."""
     pts = x.array[None, :]
     field.require_valid(pts)
     return float(sqrt_neg_det_batch(field, pts)[0])
@@ -465,7 +466,12 @@ def metric_det_sqrt(field: MetricField, x: FourVector) -> float:
 
 def sqrt_neg_det_batch(field: MetricField, points: np.ndarray) -> np.ndarray:
     """sqrt(-det g) over (N, 4) points (assumed valid)."""
-    return np.sqrt(-np.linalg.det(field.eval_batch(points)))
+    return sqrt_neg_det_diagonal(field.diagonal_batch(points))
+
+
+def sqrt_neg_det_diagonal(d: np.ndarray) -> np.ndarray:
+    """sqrt(-det g) from (N, 4) diagonals: the square root of minus their product, left to right."""
+    return np.sqrt(-(d[:, 0] * d[:, 1] * d[:, 2] * d[:, 3]))
 
 
 def christoffel(field: MetricField, x: FourVector) -> np.ndarray:

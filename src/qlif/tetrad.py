@@ -6,20 +6,17 @@ locally inertial frame anchored at a point x:
     xi^mu   = b[mu, alpha] (x' - x)^alpha      coordinates -> local frame
     x'^alpha = x^alpha + f[alpha, mu] xi^mu    local frame -> coordinates
 
-with f^T g(x) f = eta and f b = b f = identity.  Construction is by the
-eigendecomposition g = O L O^T: f = O |L|^{-1/2}, b = |L|^{1/2} O^T, with
-the single negative eigenvalue in slot 0 (eigenvalues ascending) so that
-f^T g f = diag(-1, 1, 1, 1).  Eigenvector signs are fixed so the
-largest-magnitude component of each column is positive, which makes the
-construction deterministic; the residual local Lorentz freedom (boosts and
-rotations preserving eta) is not factored out, so this is one canonical
-representative of the frame orbit.
-
-Every catalog metric is diagonal.  There O is a permutation: a stable sort
-of the diagonal, each eigenvector a unit vector with entry +1 and the
-eigenvalues the diagonal entries themselves.  A batch of diagonal metrics
-is therefore sorted and square-rooted without ``eigh``, and the frames
-come out identical bit for bit; any other input goes through ``eigh``.
+with f^T g(x) f = eta and f b = b f = identity.  Every catalog metric is
+diagonal in its chart, so a frame is built from the diagonal d alone: a
+stable sort puts the single negative entry in slot 0 and the positive ones
+after it in ascending order, and f[order[k], k] = |w_k|^(-1/2),
+b[k, order[k]] = |w_k|^(1/2) for the sorted entries w, every other entry 0.
+This is the eigendecomposition g = O L O^T with O a permutation and the
+largest component of each eigenvector positive, the form ``eigh`` returns
+for a diagonal matrix after that sign fix, so f^T g f = diag(-1, 1, 1, 1).
+The construction is deterministic; the residual local Lorentz freedom
+(boosts and rotations preserving eta) is not factored out, so this is one
+canonical representative of the frame orbit.
 
 Only the leading (linear) order is built here: the metric pulled back
 through a tetrad deviates from eta linearly in the local distance, since
@@ -51,6 +48,11 @@ class Tetrad:
     anchor: FourVector
 
 
+def _spectrum_ok(w: np.ndarray) -> np.ndarray:
+    """Per eigenvalue set (last axis): the points ``_check_spectrum`` passes."""
+    return ~np.any(np.abs(w) < EIGENVALUE_FLOOR, axis=-1) & (np.count_nonzero(w < 0.0, axis=-1) == 1)
+
+
 def _check_spectrum(w: np.ndarray) -> None:
     """Raise DegenerateMetric unless every eigenvalue set is (-, +, +, +) above the floor."""
     if np.any(np.abs(w) < EIGENVALUE_FLOOR):
@@ -63,39 +65,42 @@ def _check_spectrum(w: np.ndarray) -> None:
         raise DegenerateMetric("metric signature is not Lorentzian (-, +, +, +)")
 
 
-def tetrad_arrays(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched tetrad construction: (N, 4, 4) metrics -> (b, f) arrays.
+def tetrad_arrays(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched tetrad construction: (N, 4) metric diagonals -> (b, f), each (N, 4, 4).
 
-    A batch of diagonal metrics is sorted and square-rooted; any other
-    batch goes through ``eigh``.  Both give the same frames bit for bit on
-    diagonal input.  Raises DegenerateMetric if any eigenvalue magnitude
-    is below 1e-12 or the signature is not (-, +, +, +).
+    Raises DegenerateMetric if any diagonal magnitude is below 1e-12 or the
+    signature is not (-, +, +, +).
     """
-    g = np.asarray(g, dtype=float)
-    d = np.diagonal(g, axis1=-2, axis2=-1)
-    if np.count_nonzero(g) == np.count_nonzero(d):  # no off-diagonal entry
-        # What eigh returns here: the diagonal in ascending order, ties in
-        # index order, with unit eigenvectors; so f[order[k], k] =
-        # 1 / scale[k] and b[k, order[k]] = scale[k], every other entry 0.
-        order = np.argsort(d, axis=-1, kind="stable")
-        w = np.take_along_axis(d, order, axis=-1)
-        _check_spectrum(w)
-        scale = np.sqrt(np.abs(w))
-        f = np.zeros_like(g)
-        b = np.zeros_like(g)
-        np.put_along_axis(f, order[..., None, :], (1.0 / scale)[..., None, :], axis=-2)
-        np.put_along_axis(b, order[..., :, None], scale[..., :, None], axis=-1)
-        return b, f
-    w, v = np.linalg.eigh(g)
+    d = np.asarray(d, dtype=float)
+    order = np.argsort(d, axis=-1, kind="stable")
+    w = np.take_along_axis(d, order, axis=-1)
     _check_spectrum(w)
-    # Deterministic eigenvector signs: largest-|component| entry positive.
-    lead = np.argmax(np.abs(v), axis=-2)
-    signs = np.sign(np.take_along_axis(v, lead[..., None, :], axis=-2))[..., 0, :]
-    v = v * signs[..., None, :]
     scale = np.sqrt(np.abs(w))
-    f = v / scale[..., None, :]
-    b = np.swapaxes(v * scale[..., None, :], -1, -2)
+    f = np.zeros(d.shape + (4,))
+    b = np.zeros_like(f)
+    np.put_along_axis(f, order[..., None, :], (1.0 / scale)[..., None, :], axis=-2)
+    np.put_along_axis(b, order[..., :, None], scale[..., :, None], axis=-1)
     return b, f
+
+
+def diagonal_frame_deviation(d: np.ndarray) -> np.ndarray:
+    """Per-point max |f^T g f - eta| of the frames of (N, 4) diagonals, shape (N,).
+
+    f^T g f is diagonal with entries f d f, f = |d|^(-1/2), which the frame
+    only permutes onto eta's slots, so each is compared with sign(d): the
+    figure the matrix product gives, bit for bit.  Points whose diagonal
+    ``tetrad_arrays`` would reject get +inf.
+    """
+    ok = _spectrum_ok(d)
+    # f d f - sign(d) in place, in two (N, 4) buffers: the same operations, the same bits
+    f = np.abs(d)
+    np.divide(1.0, np.sqrt(f, out=f), out=f)
+    dev = f * d
+    dev *= f
+    dev -= np.sign(d, out=f)
+    out = np.max(np.abs(dev, out=dev), axis=-1)
+    out[~ok] = np.inf
+    return out
 
 
 def build_tetrad(field: MetricField, x: FourVector) -> Tetrad:
@@ -107,7 +112,7 @@ def build_tetrad(field: MetricField, x: FourVector) -> Tetrad:
     """
     pts = x.array[None, :]
     field.require_valid(pts)
-    b, f = tetrad_arrays(field.eval_batch(pts))
+    b, f = tetrad_arrays(field.diagonal_batch(pts))
     return Tetrad(b=b[0], f=f[0], anchor=x)
 
 

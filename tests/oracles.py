@@ -5,9 +5,11 @@ parametrizations, scalar code paths) so agreement between the two routes
 is a real check and not a tautology.
 """
 
-import numpy as np
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from itertools import permutations
 
-from qlif.tetrad import tetrad_arrays
+import numpy as np
 
 
 def schwarzschild_christoffel(rs: float, r: float, theta: float) -> np.ndarray:
@@ -124,10 +126,67 @@ def eigh_tetrad(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.swapaxes(v * scale, -1, -2), v / scale
 
 
-def matmul_certificate(g: np.ndarray) -> float:
-    """max |f^T g f - eta| over (N, 4, 4) metrics as batched matrix products: the full-matrix route.
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
-    f comes from ``tetrad_arrays``, which ``test_tetrad`` ties to ``eigh_tetrad``.
+
+def matmul_deviation(g: np.ndarray) -> np.ndarray:
+    """Per-metric max |f^T g f - eta| over (N, 4, 4) metrics as batched matrix products, shape (N,).
+
+    f comes from ``eigh_tetrad``, which ``test_tetrad`` ties to ``tetrad_arrays`` bit for bit.
     """
-    _, f = tetrad_arrays(g)
-    return float(np.max(np.abs(np.swapaxes(f, -1, -2) @ g @ f - np.diag([-1.0, 1.0, 1.0, 1.0]))))
+    _, f = eigh_tetrad(g)
+    return np.max(np.abs(np.swapaxes(f, -1, -2) @ g @ f - ETA), axis=(-2, -1))
+
+
+def matmul_certificate(g: np.ndarray) -> float:
+    """max |f^T g f - eta| over (N, 4, 4) metrics: the full-matrix route of the QLIF certificate."""
+    return float(np.max(matmul_deviation(g)))
+
+
+def det_sqrt_neg_g(g: np.ndarray) -> np.ndarray:
+    """sqrt(-det g) of (N, 4, 4) metrics, exact up to one final rounding.
+
+    The determinant is the Leibniz sum over the 24 permutations in rational
+    arithmetic, its square root taken to 60 digits.  ``np.linalg.det`` is
+    no oracle at the ulp level: it sums the logarithms of the LU pivots and
+    misses a product of four doubles by up to several ulp.
+    """
+    perms = [(p, (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))) for p in permutations(range(4))]
+    out = np.empty(len(g))
+    for n, m in enumerate(np.asarray(g, dtype=float)):
+        q = [[Fraction(float(v)) for v in row] for row in m]
+        det = sum(sign * q[0][p[0]] * q[1][p[1]] * q[2][p[2]] * q[3][p[3]] for p, sign in perms)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            out[n] = float((Decimal(-det.numerator) / Decimal(det.denominator)).sqrt())
+    return out
+
+
+def loop_qlif_metric_rows(state, radius: float, sample_points: int = 16) -> list[tuple]:
+    """(mass_label, metric label, radius, max deviation) rows of ``check_qlif_metric``, anchor by anchor.
+
+    The full-matrix route: each anchor's frame by ``eigh_tetrad``, its
+    nine targets (the anchor, then anchor +- radius * each column of f)
+    checked for validity, and the pulled-back metric f^T g f formed by
+    matrix products.  Anchors are the ``sample_points`` largest |psi| at
+    valid points of the source grid, ties in index order.
+    """
+    grid = state.grid.negated()
+    pts = grid.points4()
+    rows = []
+    for branch in state.branches:
+        metric = branch.source_metric
+        weight = np.abs(np.asarray(branch.psi)[::-1, ::-1, ::-1]).reshape(-1)
+        weight[~metric.valid_mask(pts)] = 0.0
+        k = min(sample_points, np.count_nonzero(weight))
+        worst = 0.0
+        for anchor in pts[np.argsort(-weight, kind="stable")[:k]]:
+            _, f = eigh_tetrad(metric.eval_batch(anchor[None, :]))
+            f = f[0]
+            targets = np.vstack([anchor[None, :], anchor[None, :] + radius * f.T, anchor[None, :] - radius * f.T])
+            ok = metric.valid_mask(targets)
+            if np.any(ok):
+                pulled = f.T @ metric.eval_batch(targets[ok]) @ f
+                worst = max(worst, float(np.max(np.abs(pulled - ETA))))
+        rows.append((branch.mass_label, metric.label, float(radius), worst))
+    return rows

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import derived_b_xi, two_branch_state
-from oracles import matmul_certificate
-from qlif.errors import MissingTetradRecord, SingularRegion, WrongFrame
+from oracles import loop_qlif_metric_rows, matmul_certificate
+from qlif.errors import DegenerateMetric, MissingTetradRecord, SingularRegion, WrongFrame
 from qlif.qrf import QrfTransformReport, _heaviest, check_qlif_metric, from_qlif, to_qlif
 from qlif.qstate import (
     Branch,
@@ -16,6 +16,7 @@ from qlif.qstate import (
     inner_product,
     load_state,
     make_state,
+    metric_on_grid,
     save_state,
     state_norm,
 )
@@ -250,18 +251,104 @@ def _minkowski_state(units):
     return make_state([Branch(1.0, "M", FourVector(0, 0.8, -0.2, 0.4), Minkowski(units), psi)], grid)
 
 
-@pytest.mark.parametrize("make", [two_branch_state, _schwarzschild_state, _minkowski_state])
+def _boxed_state(metric, grid, center, sigma, zero, singular_points=False):
+    """One branch of ``metric`` whose psi is 0 where ``zero(xx, yy, zz)`` holds."""
+    assert (not np.all(metric.valid_mask(grid.points4()))) == singular_points
+    psi = gaussian_psi(grid, center, sigma)
+    psi[zero(*grid.meshgrid())] = 0.0
+    return make_state([Branch(1.0, "M", FourVector(0, *center), metric, psi)], grid)
+
+
+_CUBE = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=(15, 15, 15))
+
+
+def _weak_field_sub_box(units):
+    metric = WeakFieldPointMass(units, mass=1e-4, soft=1e-3, center=(0.5, 0.0, 0.0))
+    return _boxed_state(metric, _CUBE, (0.2, 0.1, 0.0), 0.9, lambda x, y, z: (x > 0.5) & (np.abs(y) < 1.5))
+
+
+def _weak_field_singular_centre(units):
+    metric = WeakFieldPointMass(units, mass=0.3, soft=0.1)  # loses its signature near the centre
+    box = lambda x, y, z: (np.abs(x) < 1.2) & (np.abs(y) < 1.2) & (np.abs(z) < 1.2)  # noqa: E731
+    return _boxed_state(metric, _CUBE, (1.5, 0.0, 0.0), 0.9, box, singular_points=True)
+
+
+def _schwarzschild_sub_box(units):
+    grid = GridSpec(lo=(4.0, 0.8, 0.5), hi=(10.0, 2.2, 4.5), n=(13, 7, 7))
+    box = lambda r, th, ph: (r > 8.0) | (th < 1.0)  # noqa: E731
+    return _boxed_state(Schwarzschild(units, mass=1.0), grid, (7.0, 1.5, 2.5), 0.8, box)
+
+
+def _schwarzschild_through_horizon_and_pole(units):
+    grid = GridSpec(lo=(1.0, 0.0, 0.5), hi=(9.0, 2.0, 4.5), n=(17, 9, 7))
+    box = lambda r, th, ph: (r < 4.0) | (th < 0.7)  # noqa: E731
+    return _boxed_state(Schwarzschild(units, mass=1.0), grid, (6.0, 1.4, 2.5), 1.0, box, singular_points=True)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        two_branch_state,
+        _schwarzschild_state,
+        _minkowski_state,
+        _weak_field_sub_box,
+        _weak_field_singular_centre,
+        _schwarzschild_sub_box,
+        _schwarzschild_through_horizon_and_pole,
+    ],
+)
 def test_certificate_equals_the_matmul_route_bit_for_bit(units, make):
+    # the certificate covers the support only: singular points elsewhere do not raise
     s = make(units)
     _, report = to_qlif(s)
     pts = s.grid.points4()
     for branch, rec in zip(s.branches, report.branches):
-        g = branch.metric.eval_batch(pts[np.asarray(branch.psi).reshape(-1) != 0])
+        support = np.asarray(branch.psi).reshape(-1) != 0
+        assert not np.any(support & ~branch.metric.valid_mask(pts))
+        g = branch.metric.eval_batch(pts[support])
         assert rec.max_metric_deviation_at_origin == matmul_certificate(g)
         if isinstance(branch.metric, Schwarzschild):
             # r^2 sin^2(theta) < r^2: the sorted frame swaps the two angular slots
             d = np.diagonal(g, axis1=1, axis2=2)
             assert np.all(np.argsort(d, axis=1, kind="stable")[:, 2:] == [3, 2])
+
+
+def test_degenerate_support_point_raises_with_the_spectrum_message(units):
+    # r^2 sin^2(theta) < 1e-12 at theta = 1.5e-6, r < 0.67: valid (|sin| > 1e-6) but without a frame
+    sch = Schwarzschild(units, mass=0.01)
+    grid = GridSpec(lo=(0.4, 1.5e-6, 0.5), hi=(0.6, 1.0, 1.5), n=(5, 5, 5))
+    s = _boxed_state(sch, grid, (0.5, 0.5, 1.0), 0.5, lambda r, th, ph: np.zeros(r.shape, bool))
+    pts = grid.points4()
+    d = sch.diagonal_batch(pts)
+    assert np.all(sch.valid_mask(pts)) and np.any(np.abs(d) < 1e-12)
+    with pytest.raises(DegenerateMetric) as exc:
+        to_qlif(s)
+    assert str(exc.value) == f"metric eigenvalue magnitude below 1e-12 (min {np.min(np.abs(d)):.3e})"
+    # the same points outside the support are never read
+    s = _boxed_state(sch, grid, (0.5, 0.5, 1.0), 0.5, lambda r, th, ph: th < 1e-3)
+    _, report = to_qlif(s)
+    assert np.isinf(metric_on_grid(sch, grid).deviation).any()
+    assert report.max_metric_deviation_at_origin < 1e-10
+
+
+def test_to_qlif_on_a_warm_cache_evaluates_no_source_metric(units, monkeypatch):
+    s = two_branch_state(units)
+
+    def no_eval(*args, **kwargs):
+        raise AssertionError("source metric evaluated")
+
+    monkeypatch.setattr(WeakFieldPointMass, "diagonal_batch", no_eval)
+    monkeypatch.setattr(WeakFieldPointMass, "valid_mask", no_eval)
+    out, report = to_qlif(s)
+    assert report.roundtrip_error < 1e-8
+
+
+@pytest.mark.parametrize("make", [two_branch_state, _schwarzschild_state, _minkowski_state])
+def test_check_qlif_metric_rows_equal_the_loop_route_bit_for_bit(units, make):
+    out, _ = to_qlif(make(units))
+    for radius in (0.0, 0.05, 0.1, 6.0):  # at 6.0 some Schwarzschild targets fall inside the horizon
+        rows = [tuple(vars(r).values()) for r in check_qlif_metric(out, radius)]
+        assert rows == loop_qlif_metric_rows(out, radius)
 
 
 def test_to_qlif_peak_memory_is_linear_in_the_grid(units):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import two_branch_state
-from oracles import gaussian_translate_overlap
+from oracles import gaussian_translate_overlap, matmul_deviation
 from qlif.errors import (
     BadContainer,
     GridMismatch,
@@ -23,11 +23,12 @@ from qlif.qstate import (
     inner_product,
     load_state,
     make_state,
+    metric_on_grid,
     save_state,
     state_norm,
     translate_state,
 )
-from qlif.spacetime import FourVector, Minkowski, UnitSystem, WeakFieldPointMass
+from qlif.spacetime import FourVector, Minkowski, UnitSystem, WeakFieldPointMass, sqrt_neg_det_batch
 
 
 @pytest.fixture
@@ -123,6 +124,7 @@ def test_equal_metrics_built_separately_share_one_key_and_weight(units, grid):
     bb = Branch(1.0, "M", FourVector(0, 0.5, 0, 0), b, psi)
     assert ba.key == bb.key and hash(ba.key) == hash(bb.key)
     assert branch_sqrt_neg_det(bb, grid) is branch_sqrt_neg_det(ba, grid)
+    assert metric_on_grid(b, grid) is metric_on_grid(a, grid)  # the certificate too
     assert inner_product(make_state([ba], grid), make_state([bb], grid)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -136,28 +138,33 @@ def test_different_units_give_unequal_keys(units, grid):
 
 
 def test_measure_cache_keys_on_units_and_grid(units, grid):
-    w = branch_sqrt_neg_det(_weak_branch(units, grid), grid)
+    metric = _weak_branch(units, grid).metric
+    w, dev = metric_on_grid(metric, grid)
     other_units = UnitSystem(c=2.0, G=1.0, hbar=1.0)
-    w_units = branch_sqrt_neg_det(_weak_branch(other_units, grid), grid)
-    assert w_units is not w
+    w_units, dev_units = metric_on_grid(_weak_branch(other_units, grid).metric, grid)
+    assert w_units is not w and dev_units is not dev
     assert not np.array_equal(w_units, w)
     other_grid = GridSpec(lo=grid.lo, hi=grid.hi, n=(25, 25, 24))
-    w_grid = branch_sqrt_neg_det(_weak_branch(units, grid), other_grid)
-    assert w_grid is not w
-    assert w_grid.shape == other_grid.shape
+    w_grid, dev_grid = metric_on_grid(metric, other_grid)
+    assert w_grid is not w and dev_grid is not dev
+    assert w_grid.shape == dev_grid.shape == other_grid.shape
 
 
-def test_measure_is_zero_exactly_on_the_singular_set(units, catalog):
-    # to_qlif finds singular support points from the cached measure alone
+def _grid_cases(units, catalog):
+    """(metric, grid, whether the grid has singular points) for every catalog kind."""
     cube = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=(13, 13, 13))
-    cases = [
+    return [
         (catalog["minkowski"], cube, False),
         (catalog["weak_field"], cube, False),
         (WeakFieldPointMass(units, mass=0.3, soft=0.1), cube, True),  # loses its signature near the centre
         (catalog["schwarzschild"], GridSpec(lo=(1.0, 0.6, 0.1), hi=(8.0, 2.5, 5.0), n=(15, 7, 7)), True),
         (catalog["schwarzschild"], GridSpec(lo=(2.0, 0.0, 0.0), hi=(9.0, np.pi, 6.0), n=(8, 9, 5)), True),  # poles
     ]
-    for metric, grid, has_singular_points in cases:
+
+
+def test_measure_is_zero_exactly_on_the_singular_set(units, catalog):
+    # to_qlif finds singular support points from the cached measure alone
+    for metric, grid, has_singular_points in _grid_cases(units, catalog):
         w = branch_sqrt_neg_det(Branch(1.0, "M", FourVector(0, 0, 0, 0), metric, np.ones(grid.shape)), grid)
         valid = metric.valid_mask(grid.points4())
         assert np.array_equal(w.reshape(-1) > 0, valid), metric.label
@@ -165,10 +172,22 @@ def test_measure_is_zero_exactly_on_the_singular_set(units, catalog):
         assert (not np.all(valid)) == has_singular_points
 
 
+def test_cached_figures_equal_the_pointwise_routes(units, catalog):
+    # the measure bit for bit with sqrt_neg_det_batch, the certificate with
+    # the matrix product f^T g f - eta, +inf on the singular set
+    for metric, grid, _ in _grid_cases(units, catalog):
+        measure, deviation = metric_on_grid(metric, grid)
+        pts = grid.points4()
+        valid = metric.valid_mask(pts)
+        assert measure.reshape(-1)[valid].tobytes() == sqrt_neg_det_batch(metric, pts[valid]).tobytes()
+        assert np.array_equal(deviation.reshape(-1)[valid], matmul_deviation(metric.eval_batch(pts[valid])))
+        assert np.all(np.isinf(deviation.reshape(-1)[~valid]))
+
+
 def test_measure_cache_returns_read_only_arrays(units, grid):
-    w = branch_sqrt_neg_det(_weak_branch(units, grid), grid)
-    with pytest.raises(ValueError):
-        w[0, 0, 0] = 1.0
+    for w in metric_on_grid(_weak_branch(units, grid).metric, grid):
+        with pytest.raises(ValueError):
+            w[0, 0, 0] = 1.0
 
 
 def test_make_state_errors(units, grid):

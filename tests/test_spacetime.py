@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import fd_christoffel, schwarzschild_christoffel
+from oracles import det_sqrt_neg_g, fd_christoffel, schwarzschild_christoffel
 from conftest import random_point
 from qlif.dynamics import timelike_velocity
 from qlif.errors import SingularRegion
@@ -20,6 +20,7 @@ from qlif.spacetime import (
     metric_eval,
     metric_from_dict,
     metric_inverse,
+    sqrt_neg_det_batch,
 )
 
 
@@ -311,3 +312,15 @@ def test_metric_round_trip_via_describe(units, catalog):
         metric_from_dict({"kind": "kerr", "mass": 1.0}, units)
     with pytest.raises(ValueError, match="mapping"):
         metric_from_dict(5, units)
+
+
+def test_measure_matches_the_det_route_within_4_ulp(units, catalog):
+    rng = np.random.default_rng(43)
+    fields = [*catalog.values(), WeakFieldPointMass(units, mass=0.3, soft=0.1), Schwarzschild(units, mass=1e-3)]
+    for field in fields:
+        pts = np.array([random_point(field, rng).array for _ in range(500)])
+        pts = pts[field.valid_mask(pts)]
+        got = sqrt_neg_det_batch(field, pts)
+        want = det_sqrt_neg_g(field.eval_batch(pts))
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), field.label
+        assert metric_det_sqrt(field, FourVector.from_array(pts[0])) == got[0]
