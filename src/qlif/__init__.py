@@ -78,6 +78,6 @@ from .spacetime import (
     metric_from_dict,
     metric_inverse,
 )
-from .tetrad import Tetrad, build_tetrad, frame_residual, from_local, tetrad_arrays, to_local
+from .tetrad import Tetrad, build_tetrad, from_local, tetrad_arrays, to_local
 
 __version__ = "0.1.0"

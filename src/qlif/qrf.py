@@ -32,9 +32,9 @@ The transformation never mixes branches (it is block-diagonal in the
 the source grid, so each output branch keeps only that metric
 (``Branch.source_metric``, which also keys it and which the state
 container keeps); the source grid is the negated P-frame grid,
-and the tetrads b(x, g_i), f(x, g_i) and the measure are re-derived from
-the metric wherever they are needed (``tetrad_arrays`` is deterministic,
-so they come out the same every time).
+and the frames f(x, g_i) and the measure are re-derived from the metric's
+diagonal wherever they are needed (deterministically, so they come out the
+same every time).
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from .qstate import (
     metric_on_grid,
     state_norm,
 )
-from .spacetime import ETA, MetricField, Minkowski
-from .tetrad import _check_spectrum, tetrad_arrays
+from .spacetime import MetricField, Minkowski
+from .tetrad import _check_spectrum
 
 
 @dataclass(frozen=True)
@@ -230,10 +230,12 @@ def check_qlif_metric(
     For each branch the ``sample_points`` highest-amplitude support points
     are probed along the eight +-axis directions of the local frame at
     distance ``radius`` (plus the origin itself); g' is the source metric
-    pulled back through the point's tetrad, re-derived from the source
-    metric.  The deviation vanishes at the origin by construction and grows
-    linearly in the radius, which is the leading-order-only locality of the
-    frame.
+    pulled back through the point's frame, re-derived from the source
+    metric's diagonal d_a at the anchor: the frame's column for axis mu is
+    f_mu e_mu, f = |d_a|^(-1/2), so g' is diagonal with entries f d f, each
+    compared with sign(d_a) (see the module docstring).  The deviation
+    vanishes at the origin by construction and grows linearly in the
+    radius, which is the leading-order-only locality of the frame.
     """
     if s.frame != Frame.P:
         raise WrongFrame(f"check_qlif_metric needs a P-frame state, got {s.frame.value}-frame")
@@ -249,21 +251,20 @@ def check_qlif_metric(
         weight[measure == 0] = 0.0
         chosen = _heaviest(weight, min(sample_points, np.count_nonzero(weight)))
         anchors = grid.points4_at(chosen)
-        _, f = tetrad_arrays(metric.diagonal_batch(anchors))
+        da = metric.diagonal_batch(anchors)
+        _check_spectrum(da)
+        f = 1.0 / np.sqrt(np.abs(da))
 
-        # per anchor: the anchor, then anchor +- radius * (column of f)
-        ft = np.swapaxes(f, -1, -2)
+        # per anchor: the anchor, then anchor +- radius * f_mu e_mu (the frame's columns)
+        steps = radius * f[:, :, None] * np.eye(4)
         targets = np.empty((len(anchors), 9, 4))
         targets[:, 0] = anchors
-        targets[:, 1:] = anchors[:, None, :] + np.concatenate([radius * ft, -radius * ft], axis=1)
+        targets[:, 1:] = anchors[:, None, :] + np.concatenate([steps, -steps], axis=1)
         targets = targets.reshape(-1, 4)
         ok = metric.valid_mask(targets)
-        # Column k of a diagonal metric's frame holds one entry, f[order[k], k] > 0,
-        # so f^T g f is diagonal with entries (f_k g_order[k]) f_k: each of them the
-        # one nonzero term of the matrix product, which therefore gives the same bits.
-        order = np.repeat(np.argmax(f, axis=-2), 9, axis=0)[ok]
-        fk = np.repeat(np.max(f, axis=-2), 9, axis=0)[ok]
-        d = np.take_along_axis(metric.diagonal_batch(targets[ok]), order, axis=-1)
-        max_dev = float(np.max(np.abs(fk * d * fk - np.diag(ETA)), initial=0.0))
+        # f^T g f is diagonal with entries f d f, each compared with the anchor's sign(d)
+        fk = np.repeat(f, 9, axis=0)[ok]
+        d = metric.diagonal_batch(targets[ok])
+        max_dev = float(np.max(np.abs(fk * d * fk - np.repeat(np.sign(da), 9, axis=0)[ok]), initial=0.0))
         rows.append(QlifMetricRow(branch.mass_label, metric.label, float(radius), max_dev))
     return rows

@@ -134,9 +134,9 @@ class MetricField:
     analytic ``christoffel_batch``, the closed-form
     ``geodesic_acceleration`` the integrator runs on, and
     ``angular_momentum``.  Every catalog metric is diagonal in its chart, so
-    the diagonal is the one evaluation a kind defines; ``eval_batch`` embeds
-    it in (N, 4, 4) arrays, the determinant is the product of the diagonal and
-    the inverse is generic.
+    the diagonal is the one evaluation a kind defines and the only form in
+    which the package reads a metric: the determinant is the product of the
+    diagonal and the inverse its reciprocal.
     """
 
     kind = ""
@@ -170,13 +170,6 @@ class MetricField:
     def diagonal_batch(self, points: np.ndarray) -> np.ndarray:
         """(N, 4) points -> (N, 4) diagonal components g_00 .. g_33. No validity check."""
         raise NotImplementedError
-
-    def eval_batch(self, points: np.ndarray) -> np.ndarray:
-        """(N, 4) points -> (N, 4, 4) metric components, zero off the diagonal. No validity check."""
-        d = self.diagonal_batch(points)
-        g = np.zeros((len(d), 4, 4))
-        g.reshape(-1, 16)[:, ::5] = d  # flat slots 0, 5, 10, 15: the diagonal
-        return g
 
     def valid_mask(self, points: np.ndarray) -> np.ndarray:
         """(N, 4) points -> (N,) bool, True where the point is outside the singular set."""
@@ -449,12 +442,12 @@ def metric_eval(field: MetricField, x: FourVector) -> np.ndarray:
     """
     pts = x.array[None, :]
     field.require_valid(pts)
-    return field.eval_batch(pts)[0]
+    return np.diag(field.diagonal_batch(pts)[0])
 
 
 def metric_inverse(field: MetricField, x: FourVector) -> np.ndarray:
-    """g^munu at x."""
-    return np.linalg.inv(metric_eval(field, x))
+    """g^munu at x: the reciprocal of the diagonal."""
+    return np.diag(1.0 / np.diag(metric_eval(field, x)))
 
 
 def metric_det_sqrt(field: MetricField, x: FourVector) -> float:

@@ -16,7 +16,10 @@ largest component of each eigenvector positive, the form ``eigh`` returns
 for a diagonal matrix after that sign fix, so f^T g f = diag(-1, 1, 1, 1).
 The construction is deterministic; the residual local Lorentz freedom
 (boosts and rotations preserving eta) is not factored out, so this is one
-canonical representative of the frame orbit.
+canonical representative of the frame orbit.  The frame's defect
+max |f^T g f - eta| is read from the diagonal as well
+(``diagonal_frame_deviation``): it is the QLIF certificate and the
+selftest's ``tetrad_eta`` figure.
 
 Only the leading (linear) order is built here: the metric pulled back
 through a tetrad deviates from eta linearly in the local distance, since
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric
-from .spacetime import ETA, FourVector, MetricField
+from .spacetime import FourVector, MetricField
 
 EIGENVALUE_FLOOR = 1e-12
 
@@ -124,8 +127,3 @@ def to_local(t: Tetrad, x_prime: FourVector) -> FourVector:
 def from_local(t: Tetrad, xi: FourVector) -> FourVector:
     """x' = anchor + f xi; inverse of ``to_local`` up to roundoff."""
     return FourVector.from_array(t.anchor.array + t.f @ xi.array)
-
-
-def frame_residual(t: Tetrad, g: np.ndarray) -> float:
-    """max |f^T g f - eta|, the local Minkowskian defect of the frame."""
-    return float(np.max(np.abs(t.f.T @ g @ t.f - ETA)))

@@ -33,6 +33,13 @@ def random_point(field, rng):
     return FourVector(rng.uniform(-1.0, 1.0), *rng.uniform(-2.0, 2.0, 3))
 
 
+def diagonal_cases(catalog, rng, n):
+    """(field, (n, 4) valid points) for each catalog kind, and for an SI weak field of Earth's mass at Earth scale."""
+    si = WeakFieldPointMass(UnitSystem.si(), mass=5.972e24, soft=1.0)
+    cases = [*((f, 1.0) for f in catalog.values()), (si, 6.371e6)]
+    return [(f, np.array([random_point(f, rng).array * scale for _ in range(n)])) for f, scale in cases]
+
+
 def two_branch_state(
     units,
     grid=None,

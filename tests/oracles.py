@@ -32,8 +32,17 @@ def schwarzschild_christoffel(rs: float, r: float, theta: float) -> np.ndarray:
     return gam
 
 
+def metric_matrices(field, points) -> np.ndarray:
+    """(N, 4, 4) metric components at (N, 4) points: the diagonal embedded in zeros, slot by slot."""
+    d = field.diagonal_batch(np.asarray(points, dtype=float))
+    g = np.zeros((len(d), 4, 4))
+    for mu in range(4):
+        g[:, mu, mu] = d[:, mu]
+    return g
+
+
 def fd_christoffel(field, x, step=None, rel_step=5e-3) -> np.ndarray:
-    """Christoffel symbols at FourVector x from 4th-order central differences of ``eval_batch``.
+    """Christoffel symbols at FourVector x from 4th-order central differences of the metric matrices.
 
     The step is ``step`` on every axis, else ``rel_step * max(1, |x_axis|)``
     per axis; the error falls as h^4 (Richardson: halving h cuts it 16x).
@@ -44,11 +53,11 @@ def fd_christoffel(field, x, step=None, rel_step=5e-3) -> np.ndarray:
     offsets = np.einsum("j,ab->ajb", [-2.0, -1.0, 1.0, 2.0], np.diag(h)).reshape(16, 4)
     pts = xv + offsets
     field.require_valid(pts)
-    g = field.eval_batch(pts).reshape(4, 4, 4, 4)  # axis, stencil, mu, nu
+    g = metric_matrices(field, pts).reshape(4, 4, 4, 4)  # axis, stencil, mu, nu
     # f'(x) = (8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / (12 h); the differences
     # come first so equal samples give an exact zero
     dg = (8.0 * (g[:, 2] - g[:, 1]) - (g[:, 3] - g[:, 0])) / (12.0 * h)[:, None, None]
-    ginv = np.linalg.inv(field.eval_batch(xv[None, :])[0])
+    ginv = np.linalg.inv(metric_matrices(field, xv[None, :])[0])
     # Gamma^m_{nr} = 1/2 g^{ms} (d_n g_{sr} + d_r g_{sn} - d_s g_{nr})
     a = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
     return 0.5 * np.einsum("ms,snr->mnr", ginv, a)
@@ -129,6 +138,24 @@ def eigh_tetrad(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
+def frame_defect(f: np.ndarray, g: np.ndarray) -> float:
+    """max |f^T g f - eta| of one (4, 4) frame f on one (4, 4) metric g, by matrix products."""
+    return float(np.max(np.abs(f.T @ g @ f - ETA)))
+
+
+def matrix_timelike_u0(g: np.ndarray, u_spatial: np.ndarray, c: float) -> float:
+    """u^0 > 0 with g_munu u^mu u^nu = -c^2 for one (4, 4) metric: the full quadratic, cross term included."""
+    a = g[0, 0]
+    b = 2.0 * g[0, 1:] @ u_spatial
+    k = u_spatial @ g[1:, 1:] @ u_spatial + c**2
+    return float((-b - np.sqrt(b**2 - 4.0 * a * k)) / (2.0 * a))
+
+
+def schwarzschild_chart_regular(rs: float, r: float, theta: float) -> bool:
+    """True off the singular set of the Schwarzschild chart: outside the horizon and off the polar axis."""
+    return r > rs and np.sin(theta) != 0.0
+
+
 def matmul_deviation(g: np.ndarray) -> np.ndarray:
     """Per-metric max |f^T g f - eta| over (N, 4, 4) metrics as batched matrix products, shape (N,).
 
@@ -181,12 +208,12 @@ def loop_qlif_metric_rows(state, radius: float, sample_points: int = 16) -> list
         k = min(sample_points, np.count_nonzero(weight))
         worst = 0.0
         for anchor in pts[np.argsort(-weight, kind="stable")[:k]]:
-            _, f = eigh_tetrad(metric.eval_batch(anchor[None, :]))
+            _, f = eigh_tetrad(metric_matrices(metric, anchor[None, :]))
             f = f[0]
             targets = np.vstack([anchor[None, :], anchor[None, :] + radius * f.T, anchor[None, :] - radius * f.T])
             ok = metric.valid_mask(targets)
             if np.any(ok):
-                pulled = f.T @ metric.eval_batch(targets[ok]) @ f
+                pulled = f.T @ metric_matrices(metric, targets[ok]) @ f
                 worst = max(worst, float(np.max(np.abs(pulled - ETA))))
         rows.append((branch.mass_label, metric.label, float(radius), worst))
     return rows

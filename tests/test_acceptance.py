@@ -16,7 +16,9 @@ import yaml
 
 from conftest import derived_b_xi, line_state, random_point, two_branch_state, x_width
 from oracles import (
+    frame_defect,
     free_gaussian_width,
+    metric_matrices,
     newtonian_drop,
     perihelion_advance_weak_field,
     uniform_sphere_delta_energy,
@@ -32,7 +34,7 @@ from qlif.dynamics import (
 )
 from qlif.qrf import from_qlif, to_qlif
 from qlif.qstate import GridSpec, inner_product, make_state
-from qlif.spacetime import ETA, FourVector, Schwarzschild, WeakFieldPointMass
+from qlif.spacetime import FourVector, Schwarzschild, WeakFieldPointMass
 from qlif.tetrad import build_tetrad, from_local, to_local
 
 
@@ -95,7 +97,7 @@ def test_criterion_3_branch_classicality(units):
         worst = max(worst, float(np.max(np.abs(b[p] - t.b))))
         worst = max(worst, float(np.max(np.abs(xi[p] - to_local(t, mass_pos).array))))
         # transformed sample = classical measure-weighted sample
-        g = field.eval_batch(pts[p][None, :])[0]
+        g = metric_matrices(field, pts[p][None, :])[0]
         classical = psi_in[p] * (-np.linalg.det(g)) ** 0.25
         worst = max(worst, abs(psi_out_flat[p] - classical))
     assert worst < 1e-12
@@ -109,8 +111,8 @@ def test_criterion_4_tetrad_correctness(units, catalog):
         for _ in range(100):
             x = random_point(field, rng)
             t = build_tetrad(field, x)
-            g = field.eval_batch(x.array[None, :])[0]
-            worst_eta = max(worst_eta, float(np.max(np.abs(t.f.T @ g @ t.f - ETA))))
+            g = metric_matrices(field, x.array[None, :])[0]
+            worst_eta = max(worst_eta, frame_defect(t.f, g))
             worst_dual = max(worst_dual, float(np.max(np.abs(t.f @ t.b - np.eye(4)))))
     assert worst_eta < 1e-10
     assert worst_dual < 1e-12
@@ -127,8 +129,8 @@ def test_criterion_4_tetrad_correctness(units, catalog):
                 xi = np.zeros(4)
                 xi[mu] = sign * radius
                 xp = from_local(t, FourVector.from_array(xi))
-                g = field.eval_batch(xp.array[None, :])[0]
-                worst = max(worst, float(np.max(np.abs(t.f.T @ g @ t.f - ETA))))
+                g = metric_matrices(field, xp.array[None, :])[0]
+                worst = max(worst, frame_defect(t.f, g))
         return worst
 
     ratio = deviation(0.02) / deviation(0.01)
@@ -328,10 +330,27 @@ SAMPLE_RUNS = [
 ]
 
 
-def test_sample_configs_match_golden_outputs(tmp_path, capsys):
+def _run_sample_configs(base: Path, capsys) -> dict:
     assert {cfg for _, cfg in SAMPLE_RUNS} == {p.stem for p in CONFIGS.glob("*.yaml")}
     for command, cfg in SAMPLE_RUNS:
-        out = tmp_path / f"{cfg}.{command}"
+        out = base / f"{cfg}.{command}"
         assert cli_main([command, "--config", str(CONFIGS / f"{cfg}.yaml"), "--out", str(out)]) == 0
     capsys.readouterr()  # the selftest's verdict lines
-    _match_golden("sample_configs", _digests(tmp_path))
+    return _digests(base)
+
+
+def test_sample_configs_match_golden_outputs(tmp_path, capsys):
+    _match_golden("sample_configs", _run_sample_configs(tmp_path, capsys))
+
+
+def test_sample_configs_need_no_dense_linear_algebra(tmp_path, capsys, monkeypatch):
+    # every catalog metric is diagonal, so no subcommand needs a determinant,
+    # an inverse or an eigendecomposition: with all three gone the outputs
+    # keep their golden bits
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense linear algebra on a diagonal metric")
+
+    for name in ("det", "inv", "eigh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    digests = _run_sample_configs(tmp_path, capsys)
+    assert digests == json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))["sample_configs"]

@@ -5,7 +5,12 @@ from pathlib import Path
 import pytest
 import yaml
 
+from oracles import frame_defect, metric_matrices
+from qlif import cli
 from qlif.cli import main
+from qlif.tetrad import build_tetrad
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, payload, name="config.yaml"):
@@ -190,6 +195,25 @@ def test_selftest_passes(tmp_path, capsys):
     assert all(line.startswith("[PASS]") for line in lines)
     report = json.loads((out / "selftest_report.json").read_text())
     assert report["passed"] is True
+
+
+def test_selftest_tetrad_eta_equals_the_matrix_route_bit_for_bit(tmp_path, capsys, monkeypatch):
+    # the check reads each frame's defect from the metric diagonal; the oracle
+    # forms max |f^T g f - eta| over the same frames by matrix products
+    frames = []
+
+    def recording(field, x):
+        frames.append((field, x, build_tetrad(field, x)))
+        return frames[-1][2]
+
+    monkeypatch.setattr(cli, "build_tetrad", recording)
+    out = tmp_path / "out"
+    assert main(["selftest", "--config", str(CONFIGS / "selftest.yaml"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    checks = json.loads((out / "selftest_report.json").read_text())["checks"]
+    value = next(c["value"] for c in checks if c["check"] == "tetrad_eta")
+    assert len(frames) == 50
+    assert value == max(frame_defect(t.f, metric_matrices(f, x.array[None, :])[0]) for f, x, t in frames)
 
 
 def test_selftest_injected_zero_tolerance_fails(tmp_path):

@@ -3,15 +3,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import line_state, two_branch_state, x_width
+from conftest import diagonal_cases, line_state, two_branch_state, x_width
 from oracles import (
     free_gaussian_width,
+    matrix_timelike_u0,
+    metric_matrices,
     newtonian_drop,
     perihelion_advance_epicyclic,
     perihelion_advance_weak_field,
+    schwarzschild_chart_regular,
 )
 from qlif.dynamics import (
     GeodesicState,
+    Trajectory,
     drift_figures,
     evolve_free,
     geodesic_superposition,
@@ -59,6 +63,54 @@ def test_velocity_normalization_helpers(units, catalog):
         assert velocity_norm(field, x, u) == pytest.approx(-(units.c**2), abs=1e-12)
         v = local_frame_velocity(field, x, (0.05, -0.02, 0.01))
         assert velocity_norm(field, x, v) == pytest.approx(-(units.c**2), abs=1e-12)
+
+
+def test_velocity_norm_and_completion_equal_the_matrix_route_bit_for_bit(catalog):
+    rng = np.random.default_rng(61)
+    for field, points in diagonal_cases(catalog, rng, 500):
+        speed = 0.05 * field.units.c
+        for x, g in zip(map(FourVector.from_array, points), metric_matrices(field, points)):
+            u_s = rng.uniform(-speed, speed, 3)
+            u = timelike_velocity(field, x, u_s)
+            assert all(type(v) is float for v in (u.t, u.x, u.y, u.z))
+            assert u.array.tobytes() == np.array([matrix_timelike_u0(g, u_s, field.units.c), *u_s]).tobytes()
+            assert velocity_norm(field, x, u) == float(u.array @ g @ u.array), field.label
+            w = FourVector.from_array(rng.normal(0.0, speed, 4))
+            assert velocity_norm(field, x, w) == float(w.array @ g @ w.array), field.label
+
+
+@pytest.mark.parametrize("r, theta", [(10.0, 0.0), (2.0, 1.0), (1.5, 1.0)], ids=["pole", "horizon", "inside"])
+def test_timelike_velocity_rejects_the_singular_set(units, r, theta):
+    sch = Schwarzschild(units, mass=1.0)
+    x = FourVector(0.0, r, theta, 0.3)
+    assert not schwarzschild_chart_regular(sch.r_s, r, theta)
+    assert not sch.valid_mask(x.array[None, :])[0]
+    with pytest.raises(SingularRegion) as from_mask:
+        sch.require_valid(x.array[None, :])
+    with pytest.raises(SingularRegion) as got:
+        timelike_velocity(sch, x, (0.0, 0.0, 0.0))
+    assert str(got.value) == str(from_mask.value)
+
+
+def test_drift_figures_equal_the_matrix_route_bit_for_bit(catalog):
+    # 15 geodesics per kind, then one record of random points and random 4-velocities
+    rng = np.random.default_rng(62)
+    for field, points in diagonal_cases(catalog, rng, 15):
+        speed = 0.05 * field.units.c
+        dtau = 0.1 if field.units.c == 1.0 else 1e-3
+        points = [FourVector.from_array(p) for p in points]
+        starts = [GeodesicState(x, timelike_velocity(field, x, rng.uniform(-speed, speed, 3)), 0.0) for x in points]
+        trajectories = [integrate_geodesic(field, start, dtau, 40) for start in starts]
+        random_states = (GeodesicState(x, FourVector.from_array(rng.normal(0.0, speed, 4)), 0.0) for x in points)
+        for traj in [*trajectories, Trajectory(tuple(random_states))]:
+            xs = np.array([st.x.array for st in traj.states])
+            us = np.array([st.u.array for st in traj.states])
+            g = metric_matrices(field, xs)
+            norm, energy = np.einsum("nij,ni,nj->n", g, us, us), -g[:, 0, 0] * us[:, 0]
+            c2 = field.units.c**2
+            got = drift_figures(field, traj)
+            assert got[0] == float(np.max(np.abs(norm + c2)) / c2), field.label
+            assert got[1] == float(np.max(np.abs(energy / energy[0] - 1.0))), field.label
 
 
 def test_unnormalized_initial_velocity_rejected(units):
@@ -182,7 +234,7 @@ def test_conserved_quantities_drift_ten_orbits(units):
     assert traj.completed
 
     def energy_momentum(st):
-        g = sch.eval_batch(st.x.array[None, :])[0]
+        g = metric_matrices(sch, st.x.array[None, :])[0]
         return -g[0, 0] * st.u.t, g[3, 3] * st.u.array[3]
 
     e0, l0 = energy_momentum(traj.states[0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import derived_b_xi, two_branch_state
-from oracles import loop_qlif_metric_rows, matmul_certificate
+from oracles import loop_qlif_metric_rows, matmul_certificate, metric_matrices
 from qlif.errors import DegenerateMetric, MissingTetradRecord, SingularRegion, WrongFrame
 from qlif.qrf import QrfTransformReport, _heaviest, check_qlif_metric, from_qlif, to_qlif
 from qlif.qstate import (
@@ -305,7 +305,7 @@ def test_certificate_equals_the_matmul_route_bit_for_bit(units, make):
     for branch, rec in zip(s.branches, report.branches):
         support = np.asarray(branch.psi).reshape(-1) != 0
         assert not np.any(support & ~branch.metric.valid_mask(pts))
-        g = branch.metric.eval_batch(pts[support])
+        g = metric_matrices(branch.metric, pts[support])
         assert rec.max_metric_deviation_at_origin == matmul_certificate(g)
         if isinstance(branch.metric, Schwarzschild):
             # r^2 sin^2(theta) < r^2: the sorted frame swaps the two angular slots

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import two_branch_state
-from oracles import gaussian_translate_overlap, matmul_deviation
+from oracles import gaussian_translate_overlap, matmul_deviation, metric_matrices
 from qlif.errors import (
     BadContainer,
     GridMismatch,
@@ -180,7 +180,7 @@ def test_cached_figures_equal_the_pointwise_routes(units, catalog):
         pts = grid.points4()
         valid = metric.valid_mask(pts)
         assert measure.reshape(-1)[valid].tobytes() == sqrt_neg_det_batch(metric, pts[valid]).tobytes()
-        assert np.array_equal(deviation.reshape(-1)[valid], matmul_deviation(metric.eval_batch(pts[valid])))
+        assert np.array_equal(deviation.reshape(-1)[valid], matmul_deviation(metric_matrices(metric, pts[valid])))
         assert np.all(np.isinf(deviation.reshape(-1)[~valid]))
 
 

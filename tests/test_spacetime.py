@@ -3,14 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import det_sqrt_neg_g, fd_christoffel, schwarzschild_christoffel
-from conftest import random_point
+from oracles import det_sqrt_neg_g, fd_christoffel, metric_matrices, schwarzschild_christoffel
+from conftest import diagonal_cases, random_point
 from qlif.dynamics import timelike_velocity
 from qlif.errors import SingularRegion
 from qlif.spacetime import (
     ETA,
     METRIC_KINDS,
     FourVector,
+    MetricField,
     Minkowski,
     Schwarzschild,
     UnitSystem,
@@ -131,6 +132,15 @@ def test_metric_inverse(units, catalog):
         x = random_point(field, rng)
         gi = metric_inverse(field, x)
         assert np.max(np.abs(gi @ metric_eval(field, x) - np.eye(4))) < 1e-12
+
+
+def test_metric_inverse_matches_the_dense_inverse(units, catalog):
+    rng = np.random.default_rng(6)
+    for field, pts in diagonal_cases(catalog, rng, 100):
+        for p, g in zip(pts, metric_matrices(field, pts)):
+            want = np.linalg.inv(g)
+            got = metric_inverse(field, FourVector.from_array(p))
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), field.label
 
 
 def test_lorentzian_signature_everywhere(catalog):
@@ -277,18 +287,7 @@ def test_geodesic_acceleration_raises_in_the_singular_set(units):
 def test_every_kind_defines_only_its_diagonal():
     for cls in METRIC_KINDS.values():
         assert "diagonal_batch" in cls.__dict__, cls.kind
-        assert "eval_batch" not in cls.__dict__, cls.kind
-
-
-def test_eval_batch_embeds_the_diagonal_bit_for_bit(catalog):
-    assert {field.kind for field in catalog.values()} == set(METRIC_KINDS)
-    rng = np.random.default_rng(4)
-    for field in catalog.values():
-        pts = np.array([random_point(field, rng).array for _ in range(40)])
-        d = field.diagonal_batch(pts)
-        assert d.shape == (40, 4)
-        assert field.eval_batch(pts).tobytes() == np.apply_along_axis(np.diag, 1, d).tobytes()
-        assert field.eval_batch(pts[:0]).shape == (0, 4, 4)
+    assert not hasattr(MetricField, "eval_batch")
 
 
 def test_weak_field_christoffel_matches_fd_oracle(units):
@@ -321,6 +320,6 @@ def test_measure_matches_the_det_route_within_4_ulp(units, catalog):
         pts = np.array([random_point(field, rng).array for _ in range(500)])
         pts = pts[field.valid_mask(pts)]
         got = sqrt_neg_det_batch(field, pts)
-        want = det_sqrt_neg_g(field.eval_batch(pts))
+        want = det_sqrt_neg_g(metric_matrices(field, pts))
         assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), field.label
         assert metric_det_sqrt(field, FourVector.from_array(pts[0])) == got[0]

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_point
-from oracles import eigh_tetrad
+from conftest import diagonal_cases, random_point
+from oracles import eigh_tetrad, frame_defect, metric_matrices
 from qlif.errors import DegenerateMetric
-from qlif.spacetime import ETA, FourVector, Minkowski, metric_eval
-from qlif.tetrad import Tetrad, build_tetrad, frame_residual, from_local, tetrad_arrays, to_local
+from qlif.spacetime import FourVector, Minkowski, metric_eval
+from qlif.tetrad import Tetrad, build_tetrad, diagonal_frame_deviation, from_local, tetrad_arrays, to_local
 
 
 def test_minkowski_tetrad_is_identity(units):
@@ -26,10 +26,19 @@ def test_frame_invariants_random_points(catalog):
         for _ in range(100):
             x = random_point(field, rng)
             t = build_tetrad(field, x)
-            g = metric_eval(field, x)
-            assert frame_residual(t, g) < 1e-10
+            g = metric_matrices(field, x.array[None, :])[0]
+            assert frame_defect(t.f, g) < 1e-10
             assert np.max(np.abs(t.f @ t.b - np.eye(4))) < 1e-12
             assert np.max(np.abs(t.b @ t.f - np.eye(4))) < 1e-12
+
+
+def test_diagonal_frame_deviation_equals_the_matrix_route_bit_for_bit(catalog):
+    rng = np.random.default_rng(19)
+    for field, pts in diagonal_cases(catalog, rng, 300):
+        got = diagonal_frame_deviation(field.diagonal_batch(pts))
+        g = metric_matrices(field, pts)
+        want = [frame_defect(build_tetrad(field, FourVector.from_array(p)).f, gp) for p, gp in zip(pts, g)]
+        assert got.tolist() == want, field.label
 
 
 def test_to_local_at_anchor_is_zero(catalog):
@@ -90,7 +99,7 @@ def test_diagonal_branch_matches_eigh_bit_for_bit(catalog):
     for field in catalog.values():
         pts = np.array([random_point(field, rng).array for _ in range(500)])
         b, f = tetrad_arrays(field.diagonal_batch(pts))
-        b_ref, f_ref = eigh_tetrad(field.eval_batch(pts))
+        b_ref, f_ref = eigh_tetrad(metric_matrices(field, pts))
         assert np.array_equal(b, b_ref)
         assert np.array_equal(f, f_ref)
 
@@ -112,7 +121,7 @@ def test_non_diagonal_lorentzian_metric_uses_full_construction():
     assert np.count_nonzero(g - np.diag(np.diag(g))) > 0
     b, f = eigh_tetrad(g[None])
     t = Tetrad(b=b[0], f=f[0], anchor=FourVector(0, 0, 0, 0))
-    assert frame_residual(t, g) < 1e-12
+    assert frame_defect(t.f, g) < 1e-12
     assert np.max(np.abs(t.f @ t.b - np.eye(4))) < 1e-12
 
 
@@ -134,7 +143,7 @@ def _pullback_deviation(field, t, radius):
             xi[mu] = sign * radius
             xp = from_local(t, FourVector.from_array(xi))
             g = metric_eval(field, xp)
-            worst = max(worst, float(np.max(np.abs(t.f.T @ g @ t.f - ETA))))
+            worst = max(worst, frame_defect(t.f, g))
     return worst
 
 
