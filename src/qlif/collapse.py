@@ -78,15 +78,6 @@ def _separation(a: MassDistribution, b: MassDistribution) -> float:
     return float(np.sqrt(d @ d))
 
 
-def same_shape(a: MassDistribution, b: MassDistribution) -> bool:
-    """Same kind, mass, and size (centers may differ)."""
-    if type(a) is not type(b) or a.mass != b.mass:
-        return False
-    if isinstance(a, UniformSphere):
-        return a.radius == b.radius
-    return a.width == b.width
-
-
 # ---------------------------------------------------------------------------
 # Analytic pair terms W_xy(d) = iint rho_x rho_y / |r - r'| (no G)
 # ---------------------------------------------------------------------------

@@ -63,8 +63,13 @@ class Trajectory:
 
 
 def velocity_norm(field: MetricField, x: FourVector, u: FourVector) -> float:
-    """g_munu u^mu u^nu (should be -c^2 on a timelike world line), from the metric diagonal."""
-    d = field.diagonal_batch(x.array[None, :])[0]
+    """g_munu u^mu u^nu (should be -c^2 on a timelike world line), from the metric diagonal.
+
+    Raises SingularRegion if x is in the singular set.
+    """
+    pts = x.array[None, :]
+    field.require_valid(pts)
+    d = field.diagonal_batch(pts)[0]
     u = u.array
     return float((d * u) @ u)  # u g u is (d u) . u plus exact zeros: the same dot product, the same bits
 
@@ -88,9 +93,12 @@ def timelike_velocity(field: MetricField, x: FourVector, u_spatial) -> FourVecto
 def local_frame_velocity(field: MetricField, x: FourVector, v_local) -> FourVector:
     """4-velocity whose local-frame components are gamma (c, v_local).
 
-    ``v_local`` is an ordinary 3-velocity (|v| < c) measured in the
-    canonical tetrad frame at x; the result is automatically normalized
-    because f^T g f = eta.
+    ``v_local`` is an ordinary 3-velocity (|v| < c) measured in the local
+    orthonormal frame at x, whose axes run along the chart axes: (x, y, z),
+    or (r, theta, phi) on Schwarzschild, the same directions in every
+    branch (see module ``tetrad``).  So u^0 = gamma c / sqrt(-g_00) and
+    u^i = gamma v_i / sqrt(g_ii); the result is normalized because
+    f^T g f = eta.
     """
     v = np.asarray(v_local, dtype=float)
     c = field.units.c
@@ -123,7 +131,6 @@ def integrate_geodesic(
         raise ValueError("dtau must be > 0")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    field.require_valid(init.x.array[None, :])
     c = field.units.c
     miss = abs(velocity_norm(field, init.x, init.u) + c**2)
     if miss > NORM_TOL * c**2:
@@ -221,7 +228,9 @@ def geodesic_superposition(
     """One geodesic per branch, started at the branch's wavefunction centroid.
 
     ``init_local_velocity`` is the common initial 3-velocity in the local
-    orthonormal frame at each branch's start point, so every branch starts
+    orthonormal frame at each branch's start point.  Its components run
+    along the chart axes, (x, y, z) or (r, theta, phi) on Schwarzschild,
+    which are the same directions in every branch, so every branch starts
     with the same physical velocity even though the metrics differ.
     """
     out = []

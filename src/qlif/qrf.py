@@ -18,14 +18,14 @@ x_S, the component at probe position x is relabeled as follows:
   inertial property, verified and reported rather than assumed.  The
   certificate is max |f^T g_i f - eta| over the support.  Every catalog
   metric is diagonal, so it is computed from the diagonal d alone:
-  f^T g_i f is diagonal with entries f d f, f = |d|^(-1/2), each to be
-  compared with sign(d), since the frame of ``tetrad_arrays`` (a sort of
-  the diagonal, see module ``tetrad``) only permutes them onto eta's
-  slots.  No (N, 4, 4) array is built, and the figure is the one the
-  matrix product f^T g_i f - eta would give, bit for bit.  The per-point
-  figure comes from the same diagonal evaluation as the measure, once per
-  (metric, grid) (``qstate.metric_on_grid``), so ``to_qlif`` evaluates no
-  metric: the certificate is the max of the cached figure over the support.
+  f^T g_i f is diagonal with entries f d f, f = |d|^(-1/2) (the
+  chart-aligned frame of ``tetrad_arrays``), each compared with eta's
+  entry in the same slot.  No (N, 4, 4) array is built, and the figure is
+  the one the matrix product f^T g_i f - eta would give, bit for bit.  The
+  per-point figure comes from the same diagonal evaluation as the measure,
+  once per (metric, grid) (``qstate.metric_on_grid``), so ``to_qlif``
+  evaluates no metric: the certificate is the max of the cached figure
+  over the support.
 
 The transformation never mixes branches (it is block-diagonal in the
 (mass_label, metric) key).  It is fixed entirely by the branch metric on
@@ -49,13 +49,14 @@ from .qstate import (
     Frame,
     GridSpec,
     SuperposedState,
+    _freeze,
     branch_sqrt_neg_det,
     inner_product,
     metric_on_grid,
     state_norm,
 )
 from .spacetime import MetricField, Minkowski
-from .tetrad import _check_spectrum
+from .tetrad import ETA_DIAGONAL, _check_spectrum
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,7 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float]:
         _check_spectrum(branch.metric.diagonal_batch(grid.points4_at(np.flatnonzero(support))))
 
     factor = np.sqrt(measure)
-    psi_new = _reverse(branch.psi * factor).copy()
-    psi_new.setflags(write=False)
+    psi_new = _freeze(_reverse(branch.psi * factor))
     new_branch = replace(branch, metric=Minkowski(branch.metric.units), psi=psi_new, source_metric=branch.metric)
     return new_branch, max_dev
 
@@ -188,8 +188,7 @@ def from_qlif(s: SuperposedState) -> SuperposedState:
         factor = np.sqrt(branch_sqrt_neg_det(restored, grid))
         psi = np.zeros(grid.shape, dtype=complex)
         np.divide(restored.psi, factor, out=psi, where=factor > 0)
-        psi.setflags(write=False)
-        branches.append(replace(restored, psi=psi))
+        branches.append(replace(restored, psi=_freeze(psi)))
     return SuperposedState(
         branches=tuple(branches),
         grid=grid,
@@ -233,7 +232,7 @@ def check_qlif_metric(
     pulled back through the point's frame, re-derived from the source
     metric's diagonal d_a at the anchor: the frame's column for axis mu is
     f_mu e_mu, f = |d_a|^(-1/2), so g' is diagonal with entries f d f, each
-    compared with sign(d_a) (see the module docstring).  The deviation
+    compared with eta's diagonal (see the module docstring).  The deviation
     vanishes at the origin by construction and grows linearly in the
     radius, which is the leading-order-only locality of the frame.
     """
@@ -262,9 +261,9 @@ def check_qlif_metric(
         targets[:, 1:] = anchors[:, None, :] + np.concatenate([steps, -steps], axis=1)
         targets = targets.reshape(-1, 4)
         ok = metric.valid_mask(targets)
-        # f^T g f is diagonal with entries f d f, each compared with the anchor's sign(d)
+        # f^T g f is diagonal with entries f d f, each compared with eta
         fk = np.repeat(f, 9, axis=0)[ok]
         d = metric.diagonal_batch(targets[ok])
-        max_dev = float(np.max(np.abs(fk * d * fk - np.repeat(np.sign(da), 9, axis=0)[ok]), initial=0.0))
+        max_dev = float(np.max(np.abs(fk * d * fk - ETA_DIAGONAL), initial=0.0))
         rows.append(QlifMetricRow(branch.mass_label, metric.label, float(radius), max_dev))
     return rows

@@ -7,19 +7,18 @@ locally inertial frame anchored at a point x:
     x'^alpha = x^alpha + f[alpha, mu] xi^mu    local frame -> coordinates
 
 with f^T g(x) f = eta and f b = b f = identity.  Every catalog metric is
-diagonal in its chart, so a frame is built from the diagonal d alone: a
-stable sort puts the single negative entry in slot 0 and the positive ones
-after it in ascending order, and f[order[k], k] = |w_k|^(-1/2),
-b[k, order[k]] = |w_k|^(1/2) for the sorted entries w, every other entry 0.
-This is the eigendecomposition g = O L O^T with O a permutation and the
-largest component of each eigenvector positive, the form ``eigh`` returns
-for a diagonal matrix after that sign fix, so f^T g f = diag(-1, 1, 1, 1).
-The construction is deterministic; the residual local Lorentz freedom
-(boosts and rotations preserving eta) is not factored out, so this is one
-canonical representative of the frame orbit.  The frame's defect
-max |f^T g f - eta| is read from the diagonal as well
-(``diagonal_frame_deviation``): it is the QLIF certificate and the
-selftest's ``tetrad_eta`` figure.
+diagonal in its chart with g_00 < 0 < g_ii at every valid point, so the
+frame is built from the diagonal d alone and aligned with the chart:
+f = diag(|d|^(-1/2)), b = diag(|d|^(1/2)), and f^T g f = diag(-1, 1, 1, 1).
+Local axis mu is coordinate axis mu rescaled to unit length: (t, x, y, z),
+or (t, r, theta, phi) on Schwarzschild, the same directions in every
+branch whatever its metric, which is what lets a local-frame velocity or
+separation be compared across branches.  The construction is
+deterministic; the residual local Lorentz freedom (boosts and rotations
+preserving eta) is not factored out, so this is one representative of the
+frame orbit.  The frame's defect max |f^T g f - eta| is read from the
+diagonal as well (``diagonal_frame_deviation``): it is the QLIF
+certificate and the selftest's ``tetrad_eta`` figure.
 
 Only the leading (linear) order is built here: the metric pulled back
 through a tetrad deviates from eta linearly in the local distance, since
@@ -37,6 +36,9 @@ from .spacetime import FourVector, MetricField
 
 EIGENVALUE_FLOOR = 1e-12
 
+# diag(eta), the local frame's metric
+ETA_DIAGONAL = np.array([-1.0, 1.0, 1.0, 1.0])
+
 
 @dataclass(frozen=True)
 class Tetrad:
@@ -51,63 +53,57 @@ class Tetrad:
     anchor: FourVector
 
 
-def _spectrum_ok(w: np.ndarray) -> np.ndarray:
-    """Per eigenvalue set (last axis): the points ``_check_spectrum`` passes."""
-    return ~np.any(np.abs(w) < EIGENVALUE_FLOOR, axis=-1) & (np.count_nonzero(w < 0.0, axis=-1) == 1)
+def _spectrum_ok(d: np.ndarray) -> np.ndarray:
+    """Per diagonal (last axis): every |d| >= 1e-12, d_0 < 0 and d_i > 0 (the points ``_check_spectrum`` passes)."""
+    return np.all(np.abs(d) >= EIGENVALUE_FLOOR, axis=-1) & (d[..., 0] < 0.0) & np.all(d[..., 1:] > 0.0, axis=-1)
 
 
-def _check_spectrum(w: np.ndarray) -> None:
-    """Raise DegenerateMetric unless every eigenvalue set is (-, +, +, +) above the floor."""
-    if np.any(np.abs(w) < EIGENVALUE_FLOOR):
+def _check_spectrum(d: np.ndarray) -> None:
+    """Raise DegenerateMetric unless every diagonal is (-, +, +, +) above the floor."""
+    if np.all(_spectrum_ok(d)):
+        return
+    if np.any(np.abs(d) < EIGENVALUE_FLOOR):
         raise DegenerateMetric(
             f"metric eigenvalue magnitude below {EIGENVALUE_FLOOR:g} (min "
-            f"{np.min(np.abs(w)):.3e})"
+            f"{np.min(np.abs(d)):.3e})"
         )
-    neg = np.count_nonzero(w < 0.0, axis=-1)
-    if np.any(neg != 1):
-        raise DegenerateMetric("metric signature is not Lorentzian (-, +, +, +)")
+    raise DegenerateMetric("metric signature is not Lorentzian (-, +, +, +)")
 
 
 def tetrad_arrays(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched tetrad construction: (N, 4) metric diagonals -> (b, f), each (N, 4, 4).
 
+    b = diag(|d|^(1/2)) and f = diag(|d|^(-1/2)), the chart-aligned frame.
     Raises DegenerateMetric if any diagonal magnitude is below 1e-12 or the
-    signature is not (-, +, +, +).
+    signature is not (-, +, +, +) in that slot order.
     """
     d = np.asarray(d, dtype=float)
-    order = np.argsort(d, axis=-1, kind="stable")
-    w = np.take_along_axis(d, order, axis=-1)
-    _check_spectrum(w)
-    scale = np.sqrt(np.abs(w))
-    f = np.zeros(d.shape + (4,))
-    b = np.zeros_like(f)
-    np.put_along_axis(f, order[..., None, :], (1.0 / scale)[..., None, :], axis=-2)
-    np.put_along_axis(b, order[..., :, None], scale[..., :, None], axis=-1)
-    return b, f
+    _check_spectrum(d)
+    scale = np.sqrt(np.abs(d))[..., None]
+    return scale * np.eye(4), (1.0 / scale) * np.eye(4)
 
 
 def diagonal_frame_deviation(d: np.ndarray) -> np.ndarray:
     """Per-point max |f^T g f - eta| of the frames of (N, 4) diagonals, shape (N,).
 
-    f^T g f is diagonal with entries f d f, f = |d|^(-1/2), which the frame
-    only permutes onto eta's slots, so each is compared with sign(d): the
-    figure the matrix product gives, bit for bit.  Points whose diagonal
-    ``tetrad_arrays`` would reject get +inf.
+    f^T g f is diagonal with entries f d f, f = |d|^(-1/2), each compared
+    with eta's diagonal: the figure the matrix product gives, bit for bit.
+    Points whose diagonal ``tetrad_arrays`` would reject get +inf.
     """
     ok = _spectrum_ok(d)
-    # f d f - sign(d) in place, in two (N, 4) buffers: the same operations, the same bits
+    # f d f - eta in place, in two (N, 4) buffers: the same operations, the same bits
     f = np.abs(d)
     np.divide(1.0, np.sqrt(f, out=f), out=f)
     dev = f * d
     dev *= f
-    dev -= np.sign(d, out=f)
+    dev -= ETA_DIAGONAL
     out = np.max(np.abs(dev, out=dev), axis=-1)
     out[~ok] = np.inf
     return out
 
 
 def build_tetrad(field: MetricField, x: FourVector) -> Tetrad:
-    """Canonical tetrad of ``field`` at x.
+    """Chart-aligned tetrad of ``field`` at x.
 
     Deterministic: identical inputs give bit-identical matrices.  Raises
     SingularRegion if x is invalid and DegenerateMetric on a near-singular

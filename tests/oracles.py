@@ -151,6 +151,16 @@ def matrix_timelike_u0(g: np.ndarray, u_spatial: np.ndarray, c: float) -> float:
     return float((-b - np.sqrt(b**2 - 4.0 * a * k)) / (2.0 * a))
 
 
+def local_frame_u(g: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
+    """4-velocity with local-frame components gamma (c, v) on one diagonal (4, 4) metric, axis by axis.
+
+    u^0 = gamma c / sqrt(-g_00) and u^i = gamma v_i / sqrt(g_ii): the local
+    axes run along the chart axes.
+    """
+    gamma = 1.0 / np.sqrt(1.0 - (v @ v) / c**2)
+    return np.array([gamma * c / np.sqrt(-g[0, 0])] + [gamma * v[i] / np.sqrt(g[i + 1, i + 1]) for i in range(3)])
+
+
 def schwarzschild_chart_regular(rs: float, r: float, theta: float) -> bool:
     """True off the singular set of the Schwarzschild chart: outside the horizon and off the polar axis."""
     return r > rs and np.sin(theta) != 0.0
@@ -159,7 +169,8 @@ def schwarzschild_chart_regular(rs: float, r: float, theta: float) -> bool:
 def matmul_deviation(g: np.ndarray) -> np.ndarray:
     """Per-metric max |f^T g f - eta| over (N, 4, 4) metrics as batched matrix products, shape (N,).
 
-    f comes from ``eigh_tetrad``, which ``test_tetrad`` ties to ``tetrad_arrays`` bit for bit.
+    f comes from ``eigh_tetrad``, which ``test_tetrad`` ties to ``tetrad_arrays`` bit for bit once
+    its columns are put back in chart order; the order does not change the max.
     """
     _, f = eigh_tetrad(g)
     return np.max(np.abs(np.swapaxes(f, -1, -2) @ g @ f - ETA), axis=(-2, -1))

@@ -6,6 +6,7 @@ import pytest
 from conftest import diagonal_cases, line_state, two_branch_state, x_width
 from oracles import (
     free_gaussian_width,
+    local_frame_u,
     matrix_timelike_u0,
     metric_matrices,
     newtonian_drop,
@@ -90,6 +91,22 @@ def test_timelike_velocity_rejects_the_singular_set(units, r, theta):
     with pytest.raises(SingularRegion) as got:
         timelike_velocity(sch, x, (0.0, 0.0, 0.0))
     assert str(got.value) == str(from_mask.value)
+    with pytest.raises(SingularRegion) as got:
+        velocity_norm(sch, x, FourVector(1.0, 0.0, 0.0, 0.1))
+    assert str(got.value) == str(from_mask.value)
+
+
+@pytest.mark.parametrize("mass", [1.0, 0.5])
+@pytest.mark.parametrize("theta", [np.pi / 2, 1.2])
+def test_local_frame_velocity_runs_along_the_chart_axes(units, mass, theta):
+    # a local x velocity is radial on Schwarzschild, whatever the mass and
+    # the latitude, so it means the same direction in every branch
+    sch = Schwarzschild(units, mass=mass)
+    x = FourVector(0.0, 2.3, theta, 0.3)
+    v = np.array([0.1, 0.0, 0.0])
+    u = local_frame_velocity(sch, x, v)
+    assert u.z == 0.0 and u.y == 0.0 and u.x > 0.0
+    assert np.allclose(u.array, local_frame_u(metric_matrices(sch, x.array[None, :])[0], v, units.c), rtol=1e-15, atol=0.0)
 
 
 def test_drift_figures_equal_the_matrix_route_bit_for_bit(catalog):

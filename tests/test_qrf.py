@@ -308,7 +308,8 @@ def test_certificate_equals_the_matmul_route_bit_for_bit(units, make):
         g = metric_matrices(branch.metric, pts[support])
         assert rec.max_metric_deviation_at_origin == matmul_certificate(g)
         if isinstance(branch.metric, Schwarzschild):
-            # r^2 sin^2(theta) < r^2: the sorted frame swaps the two angular slots
+            # r^2 sin^2(theta) < r^2: the oracle's eigh frame swaps the two angular
+            # slots that the chart-aligned frame keeps, and the max is the same
             d = np.diagonal(g, axis1=1, axis2=2)
             assert np.all(np.argsort(d, axis=1, kind="stable")[:, 2:] == [3, 2])
 

@@ -92,16 +92,21 @@ def test_degenerate_metric_rejected():
         tetrad_arrays(np.array([[1e-13, 1.0, 1.0, 1.0]]))
     with pytest.raises(DegenerateMetric):  # two timelike directions
         tetrad_arrays(np.array([[-1.0, -1.0, 1.0, 1.0]]))
+    with pytest.raises(DegenerateMetric):  # the timelike direction outside slot 0
+        tetrad_arrays(np.array([[1.0, -1.0, 1.0, 1.0]]))
 
 
 def test_diagonal_branch_matches_eigh_bit_for_bit(catalog):
+    # eigh orders its frame by eigenvalue; put each column of f (row of b)
+    # back in the chart slot of its eigenvector's leading index
     rng = np.random.default_rng(41)
     for field in catalog.values():
         pts = np.array([random_point(field, rng).array for _ in range(500)])
         b, f = tetrad_arrays(field.diagonal_batch(pts))
         b_ref, f_ref = eigh_tetrad(metric_matrices(field, pts))
-        assert np.array_equal(b, b_ref)
-        assert np.array_equal(f, f_ref)
+        order = np.argsort(np.argmax(np.abs(f_ref), axis=-2), axis=-1)
+        assert np.array_equal(b, np.take_along_axis(b_ref, order[:, :, None], axis=-2))
+        assert np.array_equal(f, np.take_along_axis(f_ref, order[:, None, :], axis=-1))
 
 
 def _boost_rotation(rapidity, angle):
