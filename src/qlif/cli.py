@@ -78,15 +78,15 @@ def _convert(where: str, convert, value):
 
 def _vector(value, n: int = 3) -> tuple[float, ...]:
     a = np.asarray(value, dtype=float)
-    if a.shape != (n,):
-        raise ValueError(f"expected {n} numbers, got {value!r}")
+    if a.shape != (n,) or not np.all(np.isfinite(a)):
+        raise ValueError(f"expected {n} finite numbers, got {value!r}")
     return tuple(float(v) for v in a)
 
 
 def _positive(value) -> float:
     v = float(value)
-    if not v > 0.0:
-        raise ValueError(f"expected a number > 0, got {value!r}")
+    if not (v > 0.0 and np.isfinite(v)):
+        raise ValueError(f"expected a finite number > 0, got {value!r}")
     return v
 
 
@@ -96,7 +96,7 @@ def _widths(value) -> tuple[float, ...]:
 
 
 def _distances(value) -> tuple[float, ...]:
-    """A list of numbers >= 0."""
+    """A list of numbers >= 0 (.inf allowed)."""
     a = np.asarray(value, dtype=float)
     if a.ndim != 1 or not np.all(a >= 0.0):
         raise ValueError(f"expected a list of numbers >= 0, got {value!r}")
@@ -111,8 +111,11 @@ def _count(value) -> int:
 
 
 def _amplitude(value) -> complex:
-    """A number or [re, im]."""
-    return complex(value) if np.ndim(value) == 0 else complex(*_vector(value, 2))
+    """A finite number or [re, im]."""
+    a = complex(value) if np.ndim(value) == 0 else complex(*_vector(value, 2))
+    if not np.isfinite(a):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return a
 
 
 def _parse_units(spec) -> UnitSystem:
@@ -191,6 +194,8 @@ class Scenario:
         _check_keys(transform, {"tolerances", "check_radii"}, set(), "transform")
         self.transform_tolerances = _parse_tolerances(transform, TRANSFORM_TOLERANCES, "transform.tolerances")
         self.check_radii = _convert("transform.check_radii", _distances, transform.get("check_radii") or [])
+        if not np.all(np.isfinite(self.check_radii)):
+            raise ConfigError(f"transform.check_radii: expected finite radii, got {list(self.check_radii)!r}")
 
         geodesics = raw.get("geodesics", {})
         _check_keys(geodesics, {"local_velocity", "dtau", "steps"}, set(), "geodesics")
@@ -394,7 +399,7 @@ def _selftest_checks(scn: Scenario):
             else:
                 x = FourVector(0.0, *rng.uniform(-2.0, 2.0, 3))
             t = build_tetrad(f, x)
-            worst_eta = max(worst_eta, float(diagonal_frame_deviation(f.diagonal_batch(x.array[None, :]))[0]))
+            worst_eta = max(worst_eta, float(diagonal_frame_deviation(f.diagonal_at(x)[None, :])[0]))
             worst_dual = max(worst_dual, float(np.max(np.abs(t.f @ t.b - np.eye(4)))))
     rows.append(("tetrad_eta", worst_eta, tol["tetrad_eta"], worst_eta < tol["tetrad_eta"]))
     rows.append(("tetrad_duality", worst_dual, tol["tetrad_duality"], worst_dual < tol["tetrad_duality"]))

@@ -13,8 +13,8 @@ built once, from the finished rows.  The (4, 4, 4) Christoffel tables
 remain the public ``christoffel()`` and the tests' reference for that
 acceleration.  Timelike normalization is g_munu u^mu u^nu = -c^2, with
 u^0 = d(ct)/dtau; it, and the drift figures, are read from the metric
-diagonal (``MetricField.diagonal_batch``), as every catalog metric is
-diagonal in its chart.
+diagonal (``MetricField.diagonal_at`` at a point, ``diagonal_batch`` along
+a trajectory), as every catalog metric is diagonal in its chart.
 
 The flat-space stationarity demo evolves the flat branches of a
 ``SuperposedState`` under H = P^2 / 2m by the spectral (FFT) method, each
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import QlifError
 from .qstate import SuperposedState, _freeze, branch_sqrt_neg_det, translate_state
 from .spacetime import FourVector, MetricField, Minkowski
-from .tetrad import build_tetrad
+from .tetrad import tetrad_arrays
 
 # Relative miss |g(u, u) + c^2| / c^2 accepted in an initial 4-velocity.
 NORM_TOL = 1e-6
@@ -67,9 +67,7 @@ def velocity_norm(field: MetricField, x: FourVector, u: FourVector) -> float:
 
     Raises SingularRegion if x is in the singular set.
     """
-    pts = x.array[None, :]
-    field.require_valid(pts)
-    d = field.diagonal_batch(pts)[0]
+    d = field.diagonal_at(x)
     u = u.array
     return float((d * u) @ u)  # u g u is (d u) . u plus exact zeros: the same dot product, the same bits
 
@@ -82,10 +80,8 @@ def timelike_velocity(field: MetricField, x: FourVector, u_spatial) -> FourVecto
     term and always a root.  Raises SingularRegion if x is in the singular
     set.
     """
-    pts = x.array[None, :]
-    field.require_valid(pts)
     u_s = np.asarray(u_spatial, dtype=float)
-    d = field.diagonal_batch(pts)[0]
+    d = field.diagonal_at(x)
     disc = -4.0 * d[0] * ((u_s * d[1:]) @ u_s + field.units.c**2)
     return FourVector(float(-np.sqrt(disc) / (2.0 * d[0])), *u_s.tolist())
 
@@ -96,9 +92,9 @@ def local_frame_velocity(field: MetricField, x: FourVector, v_local) -> FourVect
     ``v_local`` is an ordinary 3-velocity (|v| < c) measured in the local
     orthonormal frame at x, whose axes run along the chart axes: (x, y, z),
     or (r, theta, phi) on Schwarzschild, the same directions in every
-    branch (see module ``tetrad``).  So u^0 = gamma c / sqrt(-g_00) and
-    u^i = gamma v_i / sqrt(g_ii); the result is normalized because
-    f^T g f = eta.
+    branch (see module ``tetrad``).  So u = f u_local with the frame
+    diagonal f = |d|^(-1/2): u^0 = gamma c / sqrt(-g_00) and
+    u^i = gamma v_i / sqrt(g_ii), normalized because f^T g f = eta.
     """
     v = np.asarray(v_local, dtype=float)
     c = field.units.c
@@ -107,8 +103,8 @@ def local_frame_velocity(field: MetricField, x: FourVector, v_local) -> FourVect
         raise ValueError("local speed must be below c")
     gamma = 1.0 / np.sqrt(1.0 - beta_sq)
     u_local = np.concatenate([[gamma * c], gamma * v])
-    t = build_tetrad(field, x)
-    return FourVector.from_array(t.f @ u_local)
+    _, f = tetrad_arrays(field.diagonal_at(x)[None, :])
+    return FourVector.from_array(f[0] * u_local)
 
 
 def integrate_geodesic(

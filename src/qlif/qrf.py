@@ -11,21 +11,17 @@ x_S, the component at probe position x is relabeled as follows:
   flat-measure overlap in the new frame reproduce the curved-measure
   overlap in the old one, making the map unitary on the implemented state
   class;
-* the mass coordinate becomes xi_i = b(x, g_i) (x_S - x), the local-frame
-  separation seen from the probe;
+* the mass coordinate seen from the probe is the local-frame separation
+  xi_i = b(x, g_i) (x_S - x).  It is not stored: ``mass_position`` is
+  kept as it was, and xi is derived when needed, as
+  ``to_local(build_tetrad(source_metric, x), mass_position)``;
 * the branch metric register becomes the flat metric: by construction
   f^T g_i f = eta at every support point, which is the per-branch locally
   inertial property, verified and reported rather than assumed.  The
-  certificate is max |f^T g_i f - eta| over the support.  Every catalog
-  metric is diagonal, so it is computed from the diagonal d alone:
-  f^T g_i f is diagonal with entries f d f, f = |d|^(-1/2) (the
-  chart-aligned frame of ``tetrad_arrays``), each compared with eta's
-  entry in the same slot.  No (N, 4, 4) array is built, and the figure is
-  the one the matrix product f^T g_i f - eta would give, bit for bit.  The
-  per-point figure comes from the same diagonal evaluation as the measure,
-  once per (metric, grid) (``qstate.metric_on_grid``), so ``to_qlif``
-  evaluates no metric: the certificate is the max of the cached figure
-  over the support.
+  certificate is max |f^T g_i f - eta| over the support, read from the
+  diagonals (``tetrad.diagonal_frame_deviation``) in the same evaluation
+  as the measure, once per (metric, grid) (``qstate.metric_on_grid``), so
+  ``to_qlif`` evaluates no metric.
 
 The transformation never mixes branches (it is block-diagonal in the
 (mass_label, metric) key).  It is fixed entirely by the branch metric on
@@ -34,7 +30,7 @@ the source grid, so each output branch keeps only that metric
 container keeps); the source grid is the negated P-frame grid,
 and the frames f(x, g_i) and the measure are re-derived from the metric's
 diagonal wherever they are needed (deterministically, so they come out the
-same every time).
+same every time), through the public names of module ``tetrad``.
 """
 
 from __future__ import annotations
@@ -56,7 +52,10 @@ from .qstate import (
     state_norm,
 )
 from .spacetime import MetricField, Minkowski
-from .tetrad import ETA_DIAGONAL, _check_spectrum
+from .tetrad import frame_deviation, tetrad_arrays
+
+# Highest-amplitude support points probed per branch by ``check_qlif_metric``.
+CHECK_SAMPLE_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -114,10 +113,10 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float]:
 
     # Certify f^T g f = eta where the branch has amplitude (see the module
     # docstring); +inf marks a point without a frame, whose diagonal is
-    # evaluated again only to raise DegenerateMetric with its spectrum.
+    # evaluated again only for tetrad_arrays to raise DegenerateMetric.
     max_dev = float(np.max(deviation.reshape(-1)[support], initial=0.0))
     if not np.isfinite(max_dev):
-        _check_spectrum(branch.metric.diagonal_batch(grid.points4_at(np.flatnonzero(support))))
+        tetrad_arrays(branch.metric.diagonal_batch(grid.points4_at(np.flatnonzero(support))))
 
     factor = np.sqrt(measure)
     psi_new = _freeze(_reverse(branch.psi * factor))
@@ -221,25 +220,22 @@ def _heaviest(weight: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(-weight[candidates], kind="stable")[:k]]
 
 
-def check_qlif_metric(
-    s: SuperposedState, radius: float, sample_points: int = 16
-) -> list[QlifMetricRow]:
+def check_qlif_metric(s: SuperposedState, radius: float) -> list[QlifMetricRow]:
     """Max |g' - eta| per branch within local distance ``radius`` of the origin.
 
-    For each branch the ``sample_points`` highest-amplitude support points
-    are probed along the eight +-axis directions of the local frame at
-    distance ``radius`` (plus the origin itself); g' is the source metric
-    pulled back through the point's frame, re-derived from the source
-    metric's diagonal d_a at the anchor: the frame's column for axis mu is
-    f_mu e_mu, f = |d_a|^(-1/2), so g' is diagonal with entries f d f, each
-    compared with eta's diagonal (see the module docstring).  The deviation
-    vanishes at the origin by construction and grows linearly in the
-    radius, which is the leading-order-only locality of the frame.
+    For each branch the ``CHECK_SAMPLE_POINTS`` highest-amplitude support
+    points are probed along the eight +-axis directions of the local frame
+    at distance ``radius`` (plus the origin itself).  The frame at each
+    anchor is its diagonal f (``tetrad_arrays``), whose column for axis mu
+    is f_mu e_mu, and g' at each target is read by ``frame_deviation`` from
+    f and the target's diagonal.  The deviation vanishes at the origin by
+    construction and grows linearly in the radius, the leading-order-only
+    locality of the frame.  ValueError unless ``radius`` is finite and >= 0.
     """
     if s.frame != Frame.P:
         raise WrongFrame(f"check_qlif_metric needs a P-frame state, got {s.frame.value}-frame")
-    if radius < 0.0:
-        raise ValueError("radius must be >= 0")
+    if not (np.isfinite(radius) and radius >= 0.0):
+        raise ValueError(f"radius must be finite and >= 0, got {radius!r}")
 
     grid = s.grid.negated()
     rows = []
@@ -248,22 +244,15 @@ def check_qlif_metric(
         measure = branch_sqrt_neg_det(replace(branch, metric=metric), grid).reshape(-1)
         weight = np.abs(_reverse(np.asarray(branch.psi)).reshape(-1))
         weight[measure == 0] = 0.0
-        chosen = _heaviest(weight, min(sample_points, np.count_nonzero(weight)))
+        chosen = _heaviest(weight, min(CHECK_SAMPLE_POINTS, np.count_nonzero(weight)))
         anchors = grid.points4_at(chosen)
-        da = metric.diagonal_batch(anchors)
-        _check_spectrum(da)
-        f = 1.0 / np.sqrt(np.abs(da))
+        _, f = tetrad_arrays(metric.diagonal_batch(anchors))
 
         # per anchor: the anchor, then anchor +- radius * f_mu e_mu (the frame's columns)
         steps = radius * f[:, :, None] * np.eye(4)
-        targets = np.empty((len(anchors), 9, 4))
-        targets[:, 0] = anchors
-        targets[:, 1:] = anchors[:, None, :] + np.concatenate([steps, -steps], axis=1)
-        targets = targets.reshape(-1, 4)
+        a = anchors[:, None, :]
+        targets = np.concatenate([a, a + steps, a - steps], axis=1).reshape(-1, 4)
         ok = metric.valid_mask(targets)
-        # f^T g f is diagonal with entries f d f, each compared with eta
-        fk = np.repeat(f, 9, axis=0)[ok]
-        d = metric.diagonal_batch(targets[ok])
-        max_dev = float(np.max(np.abs(fk * d * fk - ETA_DIAGONAL), initial=0.0))
-        rows.append(QlifMetricRow(branch.mass_label, metric.label, float(radius), max_dev))
+        dev = frame_deviation(np.repeat(f, 9, axis=0)[ok], metric.diagonal_batch(targets[ok]))
+        rows.append(QlifMetricRow(branch.mass_label, metric.label, float(radius), float(np.max(dev, initial=0.0))))
     return rows

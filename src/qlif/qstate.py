@@ -68,13 +68,14 @@ class GridSpec:
         object.__setattr__(self, "n", n)
         if len(self.lo) != 3 or len(self.hi) != 3 or len(self.n) != 3:
             raise ValueError("GridSpec needs 3 spatial axes")
+        for name, values in (("lo", self.lo), ("hi", self.hi), ("t0", (self.t0,))):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for lo, hi, n in zip(self.lo, self.hi, self.n):
             if n < 2:
                 raise ValueError("point counts must be >= 2")
             if not (hi > lo):
                 raise ValueError("bounds must satisfy hi > lo")
-        if not np.isfinite(self.t0):
-            raise ValueError("t0 must be finite")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -217,9 +218,9 @@ def metric_on_grid(metric: MetricField, grid: GridSpec) -> MetricOnGrid:
 def branch_sqrt_neg_det(branch: Branch, grid: GridSpec) -> np.ndarray:
     """sqrt(-g) of the branch metric over the grid, shape grid.shape, read-only.
 
-    Points inside the metric's singular set get weight 0 (they may only
-    carry zero amplitude; ``make_state`` and the QRF operations enforce
-    that).  Read from ``metric_on_grid``."""
+    Points inside the metric's singular set get weight 0, so samples there
+    count for nothing in norms and overlaps; ``to_qlif`` rejects a branch
+    with amplitude there.  Read from ``metric_on_grid``."""
     return metric_on_grid(branch.metric, grid).measure
 
 
@@ -242,8 +243,9 @@ def make_state(
     as ``prefactor``.
 
     Raises ZeroNorm for an identically-zero wavefunction, GridMismatch for
-    a wavefunction of the wrong shape, and ValueError for duplicate
-    (mass_label, metric) pairs or amplitudes that are all zero.
+    a wavefunction of the wrong shape, and ValueError for non-finite
+    samples or amplitudes, duplicate (mass_label, metric) pairs or
+    amplitudes that are all zero.
     """
     branches = list(branches)
     if not branches:
@@ -262,6 +264,8 @@ def make_state(
             raise GridMismatch(f"psi shape {psi.shape} != grid shape {grid.shape}")
         if not np.all(np.isfinite(psi)):
             raise ValueError(f"branch {b.key}: psi has non-finite samples")
+        if not np.isfinite(complex(b.amplitude)):
+            raise ValueError(f"branch {b.key}: amplitude {b.amplitude!r} is not finite")
         if not np.any(psi):
             raise ZeroNorm(f"branch {b.key}: psi is identically zero")
         nrm_sq = _branch_measure_norm_sq(replace(b, psi=psi), grid)

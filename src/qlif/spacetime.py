@@ -29,7 +29,9 @@ import numpy as np
 
 from .errors import SingularRegion
 
-ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+# diag(eta), the flat metric and every local frame's metric
+ETA_DIAGONAL = np.array([-1.0, 1.0, 1.0, 1.0])
+ETA = np.diag(ETA_DIAGONAL)
 
 # Relative margin kept outside the Schwarzschild horizon, and the smallest
 # |sin(theta)| accepted before the spherical chart is treated as singular.
@@ -115,28 +117,23 @@ class FourVector:
     def spatial(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
-    def __add__(self, other: "FourVector") -> "FourVector":
-        return FourVector.from_array(self.array + other.array)
-
-    def __sub__(self, other: "FourVector") -> "FourVector":
-        return FourVector.from_array(self.array - other.array)
-
 
 @dataclass(frozen=True)
 class MetricField:
     """A fixed analytic metric g_munu(x) with signature (-, +, +, +).
 
-    A metric is a value: its unit system, then its parameters (floats > 0,
-    or points of 3-space as 3-tuples of floats), compared and hashed field
-    by field, so it serves as branch key, measure-cache key and, through
-    ``describe()``, container record.  Subclasses set ``kind``, declare
-    their parameters and implement ``diagonal_batch``, ``valid_mask``, the
-    analytic ``christoffel_batch``, the closed-form
-    ``geodesic_acceleration`` the integrator runs on, and
+    A metric is a value: its unit system, then its parameters (finite
+    floats > 0, or points of 3-space as 3-tuples of finite floats),
+    compared and hashed field by field, so it serves as branch key,
+    measure-cache key and, through ``describe()``, container record.
+    Subclasses set ``kind``, declare their parameters and implement
+    ``diagonal_batch``, ``valid_mask``, the analytic ``christoffel_batch``,
+    the closed-form ``geodesic_acceleration`` the integrator runs on, and
     ``angular_momentum``.  Every catalog metric is diagonal in its chart, so
     the diagonal is the one evaluation a kind defines and the only form in
-    which the package reads a metric: the determinant is the product of the
-    diagonal and the inverse its reciprocal.
+    which the package reads a metric (at one point, validated, through
+    ``diagonal_at``): the determinant is the product of the diagonal and
+    the inverse its reciprocal.
     """
 
     kind = ""
@@ -147,12 +144,12 @@ class MetricField:
             v = getattr(self, f.name)
             if f.type in ("float", float):
                 v = float(v)
-                if not (v > 0.0):
-                    raise ValueError(f"{f.name} must be > 0")
+                if not (0.0 < v < math.inf):
+                    raise ValueError(f"{f.name} must be finite and > 0")
             else:
                 a = np.asarray(v, dtype=float)
-                if a.shape != (3,):
-                    raise ValueError(f"{f.name} must be a 3-vector")
+                if a.shape != (3,) or not np.all(np.isfinite(a)):
+                    raise ValueError(f"{f.name} must be a finite 3-vector")
                 v = tuple(float(x) + 0.0 for x in a)  # -0.0 -> 0.0: one key, one label
             object.__setattr__(self, f.name, v)
 
@@ -204,6 +201,12 @@ class MetricField:
         if not np.all(ok):
             raise _singular(self.label, np.asarray(points)[np.argmax(~ok)])
 
+    def diagonal_at(self, x: FourVector) -> np.ndarray:
+        """The (4,) diagonal at x; SingularRegion (``require_valid``) in the singular set."""
+        pts = x.array[None, :]
+        self.require_valid(pts)
+        return self.diagonal_batch(pts)[0]
+
 
 def _singular(label: str, point) -> SingularRegion:
     return SingularRegion(f"{label}: point {[float(v) for v in point]} is in the singular set")
@@ -216,7 +219,7 @@ class Minkowski(MetricField):
     kind = "minkowski"
 
     def diagonal_batch(self, points):
-        return np.broadcast_to(np.diag(ETA), (len(points), 4)).copy()
+        return np.broadcast_to(ETA_DIAGONAL, (len(points), 4)).copy()
 
     def valid_mask(self, points):
         return np.ones(len(points), dtype=bool)
@@ -440,14 +443,12 @@ def metric_eval(field: MetricField, x: FourVector) -> np.ndarray:
 
     Raises SingularRegion if x is inside the metric's singular set.
     """
-    pts = x.array[None, :]
-    field.require_valid(pts)
-    return np.diag(field.diagonal_batch(pts)[0])
+    return np.diag(field.diagonal_at(x))
 
 
 def metric_inverse(field: MetricField, x: FourVector) -> np.ndarray:
     """g^munu at x: the reciprocal of the diagonal."""
-    return np.diag(1.0 / np.diag(metric_eval(field, x)))
+    return np.diag(1.0 / field.diagonal_at(x))
 
 
 def metric_det_sqrt(field: MetricField, x: FourVector) -> float:

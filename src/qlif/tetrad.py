@@ -1,7 +1,7 @@
 """Local orthonormal frames at a point of a Lorentzian metric.
 
-A tetrad packages the dual matrix pair (b, f) of the linear change to a
-locally inertial frame anchored at a point x:
+A tetrad packages the dual pair (b, f) of the linear change to a locally
+inertial frame anchored at a point x:
 
     xi^mu   = b[mu, alpha] (x' - x)^alpha      coordinates -> local frame
     x'^alpha = x^alpha + f[alpha, mu] xi^mu    local frame -> coordinates
@@ -10,15 +10,18 @@ with f^T g(x) f = eta and f b = b f = identity.  Every catalog metric is
 diagonal in its chart with g_00 < 0 < g_ii at every valid point, so the
 frame is built from the diagonal d alone and aligned with the chart:
 f = diag(|d|^(-1/2)), b = diag(|d|^(1/2)), and f^T g f = diag(-1, 1, 1, 1).
-Local axis mu is coordinate axis mu rescaled to unit length: (t, x, y, z),
-or (t, r, theta, phi) on Schwarzschild, the same directions in every
-branch whatever its metric, which is what lets a local-frame velocity or
-separation be compared across branches.  The construction is
-deterministic; the residual local Lorentz freedom (boosts and rotations
-preserving eta) is not factored out, so this is one representative of the
-frame orbit.  The frame's defect max |f^T g f - eta| is read from the
-diagonal as well (``diagonal_frame_deviation``): it is the QLIF
-certificate and the selftest's ``tetrad_eta`` figure.
+This module is the only one that knows that rule.  Inside the package a
+frame is its diagonals (``tetrad_arrays``), and its defect
+max |f^T g f - eta| is the per-row max |f d f - eta| (``frame_deviation``;
+at the frame's own anchor, ``diagonal_frame_deviation``, the QLIF
+certificate and the selftest's ``tetrad_eta`` figure).  ``Tetrad`` is the
+(4, 4) form, for the public point-wise API.  Local axis mu is coordinate
+axis mu rescaled to unit length: (t, x, y, z), or (t, r, theta, phi) on
+Schwarzschild, the same directions in every branch whatever its metric,
+which is what lets a local-frame velocity or separation be compared
+across branches.  The construction is deterministic; the residual local
+Lorentz freedom (boosts and rotations preserving eta) is not factored
+out, so this is one representative of the frame orbit.
 
 Only the leading (linear) order is built here: the metric pulled back
 through a tetrad deviates from eta linearly in the local distance, since
@@ -32,17 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric
-from .spacetime import FourVector, MetricField
+from .spacetime import ETA_DIAGONAL, FourVector, MetricField
 
 EIGENVALUE_FLOOR = 1e-12
-
-# diag(eta), the local frame's metric
-ETA_DIAGONAL = np.array([-1.0, 1.0, 1.0, 1.0])
 
 
 @dataclass(frozen=True)
 class Tetrad:
-    """Frame-change pair anchored at a point of one metric branch.
+    """Frame-change pair anchored at a point of one metric branch, as diagonal (4, 4) matrices.
 
     b maps coordinate displacements to local-frame components; f is its
     inverse.
@@ -71,33 +71,39 @@ def _check_spectrum(d: np.ndarray) -> None:
 
 
 def tetrad_arrays(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched tetrad construction: (N, 4) metric diagonals -> (b, f), each (N, 4, 4).
+    """Batched tetrad construction: (N, 4) metric diagonals -> the diagonals (b, f), each (N, 4).
 
-    b = diag(|d|^(1/2)) and f = diag(|d|^(-1/2)), the chart-aligned frame.
-    Raises DegenerateMetric if any diagonal magnitude is below 1e-12 or the
+    b = |d|^(1/2) and f = |d|^(-1/2), the chart-aligned frame.  Raises
+    DegenerateMetric if any diagonal magnitude is below 1e-12 or the
     signature is not (-, +, +, +) in that slot order.
     """
     d = np.asarray(d, dtype=float)
     _check_spectrum(d)
-    scale = np.sqrt(np.abs(d))[..., None]
-    return scale * np.eye(4), (1.0 / scale) * np.eye(4)
+    scale = np.sqrt(np.abs(d))
+    return scale, 1.0 / scale
 
 
-def diagonal_frame_deviation(d: np.ndarray) -> np.ndarray:
-    """Per-point max |f^T g f - eta| of the frames of (N, 4) diagonals, shape (N,).
+def frame_deviation(f: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per-row max |f d f - eta| of frame diagonals f against metric diagonals d, shape (N,).
 
-    f^T g f is diagonal with entries f d f, f = |d|^(-1/2), each compared
-    with eta's diagonal: the figure the matrix product gives, bit for bit.
-    Points whose diagonal ``tetrad_arrays`` would reject get +inf.
+    f d f is the diagonal of f^T g f, so this is the matrix-product figure, bit for bit.
     """
-    ok = _spectrum_ok(d)
-    # f d f - eta in place, in two (N, 4) buffers: the same operations, the same bits
-    f = np.abs(d)
-    np.divide(1.0, np.sqrt(f, out=f), out=f)
+    # f d f - eta in place, in one (N, 4) buffer besides f: the same operations, the same bits
     dev = f * d
     dev *= f
     dev -= ETA_DIAGONAL
-    out = np.max(np.abs(dev, out=dev), axis=-1)
+    return np.max(np.abs(dev, out=dev), axis=-1)
+
+
+def diagonal_frame_deviation(d: np.ndarray) -> np.ndarray:
+    """``frame_deviation`` of the frames of (N, 4) diagonals at their own points, shape (N,).
+
+    Points whose diagonal ``tetrad_arrays`` would reject get +inf.
+    """
+    ok = _spectrum_ok(d)
+    f = np.abs(d)
+    np.divide(1.0, np.sqrt(f, out=f), out=f)
+    out = frame_deviation(f, d)
     out[~ok] = np.inf
     return out
 
@@ -109,10 +115,8 @@ def build_tetrad(field: MetricField, x: FourVector) -> Tetrad:
     SingularRegion if x is invalid and DegenerateMetric on a near-singular
     eigenvalue.
     """
-    pts = x.array[None, :]
-    field.require_valid(pts)
-    b, f = tetrad_arrays(field.diagonal_batch(pts))
-    return Tetrad(b=b[0], f=f[0], anchor=x)
+    b, f = tetrad_arrays(field.diagonal_at(x)[None, :])
+    return Tetrad(b=np.diag(b[0]), f=np.diag(f[0]), anchor=x)
 
 
 def to_local(t: Tetrad, x_prime: FourVector) -> FourVector:

@@ -81,10 +81,10 @@ def two_branch_state(
 
 
 def derived_b_xi(branch, grid):
-    """Tetrads b and local mass coordinates xi of a P-frame branch over its source grid."""
+    """Tetrad diagonals b and local mass coordinates xi = b (x_S - x) of a P-frame branch over its source grid."""
     pts = grid.points4()
     b, _ = tetrad_arrays(branch.source_metric.diagonal_batch(pts))
-    xi = np.einsum("nij,nj->ni", b, branch.mass_position.array[None, :] - pts)
+    xi = b * (branch.mass_position.array[None, :] - pts)
     return b, xi
 
 

@@ -94,7 +94,7 @@ def test_criterion_3_branch_classicality(units):
     worst = 0.0
     for p in rng.choice(pts.shape[0], size=200, replace=False):
         t = build_tetrad(field, FourVector.from_array(pts[p]))
-        worst = max(worst, float(np.max(np.abs(b[p] - t.b))))
+        worst = max(worst, float(np.max(np.abs(np.diag(b[p]) - t.b))))
         worst = max(worst, float(np.max(np.abs(xi[p] - to_local(t, mass_pos).array))))
         # transformed sample = classical measure-weighted sample
         g = metric_matrices(field, pts[p][None, :])[0]

@@ -296,6 +296,18 @@ MALFORMED = [
     ("collapse", ("collapse", "separations"), [-1.0]),
     ("collapse", ("collapse", "axis"), [0, 0]),
     ("collapse", ("collapse", "axis"), [0, 0, 0]),
+    # non-finite numbers
+    ("transform", ("metrics", "g_left", "soft"), float("inf")),
+    ("transform", ("grid", "lo"), [float("-inf"), -3.0, -3.0]),
+    ("transform", ("grid", "hi"), [3.0, float("inf"), 3.0]),
+    ("transform", ("branches", 0, "packet", "momentum"), [float("inf"), 0.0, 0.0]),
+    ("transform", ("branches", 0, "packet", "sigma"), float("inf")),
+    ("transform", ("branches", 0, "amplitude"), float("inf")),
+    ("transform", ("branches", 0, "amplitude"), float("nan")),
+    ("transform", ("transform", "check_radii"), [float("inf")]),
+    ("geodesics", ("geodesics", "local_velocity"), [float("nan"), 0.0, 0.0]),
+    ("geodesics", ("geodesics", "dtau"), float("inf")),
+    ("collapse", ("collapse", "axis"), [0, 0, float("inf")]),
 ]
 
 

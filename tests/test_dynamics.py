@@ -38,6 +38,7 @@ from qlif.spacetime import (
     UnitSystem,
     WeakFieldPointMass,
 )
+from qlif.tetrad import build_tetrad
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +90,9 @@ def test_timelike_velocity_rejects_the_singular_set(units, r, theta):
     with pytest.raises(SingularRegion) as from_mask:
         sch.require_valid(x.array[None, :])
     with pytest.raises(SingularRegion) as got:
+        sch.diagonal_at(x)
+    assert str(got.value) == str(from_mask.value)
+    with pytest.raises(SingularRegion) as got:
         timelike_velocity(sch, x, (0.0, 0.0, 0.0))
     assert str(got.value) == str(from_mask.value)
     with pytest.raises(SingularRegion) as got:
@@ -107,6 +111,18 @@ def test_local_frame_velocity_runs_along_the_chart_axes(units, mass, theta):
     u = local_frame_velocity(sch, x, v)
     assert u.z == 0.0 and u.y == 0.0 and u.x > 0.0
     assert np.allclose(u.array, local_frame_u(metric_matrices(sch, x.array[None, :])[0], v, units.c), rtol=1e-15, atol=0.0)
+
+
+def test_local_frame_velocity_equals_the_tetrad_product_bit_for_bit(catalog):
+    rng = np.random.default_rng(63)
+    for field, points in diagonal_cases(catalog, rng, 200):
+        c = field.units.c
+        for x in map(FourVector.from_array, points):
+            v = rng.uniform(-0.3 * c, 0.3 * c, 3)
+            gamma = 1.0 / np.sqrt(1.0 - float(v @ v) / c**2)
+            u_local = np.concatenate([[gamma * c], gamma * v])
+            got = local_frame_velocity(field, x, v).array
+            assert got.tobytes() == (build_tetrad(field, x).f @ u_local).tobytes(), field.label
 
 
 def test_drift_figures_equal_the_matrix_route_bit_for_bit(catalog):

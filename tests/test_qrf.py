@@ -107,7 +107,7 @@ def test_single_branch_matches_classical_tetrad_map(units):
     for p in rng.choice(pts.shape[0], size=60, replace=False):
         t = build_tetrad(field, FourVector.from_array(pts[p]))
         xi = to_local(t, mass_pos)
-        assert np.max(np.abs(b[p] - t.b)) < 1e-12
+        assert np.max(np.abs(np.diag(b[p]) - t.b)) < 1e-12
         assert np.max(np.abs(xi_all[p] - xi.array)) < 1e-12
 
 
@@ -157,6 +157,13 @@ def test_check_qlif_metric_linear_growth(units):
     for a, b in zip(r1, r2):
         assert a.max_deviation > 0.0
         assert b.max_deviation / a.max_deviation == pytest.approx(2.0, rel=0.2)
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -0.1])
+def test_check_qlif_metric_rejects_a_radius_that_is_not_finite_and_non_negative(units, radius):
+    out, _ = to_qlif(two_branch_state(units))
+    with pytest.raises(ValueError, match="radius"):
+        check_qlif_metric(out, radius)
 
 
 def test_wrong_frame_rejected(units):

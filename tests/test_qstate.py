@@ -55,6 +55,11 @@ def test_grid_spec_basics():
     assert neg.lo == (-1.0, -2.0, -3.0) and neg.hi == (1.0, 2.0, 0.0)
     with pytest.raises(ValueError):
         GridSpec(lo=(0, 0, 0), hi=(1, 1, 1), n=(1, 4, 4))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="lo must be finite"):
+            GridSpec(lo=(bad, 0, 0), hi=(1, 1, 1), n=(4, 4, 4))
+        with pytest.raises(ValueError, match="hi must be finite"):
+            GridSpec(lo=(0, 0, 0), hi=(1, bad, 1), n=(4, 4, 4))
 
 
 def test_two_branch_norm_and_amplitudes(units):
@@ -203,6 +208,9 @@ def test_make_state_errors(units, grid):
         )
     with pytest.raises(ValueError):  # duplicate (label, metric) pair
         make_state([flat_branch(units, grid), flat_branch(units, grid, center=(1, 0, 0))], grid)
+    for amplitude in (np.inf, np.nan, complex(1.0, np.inf)):
+        with pytest.raises(ValueError, match="amplitude"):
+            make_state([flat_branch(units, grid, amplitude=amplitude), flat_branch(units, grid, label="B")], grid)
 
 
 def test_inner_product_conjugate_symmetry(units):

@@ -81,7 +81,14 @@ def test_metrics_are_values(units):
     assert Schwarzschild(units, 1.0) != WeakFieldPointMass(units, 1.0, 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.mass = 2.0
-    for bad in ({"mass": 0.0, "soft": 1.0}, {"mass": 1.0, "soft": -1.0}, {"mass": 1.0, "soft": 1.0, "center": (0, 1)}):
+    for bad in (
+        {"mass": 0.0, "soft": 1.0},
+        {"mass": 1.0, "soft": -1.0},
+        {"mass": 1.0, "soft": 1.0, "center": (0, 1)},
+        {"mass": np.inf, "soft": 1.0},
+        {"mass": 1.0, "soft": np.nan},
+        {"mass": 1.0, "soft": 1.0, "center": (0, np.inf, 0)},
+    ):
         with pytest.raises(ValueError):
             WeakFieldPointMass(units, **bad)
     assert Schwarzschild(units, mass=3.0).r_s == 6.0
@@ -282,6 +289,13 @@ def test_geodesic_acceleration_raises_in_the_singular_set(units):
         with pytest.raises(SingularRegion) as from_accel:
             field.geodesic_acceleration()(*x.array, *u)
         assert str(from_accel.value) == str(from_mask.value)
+
+
+def test_diagonal_at_is_the_batch_row_bit_for_bit(catalog):
+    rng = np.random.default_rng(67)
+    for field, points in diagonal_cases(catalog, rng, 100):
+        for x in map(FourVector.from_array, points):
+            assert field.diagonal_at(x).tobytes() == field.diagonal_batch(x.array[None, :])[0].tobytes(), field.label
 
 
 def test_every_kind_defines_only_its_diagonal():
