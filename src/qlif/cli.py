@@ -129,10 +129,17 @@ def _parse_units(spec) -> UnitSystem:
     raise ConfigError(f"units: expected 'geometric', 'si', or a mapping, got {spec!r}")
 
 
+def _tolerance(value) -> float:
+    v = float(value)
+    if not (v >= 0.0 and np.isfinite(v)):
+        raise ValueError(f"expected a finite number >= 0, got {value!r}")
+    return v
+
+
 def _parse_tolerances(section: dict, defaults: dict, where: str) -> dict:
     given = section.get("tolerances") or {}
     _check_keys(given, defaults, set(), where)
-    return {**defaults, **{k: _convert(f"{where}.{k}", float, v) for k, v in given.items()}}
+    return {**defaults, **{k: _convert(f"{where}.{k}", _tolerance, v) for k, v in given.items()}}
 
 
 TOP_KEYS = {"units", "seed", "metrics", "grid", "branches", "transform", "geodesics", "collapse", "selftest"}
@@ -259,8 +266,10 @@ def _parse_distribution(spec):
         raise ConfigError(f"{where}: unknown kind {kind!r}")
     cls, size = DISTRIBUTIONS[kind]
     _check_keys(spec, {"kind", "mass", size, "center"}, {"kind", "mass", size}, where)
+    mass = _convert(f"{where}.mass", _positive, spec["mass"])
+    extent = _convert(f"{where}.{size}", _positive, spec[size])
     center = _convert(f"{where}.center", _vector, spec.get("center", (0.0, 0.0, 0.0)))
-    return _convert(where, lambda s: cls(_positive(s["mass"]), _positive(s[size]), center=center), spec)
+    return cls(mass, extent, center=center)
 
 
 def _fmt(x) -> str:
@@ -297,7 +306,7 @@ def cmd_transform(scn: Scenario, out: Path) -> int:
     }
     payload = {
         "report": asdict(report),
-        "local_deviation_table": [asdict(row) for r in scn.check_radii for row in check_qlif_metric(transformed, r)],
+        "local_deviation_table": [asdict(row) for row in check_qlif_metric(transformed, *scn.check_radii)],
         "tolerances": tol,
         "checks": checks,
         "passed": all(checks.values()),
@@ -525,7 +534,9 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        raw = yaml.safe_load(Path(args.config).read_text(encoding="utf-8"))
+        # the safe constructor, from libyaml where it is built in
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        raw = yaml.load(Path(args.config).read_text(encoding="utf-8"), Loader=loader)
     except OSError as exc:
         _error_record(out, "config", f"cannot read config: {exc}")
         return 2

@@ -206,12 +206,12 @@ def branch_centroid(state: SuperposedState, branch_index: int) -> FourVector:
     total = float(np.sum(w))
     if total <= 0.0:
         raise ValueError("branch has zero weight")
-    xx, yy, zz = state.grid.meshgrid()
+    x, y, z = state.grid.open_mesh()
     return FourVector(
         state.grid.t0,
-        float(np.sum(w * xx) / total),
-        float(np.sum(w * yy) / total),
-        float(np.sum(w * zz) / total),
+        float(np.sum(w * x) / total),
+        float(np.sum(w * y) / total),
+        float(np.sum(w * z) / total),
     )
 
 

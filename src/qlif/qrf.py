@@ -23,6 +23,13 @@ x_S, the component at probe position x is relabeled as follows:
   as the measure, once per (metric, grid) (``qstate.metric_on_grid``), so
   ``to_qlif`` evaluates no metric.
 
+The round-trip figure |<input | from_qlif(output)> - 1| is computed
+branch by branch inside ``to_qlif``, without building the inverse state:
+each branch's samples psi * (-g)^(1/4) are divided by the same factor
+again (0 where it is 0) and weighed against the input branch, which are
+the operations of ``from_qlif`` followed by ``inner_product``, so the
+figure is theirs bit for bit.
+
 The transformation never mixes branches (it is block-diagonal in the
 (mass_label, metric) key).  It is fixed entirely by the branch metric on
 the source grid, so each output branch keeps only that metric
@@ -47,7 +54,6 @@ from .qstate import (
     SuperposedState,
     _freeze,
     branch_sqrt_neg_det,
-    inner_product,
     metric_on_grid,
     state_norm,
 )
@@ -99,7 +105,8 @@ def _reverse(a: np.ndarray) -> np.ndarray:
     return a[::-1, ::-1, ::-1]
 
 
-def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float]:
+def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float, complex]:
+    """The P-frame branch, its certificate and its term of <input | from_qlif(output)>."""
     support = np.asarray(branch.psi).reshape(-1) != 0
     measure, deviation = metric_on_grid(branch.metric, grid)
     # the cached measure is exactly 0 on the singular set and > 0 elsewhere
@@ -114,20 +121,32 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float]:
     # Certify f^T g f = eta where the branch has amplitude (see the module
     # docstring); +inf marks a point without a frame, whose diagonal is
     # evaluated again only for tetrad_arrays to raise DegenerateMetric.
-    max_dev = float(np.max(deviation.reshape(-1)[support], initial=0.0))
+    max_dev = float(np.max(deviation.reshape(-1), where=support, initial=0.0))
     if not np.isfinite(max_dev):
         tetrad_arrays(branch.metric.diagonal_batch(grid.points4_at(np.flatnonzero(support))))
 
     factor = np.sqrt(measure)
-    psi_new = _freeze(_reverse(branch.psi * factor))
+    scaled = branch.psi * factor
+    psi_new = _freeze(_reverse(scaled))
     new_branch = replace(branch, metric=Minkowski(branch.metric.units), psi=psi_new, source_metric=branch.metric)
-    return new_branch, max_dev
+
+    # from_qlif's sample, back = scaled / factor (0 where factor is 0, where
+    # psi is 0 as well), and inner_product's term for it, in the same
+    # operations; the buffer of ``scaled`` is reused once psi_new is copied
+    back = np.divide(scaled, factor, out=scaled, where=factor > 0)
+    np.multiply(np.conj(branch.psi), back, out=back)
+    back *= measure
+    term = np.conj(branch.amplitude) * branch.amplitude * (np.sum(back) * grid.dvol)
+    return new_branch, max_dev, term
 
 
 def to_qlif(s: SuperposedState) -> tuple[SuperposedState, QrfTransformReport]:
     """Transform an R-frame state to the locally inertial frame of the probe.
 
     Returns the P-frame state together with the certification report.
+    The report's ``roundtrip_error`` is |<s | from_qlif(out)> - 1|, summed
+    from one term per branch as that branch is transformed (see the module
+    docstring), so no inverse state is built.
     Raises WrongFrame unless ``s`` is R-frame, and SingularRegion if any
     nonzero-amplitude grid point of a branch lies in its metric's singular
     set.
@@ -137,10 +156,12 @@ def to_qlif(s: SuperposedState) -> tuple[SuperposedState, QrfTransformReport]:
 
     new_branches = []
     deviations = []
+    overlap = 0.0 + 0.0j
     for branch in s.branches:
-        nb, dev = _transform_branch(branch, s.grid)
+        nb, dev, term = _transform_branch(branch, s.grid)
         new_branches.append(nb)
         deviations.append(dev)
+        overlap += term
 
     out = SuperposedState(
         branches=tuple(new_branches),
@@ -149,12 +170,11 @@ def to_qlif(s: SuperposedState) -> tuple[SuperposedState, QrfTransformReport]:
         units=s.units,
         prefactor=s.prefactor,
     )
-    roundtrip = abs(inner_product(s, from_qlif(out)) - 1.0)
     report = QrfTransformReport(
         norm_before=state_norm(s),
         norm_after=state_norm(out),
         max_metric_deviation_at_origin=max(deviations),
-        roundtrip_error=roundtrip,
+        roundtrip_error=abs(complex(overlap) - 1.0),
         branches=tuple(
             BranchTransformRecord(nb.mass_label, nb.source_metric.label, dev)
             for nb, dev in zip(new_branches, deviations)
@@ -220,25 +240,31 @@ def _heaviest(weight: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(-weight[candidates], kind="stable")[:k]]
 
 
-def check_qlif_metric(s: SuperposedState, radius: float) -> list[QlifMetricRow]:
-    """Max |g' - eta| per branch within local distance ``radius`` of the origin.
+def check_qlif_metric(s: SuperposedState, *radii: float) -> list[QlifMetricRow]:
+    """Max |g' - eta| per branch within local distance r of the origin, for each r in ``radii``.
 
     For each branch the ``CHECK_SAMPLE_POINTS`` highest-amplitude support
     points are probed along the eight +-axis directions of the local frame
-    at distance ``radius`` (plus the origin itself).  The frame at each
-    anchor is its diagonal f (``tetrad_arrays``), whose column for axis mu
-    is f_mu e_mu, and g' at each target is read by ``frame_deviation`` from
-    f and the target's diagonal.  The deviation vanishes at the origin by
-    construction and grows linearly in the radius, the leading-order-only
-    locality of the frame.  ValueError unless ``radius`` is finite and >= 0.
+    at distance r (plus the origin itself).  The frame at each anchor is
+    its diagonal f (``tetrad_arrays``), whose column for axis mu is
+    f_mu e_mu, and g' at each target is read by ``frame_deviation`` from f
+    and the target's diagonal.  The anchors and their frames are chosen
+    once per branch and serve every radius.  Rows run radius by radius,
+    branches in state order within each.  The deviation vanishes at the
+    origin by construction and grows linearly in the radius, the
+    leading-order-only locality of the frame.  ValueError unless every
+    radius is finite and >= 0.
     """
     if s.frame != Frame.P:
         raise WrongFrame(f"check_qlif_metric needs a P-frame state, got {s.frame.value}-frame")
-    if not (np.isfinite(radius) and radius >= 0.0):
-        raise ValueError(f"radius must be finite and >= 0, got {radius!r}")
+    for radius in radii:
+        if not (np.isfinite(radius) and radius >= 0.0):
+            raise ValueError(f"radius must be finite and >= 0, got {radius!r}")
+    if not radii:
+        return []
 
     grid = s.grid.negated()
-    rows = []
+    frames = []
     for branch in s.branches:
         metric = _source_metric(branch)
         measure = branch_sqrt_neg_det(replace(branch, metric=metric), grid).reshape(-1)
@@ -247,12 +273,16 @@ def check_qlif_metric(s: SuperposedState, radius: float) -> list[QlifMetricRow]:
         chosen = _heaviest(weight, min(CHECK_SAMPLE_POINTS, np.count_nonzero(weight)))
         anchors = grid.points4_at(chosen)
         _, f = tetrad_arrays(metric.diagonal_batch(anchors))
+        frames.append((branch.mass_label, metric, anchors, f))
 
-        # per anchor: the anchor, then anchor +- radius * f_mu e_mu (the frame's columns)
-        steps = radius * f[:, :, None] * np.eye(4)
-        a = anchors[:, None, :]
-        targets = np.concatenate([a, a + steps, a - steps], axis=1).reshape(-1, 4)
-        ok = metric.valid_mask(targets)
-        dev = frame_deviation(np.repeat(f, 9, axis=0)[ok], metric.diagonal_batch(targets[ok]))
-        rows.append(QlifMetricRow(branch.mass_label, metric.label, float(radius), float(np.max(dev, initial=0.0))))
+    rows = []
+    for radius in radii:
+        for mass_label, metric, anchors, f in frames:
+            # per anchor: the anchor, then anchor +- radius * f_mu e_mu (the frame's columns)
+            steps = radius * f[:, :, None] * np.eye(4)
+            a = anchors[:, None, :]
+            targets = np.concatenate([a, a + steps, a - steps], axis=1).reshape(-1, 4)
+            ok = metric.valid_mask(targets)
+            dev = frame_deviation(np.repeat(f, 9, axis=0)[ok], metric.diagonal_batch(targets[ok]))
+            rows.append(QlifMetricRow(mass_label, metric.label, float(radius), float(np.max(dev, initial=0.0))))
     return rows

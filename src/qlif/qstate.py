@@ -96,6 +96,10 @@ class GridSpec:
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.meshgrid(self.axis(0), self.axis(1), self.axis(2), indexing="ij")
 
+    def open_mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The axes shaped (n0, 1, 1), (1, n1, 1) and (1, 1, n2): broadcast together, the meshgrid point for point."""
+        return np.meshgrid(self.axis(0), self.axis(1), self.axis(2), indexing="ij", sparse=True)
+
     def points4(self) -> np.ndarray:
         """All grid points as (N, 4) rows (c*t0, x, y, z), C-ordered."""
         xx, yy, zz = self.meshgrid()
@@ -203,16 +207,23 @@ def metric_on_grid(metric: MetricField, grid: GridSpec) -> MetricOnGrid:
     separately share one evaluation, and every sqrt(-g) of the package
     (make_state, overlaps, norms, centroids, the QLIF transform and its
     inverse) and every certificate of ``to_qlif`` comes from it.
+
+    The grid is evaluated one slab (one index along axis 0) at a time, in
+    place into the two outputs, so no whole-grid point array exists; every
+    kernel works point by point, so the figures are those of one
+    whole-grid evaluation, bit for bit.
     """
-    pts = grid.points4()
-    valid = metric.valid_mask(pts)
-    measure = np.zeros(len(pts))
-    deviation = np.full(len(pts), np.inf)
-    if np.any(valid):
-        d = metric.diagonal_batch(pts[valid])
-        measure[valid] = sqrt_neg_det_diagonal(d)
-        deviation[valid] = diagonal_frame_deviation(d)
-    return MetricOnGrid(_freeze(measure.reshape(grid.shape)), _freeze(deviation.reshape(grid.shape)))
+    measure = np.zeros(grid.shape)
+    deviation = np.full(grid.shape, np.inf)
+    slab = grid.shape[1] * grid.shape[2]
+    for i in range(grid.shape[0]):
+        pts = grid.points4_at(np.arange(i * slab, (i + 1) * slab))
+        valid = metric.valid_mask(pts)
+        if np.any(valid):
+            d = metric.diagonal_batch(pts[valid])
+            measure[i].reshape(-1)[valid] = sqrt_neg_det_diagonal(d)
+            deviation[i].reshape(-1)[valid] = diagonal_frame_deviation(d)
+    return MetricOnGrid(_freeze(measure), _freeze(deviation))
 
 
 def branch_sqrt_neg_det(branch: Branch, grid: GridSpec) -> np.ndarray:
@@ -353,16 +364,12 @@ def gaussian_psi(grid: GridSpec, center, sigma, momentum=None, hbar: float = 1.0
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (3,))
     if np.any(sigma <= 0):
         raise ValueError("sigma must be > 0")
-    xx, yy, zz = grid.meshgrid()
-    q = (
-        ((xx - center[0]) / sigma[0]) ** 2
-        + ((yy - center[1]) / sigma[1]) ** 2
-        + ((zz - center[2]) / sigma[2]) ** 2
-    )
+    x, y, z = grid.open_mesh()
+    q = ((x - center[0]) / sigma[0]) ** 2 + ((y - center[1]) / sigma[1]) ** 2 + ((z - center[2]) / sigma[2]) ** 2
     psi = np.exp(-0.5 * q).astype(complex)
     if momentum is not None:
         p = np.broadcast_to(np.asarray(momentum, dtype=float), (3,))
-        psi = psi * np.exp(1j * (p[0] * xx + p[1] * yy + p[2] * zz) / hbar)
+        psi *= np.exp(1j * (p[0] * x + p[1] * y + p[2] * z) / hbar)
     return psi
 
 
@@ -416,7 +423,7 @@ def save_state(s: SuperposedState, path) -> None:
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
         for b in s.branches:
-            fh.write(np.ascontiguousarray(b.psi, dtype="<c16").tobytes())
+            fh.write(np.ascontiguousarray(b.psi, dtype="<c16").data)
 
 
 def load_state(path) -> SuperposedState:
@@ -478,8 +485,8 @@ def load_state(path) -> SuperposedState:
             raise BadContainer(f"{payload - expected} trailing bytes after the last branch")
         branches = []
         for rec in records:
-            psi = np.frombuffer(fh.read(16 * count), dtype="<c16").reshape(grid.shape)
-            branches.append(Branch(psi=_freeze(psi.astype(complex)), **rec))
+            psi = np.fromfile(fh, dtype="<c16", count=count).astype(complex, copy=False)
+            branches.append(Branch(psi=_freeze(psi.reshape(grid.shape)), **rec))
     return SuperposedState(
         branches=tuple(branches), grid=grid, frame=frame, units=units, prefactor=prefactor
     )

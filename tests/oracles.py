@@ -11,6 +11,9 @@ from itertools import permutations
 
 import numpy as np
 
+from qlif.spacetime import sqrt_neg_det_diagonal
+from qlif.tetrad import diagonal_frame_deviation
+
 
 def schwarzschild_christoffel(rs: float, r: float, theta: float) -> np.ndarray:
     """Classic Schwarzschild connection table in the (t, r, theta, phi) chart.
@@ -228,3 +231,38 @@ def loop_qlif_metric_rows(state, radius: float, sample_points: int = 16) -> list
                 worst = max(worst, float(np.max(np.abs(pulled - ETA))))
         rows.append((branch.mass_label, metric.label, float(radius), worst))
     return rows
+
+
+def meshgrid_gaussian_psi(grid, center, sigma, momentum=None, hbar: float = 1.0) -> np.ndarray:
+    """``gaussian_psi`` as first written, on the three whole meshgrid arrays."""
+    center = np.broadcast_to(np.asarray(center, dtype=float), (3,))
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (3,))
+    if np.any(sigma <= 0):
+        raise ValueError("sigma must be > 0")
+    xx, yy, zz = grid.meshgrid()
+    q = (
+        ((xx - center[0]) / sigma[0]) ** 2
+        + ((yy - center[1]) / sigma[1]) ** 2
+        + ((zz - center[2]) / sigma[2]) ** 2
+    )
+    psi = np.exp(-0.5 * q).astype(complex)
+    if momentum is not None:
+        p = np.broadcast_to(np.asarray(momentum, dtype=float), (3,))
+        psi = psi * np.exp(1j * (p[0] * xx + p[1] * yy + p[2] * zz) / hbar)
+    return psi
+
+
+def whole_grid_metric_on_grid(metric, grid) -> tuple[np.ndarray, np.ndarray]:
+    """(measure, deviation) of ``metric_on_grid`` from one evaluation over the whole ``points4()`` array.
+
+    The route it had before it went slab by slab, with the same per-point kernels.
+    """
+    pts = grid.points4()
+    valid = metric.valid_mask(pts)
+    measure = np.zeros(len(pts))
+    deviation = np.full(len(pts), np.inf)
+    if np.any(valid):
+        d = metric.diagonal_batch(pts[valid])
+        measure[valid] = sqrt_neg_det_diagonal(d)
+        deviation[valid] = diagonal_frame_deviation(d)
+    return measure.reshape(grid.shape), deviation.reshape(grid.shape)

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from oracles import frame_defect, metric_matrices
-from qlif import cli
+from qlif import cli, qrf
 from qlif.cli import main
 from qlif.tetrad import build_tetrad
 
@@ -261,6 +261,8 @@ def test_non_numeric_tolerances_rejected(tmp_path):
 
 def _full_config():
     payload = two_branch_config()
+    payload["transform"]["tolerances"] = {"roundtrip": 1e-8}
+    payload["selftest"] = {"tolerances": {"unitarity": 1e-8}}
     payload["geodesics"] = {"local_velocity": [0.0, 0.0, 0.0], "dtau": 0.5, "steps": 2}
     payload["collapse"] = {
         "distribution": {"kind": "uniform_sphere", "mass": 1.0, "radius": 1.0},
@@ -308,6 +310,13 @@ MALFORMED = [
     ("geodesics", ("geodesics", "local_velocity"), [float("nan"), 0.0, 0.0]),
     ("geodesics", ("geodesics", "dtau"), float("inf")),
     ("collapse", ("collapse", "axis"), [0, 0, float("inf")]),
+    # tolerances: finite and >= 0 (nan would fail every check, inf would switch one off)
+    ("transform", ("transform", "tolerances", "roundtrip"), float("nan")),
+    ("transform", ("transform", "tolerances", "roundtrip"), float("inf")),
+    ("transform", ("transform", "tolerances", "roundtrip"), -1.0),
+    ("selftest", ("selftest", "tolerances", "unitarity"), float("nan")),
+    ("selftest", ("selftest", "tolerances", "unitarity"), float("-inf")),
+    ("selftest", ("selftest", "tolerances", "unitarity"), -1.0),
 ]
 
 
@@ -327,6 +336,45 @@ def test_malformed_values_are_config_errors(tmp_path, command, path, value):
     record = json.loads((out / "error.json").read_text())
     assert record["error"]["kind"] == "config"
     assert str(path[-1]) in record["error"]["message"]
+
+
+@pytest.mark.parametrize("key, value", [("mass", float("inf")), ("mass", -1.0), ("radius", float("nan")), ("radius", 0.0)])
+def test_distribution_errors_name_the_key(tmp_path, key, value):
+    payload = collapse_config()
+    payload["collapse"]["distribution"][key] = value
+    out = tmp_path / "out"
+    assert main(["collapse", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"]["kind"] == "config"
+    assert record["error"]["message"].startswith(f"collapse.distribution.{key}: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["units: [geometric\n", "units: !!python/object/apply:os.system ['echo unsafe']\n"],
+    ids=["unparsable", "python-tag"],
+)
+def test_config_yaml_is_parsed_safely(tmp_path, text):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["selftest", "--config", str(cfg), "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"]["kind"] == "config"
+    assert record["error"]["message"].startswith("invalid YAML: ")
+
+
+def test_transform_chooses_the_anchors_once_per_branch(tmp_path, monkeypatch):
+    calls = []
+    heaviest = qrf._heaviest
+    monkeypatch.setattr(qrf, "_heaviest", lambda *a: calls.append(a) or heaviest(*a))
+    payload = two_branch_config()
+    assert len(payload["transform"]["check_radii"]) == 2
+    out = tmp_path / "out"
+    assert main(["transform", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    assert len(calls) == 2
+    table = json.loads((out / "transform_report.json").read_text())["local_deviation_table"]
+    assert [(row["radius"], row["mass_label"]) for row in table] == [(0.05, "L"), (0.05, "R"), (0.1, "L"), (0.1, "R")]
 
 
 def test_undefined_metric_id_rejected(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import derived_b_xi, two_branch_state
 from oracles import loop_qlif_metric_rows, matmul_certificate, metric_matrices
+from qlif import qrf
 from qlif.errors import DegenerateMetric, MissingTetradRecord, SingularRegion, WrongFrame
 from qlif.qrf import QrfTransformReport, _heaviest, check_qlif_metric, from_qlif, to_qlif
 from qlif.qstate import (
@@ -357,6 +358,58 @@ def test_check_qlif_metric_rows_equal_the_loop_route_bit_for_bit(units, make):
     for radius in (0.0, 0.05, 0.1, 6.0):  # at 6.0 some Schwarzschild targets fall inside the horizon
         rows = [tuple(vars(r).values()) for r in check_qlif_metric(out, radius)]
         assert rows == loop_qlif_metric_rows(out, radius)
+
+
+def _momentum_state(units):
+    return two_branch_state(units, rng=np.random.default_rng(17))
+
+
+def _three_branch_state(units):
+    grid = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=(15, 13, 11))
+    branches = [
+        Branch(
+            complex(a, b),
+            label,
+            FourVector(0, x, 0, 0),
+            WeakFieldPointMass(units, mass=1e-4, soft=1e-3, center=(x, 0, 0)),
+            gaussian_psi(grid, (0.1 * x, 0.2, -0.3), 0.5 + 0.1 * x, momentum=(0.3, -0.2 * x, 0.1)),
+        )
+        for label, x, a, b in (("L", -1.0, 1.0, 0.5), ("C", 0.0, -0.4, 0.8), ("R", 1.0, 0.7, -0.2))
+    ]
+    return make_state(branches, grid, units=units)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [two_branch_state, _momentum_state, _three_branch_state, _schwarzschild_sub_box, _schwarzschild_through_horizon_and_pole],
+)
+def test_roundtrip_error_equals_the_inverse_state_route_bit_for_bit(units, make):
+    s = make(units)
+    out, report = to_qlif(s)
+    assert report.roundtrip_error == abs(inner_product(s, from_qlif(out)) - 1.0)
+
+
+def test_to_qlif_builds_no_inverse_state(units, monkeypatch):
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("from_qlif called")
+
+    monkeypatch.setattr(qrf, "from_qlif", no_inverse)
+    _, report = to_qlif(_three_branch_state(units))
+    assert report.roundtrip_error < 1e-8
+
+
+def test_check_qlif_metric_takes_every_radius_in_one_call(units, monkeypatch):
+    out, _ = to_qlif(_three_branch_state(units))
+    assert check_qlif_metric(out, 0.05, 0.1) == check_qlif_metric(out, 0.05) + check_qlif_metric(out, 0.1)
+    assert check_qlif_metric(out) == []
+    # the anchors are chosen once per branch, whatever the number of radii
+    calls = []
+    monkeypatch.setattr(qrf, "_heaviest", lambda *a: calls.append(a) or _heaviest(*a))
+    rows = check_qlif_metric(out, 0.0, 0.05, 0.1)
+    assert len(calls) == len(out.branches)
+    assert [(r.radius, r.mass_label) for r in rows] == [(r, b) for r in (0.0, 0.05, 0.1) for b in "LCR"]
+    with pytest.raises(ValueError):
+        check_qlif_metric(out, 0.05, np.nan)
 
 
 def test_to_qlif_peak_memory_is_linear_in_the_grid(units):

@@ -1,10 +1,18 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import two_branch_state
-from oracles import gaussian_translate_overlap, matmul_deviation, metric_matrices
+from oracles import (
+    gaussian_translate_overlap,
+    matmul_deviation,
+    meshgrid_gaussian_psi,
+    metric_matrices,
+    whole_grid_metric_on_grid,
+)
+from qlif.dynamics import branch_centroid
 from qlif.errors import (
     BadContainer,
     GridMismatch,
@@ -187,6 +195,51 @@ def test_cached_figures_equal_the_pointwise_routes(units, catalog):
         assert measure.reshape(-1)[valid].tobytes() == sqrt_neg_det_batch(metric, pts[valid]).tobytes()
         assert np.array_equal(deviation.reshape(-1)[valid], matmul_deviation(metric_matrices(metric, pts[valid])))
         assert np.all(np.isinf(deviation.reshape(-1)[~valid]))
+
+
+def test_slab_evaluation_equals_the_whole_grid_route_bit_for_bit(units, catalog):
+    # non-cubic grids, +inf certificates on the singular set (signature loss, horizon, poles)
+    for metric, grid, has_singular_points in _grid_cases(units, catalog):
+        measure, deviation = metric_on_grid(metric, grid)
+        want_measure, want_deviation = whole_grid_metric_on_grid(metric, grid)
+        assert np.array_equal(measure, want_measure), metric.label
+        assert np.array_equal(deviation, want_deviation), metric.label
+        assert np.any(np.isinf(deviation)) == has_singular_points
+
+
+@pytest.mark.parametrize("kind", ["weak_field", "schwarzschild"])
+def test_cold_metric_on_grid_peak_memory_is_a_few_output_arrays(catalog, kind):
+    # no whole-grid point array: the peak stays within 3x the two outputs (12.6 MB at 64^3)
+    box = {"weak_field": ((-4.01,) * 3, (4.01,) * 3), "schwarzschild": ((3.0, 0.5, 0.0), (9.0, 2.5, 6.0))}[kind]
+    grid = GridSpec(lo=box[0], hi=box[1], n=(64, 64, 64))  # a grid no other test evaluates: a cold cache
+    tracemalloc.start()
+    try:
+        measure, deviation = metric_on_grid(catalog[kind], grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (measure.nbytes + deviation.nbytes)
+
+
+def test_gaussian_psi_equals_the_meshgrid_route_bit_for_bit():
+    grid = GridSpec(lo=(-2.0, -1.5, -3.0), hi=(2.5, 1.5, 3.0), n=(9, 6, 11))
+    for sigma in (0.7, (0.5, 0.9, 1.3)):
+        for momentum, hbar in ((None, 1.0), ((0.4, -1.1, 2.3), 1.0), ((0.4, -1.1, 2.3), 0.37)):
+            psi = gaussian_psi(grid, (0.2, -0.3, 0.5), sigma, momentum, hbar)
+            assert np.array_equal(psi, meshgrid_gaussian_psi(grid, (0.2, -0.3, 0.5), sigma, momentum, hbar))
+            assert psi.dtype == complex and psi.shape == grid.shape
+
+
+def test_grid_routes_build_no_whole_grid_point_arrays(units, monkeypatch):
+    def whole_grid(*args, **kwargs):
+        raise AssertionError("whole-grid point array built")
+
+    monkeypatch.setattr(GridSpec, "meshgrid", whole_grid)
+    monkeypatch.setattr(GridSpec, "points4", whole_grid)
+    grid = GridSpec(lo=(-3.01, -3, -3), hi=(3, 3, 3), n=(12, 10, 8))  # a cold measure cache
+    s = two_branch_state(units, grid=grid, rng=np.random.default_rng(3))
+    branch_centroid(s, 0)
+    to_qlif(s)
 
 
 def test_measure_cache_returns_read_only_arrays(units, grid):
