@@ -35,7 +35,7 @@ from .errors import (
     DegenerateMetric,
     GridMismatch,
     InfiniteLifetime,
-    MissingTetradRecord,
+    MissingSourceMetric,
     OffGridTranslation,
     QlifError,
     QuadratureNonConvergence,
@@ -65,7 +65,6 @@ from .qstate import (
     translate_state,
 )
 from .spacetime import (
-    ETA,
     FourVector,
     MetricField,
     Minkowski,
@@ -73,11 +72,8 @@ from .spacetime import (
     UnitSystem,
     WeakFieldPointMass,
     christoffel,
-    metric_det_sqrt,
-    metric_eval,
     metric_from_dict,
-    metric_inverse,
 )
-from .tetrad import Tetrad, build_tetrad, from_local, tetrad_arrays, to_local
+from .tetrad import build_tetrad, tetrad_arrays
 
 __version__ = "0.1.0"

@@ -395,21 +395,21 @@ def _selftest_checks(scn: Scenario):
     rng = np.random.default_rng(scn.seed)
     rows = []
 
-    # Tetrad invariants over the catalog.
+    # Frame invariants over the catalog.
     fields = [
         WeakFieldPointMass(u, mass=1e-5, soft=1e-3, center=(0.3, -0.2, 0.1)),
         Schwarzschild(u, mass=1.0),
     ]
     worst_eta, worst_dual = 0.0, 0.0
-    for f in fields:
+    for field in fields:
         for _ in range(25):
-            if isinstance(f, Schwarzschild):
+            if isinstance(field, Schwarzschild):
                 x = FourVector(0.0, rng.uniform(5.0, 15.0), rng.uniform(0.6, 2.5), rng.uniform(0, 2 * np.pi))
             else:
                 x = FourVector(0.0, *rng.uniform(-2.0, 2.0, 3))
-            t = build_tetrad(f, x)
-            worst_eta = max(worst_eta, float(diagonal_frame_deviation(f.diagonal_at(x)[None, :])[0]))
-            worst_dual = max(worst_dual, float(np.max(np.abs(t.f @ t.b - np.eye(4)))))
+            b, f = build_tetrad(field, x)
+            worst_eta = max(worst_eta, float(diagonal_frame_deviation(field.diagonal_at(x)[None, :])[0]))
+            worst_dual = max(worst_dual, float(np.max(np.abs(f * b - 1.0))))
     rows.append(("tetrad_eta", worst_eta, tol["tetrad_eta"], worst_eta < tol["tetrad_eta"]))
     rows.append(("tetrad_duality", worst_dual, tol["tetrad_duality"], worst_dual < tol["tetrad_duality"]))
 

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import QlifError
 from .qstate import SuperposedState, _freeze, branch_sqrt_neg_det, translate_state
 from .spacetime import FourVector, MetricField, Minkowski
-from .tetrad import tetrad_arrays
+from .tetrad import build_tetrad
 
 # Relative miss |g(u, u) + c^2| / c^2 accepted in an initial 4-velocity.
 NORM_TOL = 1e-6
@@ -103,8 +103,8 @@ def local_frame_velocity(field: MetricField, x: FourVector, v_local) -> FourVect
         raise ValueError("local speed must be below c")
     gamma = 1.0 / np.sqrt(1.0 - beta_sq)
     u_local = np.concatenate([[gamma * c], gamma * v])
-    _, f = tetrad_arrays(field.diagonal_at(x)[None, :])
-    return FourVector.from_array(f[0] * u_local)
+    _, f = build_tetrad(field, x)
+    return FourVector.from_array(f * u_local)
 
 
 def integrate_geodesic(
@@ -249,10 +249,11 @@ def evolve_free(s: SuperposedState, t: float, mass: float) -> SuperposedState:
     Each axis is periodic with period n h (h the grid spacing), the
     convention under which ``translate_state`` is an exact roll; hbar comes
     from ``s.units``.  Every branch must be flat (metric ``Minkowski``, as
-    are the P-frame registers ``to_qlif`` produces), else ValueError.
+    are the P-frame registers ``to_qlif`` produces), else ValueError, as for
+    a t that is not finite and >= 0.
     """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     if not mass > 0.0:
         raise ValueError("mass must be > 0")
     for b in s.branches:

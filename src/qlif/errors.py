@@ -29,7 +29,7 @@ class WrongFrame(QlifError):
     """State is tagged with the wrong frame for the requested operation."""
 
 
-class MissingTetradRecord(QlifError):
+class MissingSourceMetric(QlifError):
     """P-frame branch lacks the source metric needed to invert it (built by hand, not by ``to_qlif``)."""
 
 

@@ -14,7 +14,8 @@ x_S, the component at probe position x is relabeled as follows:
 * the mass coordinate seen from the probe is the local-frame separation
   xi_i = b(x, g_i) (x_S - x).  It is not stored: ``mass_position`` is
   kept as it was, and xi is derived when needed, as
-  ``to_local(build_tetrad(source_metric, x), mass_position)``;
+  ``b * (mass_position - x)`` with ``b`` from
+  ``build_tetrad(source_metric, x)``;
 * the branch metric register becomes the flat metric: by construction
   f^T g_i f = eta at every support point, which is the per-branch locally
   inertial property, verified and reported rather than assumed.  The
@@ -46,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MissingTetradRecord, SingularRegion, WrongFrame
+from .errors import MissingSourceMetric, SingularRegion, WrongFrame
 from .qstate import (
     Branch,
     Frame,
@@ -185,7 +186,7 @@ def to_qlif(s: SuperposedState) -> tuple[SuperposedState, QrfTransformReport]:
 
 def _source_metric(branch: Branch) -> MetricField:
     if branch.source_metric is None:
-        raise MissingTetradRecord(f"branch {branch.key} carries no source metric")
+        raise MissingSourceMetric(f"branch {branch.key} carries no source metric")
     return branch.source_metric
 
 
@@ -194,7 +195,7 @@ def from_qlif(s: SuperposedState) -> SuperposedState:
 
     Points where the measure is 0 (the source metric's singular set, where
     ``to_qlif`` only admits zero amplitude) come back as 0.  Raises
-    WrongFrame unless ``s`` is P-frame and MissingTetradRecord if a branch
+    WrongFrame unless ``s`` is P-frame and MissingSourceMetric if a branch
     lacks its source metric (a P-frame branch built by hand, not by
     ``to_qlif`` or ``load_state``).
     """

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadContainer, GridMismatch, MissingTetradRecord, OffGridTranslation, WrongFrame, ZeroNorm
+from .errors import BadContainer, GridMismatch, MissingSourceMetric, OffGridTranslation, WrongFrame, ZeroNorm
 from .spacetime import FourVector, MetricField, UnitSystem, metric_from_dict, sqrt_neg_det_diagonal
 from .tetrad import diagonal_frame_deviation
 
@@ -93,25 +93,12 @@ class GridSpec:
     def axis(self, i: int) -> np.ndarray:
         return np.linspace(self.lo[i], self.hi[i], self.n[i])
 
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.meshgrid(self.axis(0), self.axis(1), self.axis(2), indexing="ij")
-
     def open_mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The axes shaped (n0, 1, 1), (1, n1, 1) and (1, 1, n2): broadcast together, the meshgrid point for point."""
+        """The axes shaped (n0, 1, 1), (1, n1, 1) and (1, 1, n2): broadcast together, every grid point."""
         return np.meshgrid(self.axis(0), self.axis(1), self.axis(2), indexing="ij", sparse=True)
 
-    def points4(self) -> np.ndarray:
-        """All grid points as (N, 4) rows (c*t0, x, y, z), C-ordered."""
-        xx, yy, zz = self.meshgrid()
-        pts = np.empty((xx.size, 4))
-        pts[:, 0] = self.t0
-        pts[:, 1] = xx.ravel()
-        pts[:, 2] = yy.ravel()
-        pts[:, 3] = zz.ravel()
-        return pts
-
     def points4_at(self, flat: np.ndarray) -> np.ndarray:
-        """Rows ``flat`` of ``points4()``, built from the axes without the whole grid."""
+        """Grid points at C-order flat indices ``flat`` as (len(flat), 4) rows (c*t0, x, y, z), from the axes."""
         idx = np.unravel_index(flat, self.n)
         pts = np.empty((len(flat), 4))
         pts[:, 0] = self.t0
@@ -177,9 +164,6 @@ class SuperposedState:
     frame: Frame
     units: UnitSystem
     prefactor: complex = 1.0 + 0.0j
-
-    def branch_keys(self) -> list[tuple[str, MetricField]]:
-        return [b.key for b in self.branches]
 
 
 class MetricOnGrid(NamedTuple):
@@ -329,13 +313,15 @@ def translate_state(s: SuperposedState, d) -> SuperposedState:
     """Rigid spatial translation psi(x) -> psi(x - d), exact on the grid.
 
     ``d`` must be an integer number of grid steps per axis (no
-    interpolation); samples wrap periodically.  The sqrt(-g) weight is not
-    uniform on curved branches, so the norm is exactly preserved only on
-    flat ones.
+    interpolation); samples wrap periodically, and ValueError unless it is a
+    finite 3-vector.  The sqrt(-g) weight is not uniform on curved branches,
+    so the norm is exactly preserved only on flat ones.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (3,):
         raise ValueError("translation must be a 3-vector")
+    if not np.all(np.isfinite(d)):
+        raise ValueError(f"translation must be finite, got {d.tolist()}")
     shifts = []
     for i, (di, h) in enumerate(zip(d, s.grid.spacing)):
         steps = di / h
@@ -412,11 +398,11 @@ def _state_header(s: SuperposedState) -> dict:
 def save_state(s: SuperposedState, path) -> None:
     """Write the state container (see module notes for the layout).
 
-    Raises MissingTetradRecord for a P-frame branch without a source metric, which could not be reloaded.
+    Raises MissingSourceMetric for a P-frame branch without a source metric, which could not be reloaded.
     """
     for b in s.branches:
         if s.frame == Frame.P and b.source_metric is None:
-            raise MissingTetradRecord(f"P-frame branch {b.key} has no source metric")
+            raise MissingSourceMetric(f"P-frame branch {b.key} has no source metric")
     header = json.dumps(_state_header(s), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)

@@ -31,7 +31,6 @@ from .errors import SingularRegion
 
 # diag(eta), the flat metric and every local frame's metric
 ETA_DIAGONAL = np.array([-1.0, 1.0, 1.0, 1.0])
-ETA = np.diag(ETA_DIAGONAL)
 
 # Relative margin kept outside the Schwarzschild horizon, and the smallest
 # |sin(theta)| accepted before the spherical chart is treated as singular.
@@ -112,10 +111,6 @@ class FourVector:
     @property
     def array(self) -> np.ndarray:
         return np.array([self.t, self.x, self.y, self.z], dtype=float)
-
-    @property
-    def spatial(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -434,32 +429,12 @@ def metric_from_dict(spec, units: UnitSystem) -> MetricField:
 
 
 # ---------------------------------------------------------------------------
-# Point-wise operations
+# sqrt(-g) from diagonals; the Christoffel table at a point
 # ---------------------------------------------------------------------------
 
 
-def metric_eval(field: MetricField, x: FourVector) -> np.ndarray:
-    """g_munu at x as a symmetric (4, 4) array.
-
-    Raises SingularRegion if x is inside the metric's singular set.
-    """
-    return np.diag(field.diagonal_at(x))
-
-
-def metric_inverse(field: MetricField, x: FourVector) -> np.ndarray:
-    """g^munu at x: the reciprocal of the diagonal."""
-    return np.diag(1.0 / field.diagonal_at(x))
-
-
-def metric_det_sqrt(field: MetricField, x: FourVector) -> float:
-    """sqrt(-det g) at x, as sqrt(-g_00 g_11 g_22 g_33); SingularRegion inside the singular set."""
-    pts = x.array[None, :]
-    field.require_valid(pts)
-    return float(sqrt_neg_det_batch(field, pts)[0])
-
-
 def sqrt_neg_det_batch(field: MetricField, points: np.ndarray) -> np.ndarray:
-    """sqrt(-det g) over (N, 4) points (assumed valid)."""
+    """sqrt(-det g) over (N, 4) points (assumed valid); kept for ``bench/spans.py``, which traces it."""
     return sqrt_neg_det_diagonal(field.diagonal_batch(points))
 
 

@@ -14,8 +14,8 @@ This module is the only one that knows that rule.  Inside the package a
 frame is its diagonals (``tetrad_arrays``), and its defect
 max |f^T g f - eta| is the per-row max |f d f - eta| (``frame_deviation``;
 at the frame's own anchor, ``diagonal_frame_deviation``, the QLIF
-certificate and the selftest's ``tetrad_eta`` figure).  ``Tetrad`` is the
-(4, 4) form, for the public point-wise API.  Local axis mu is coordinate
+certificate and the selftest's ``tetrad_eta`` figure); ``build_tetrad``
+gives the diagonals at one point.  Local axis mu is coordinate
 axis mu rescaled to unit length: (t, x, y, z), or (t, r, theta, phi) on
 Schwarzschild, the same directions in every branch whatever its metric,
 which is what lets a local-frame velocity or separation be compared
@@ -30,27 +30,12 @@ constant b, f cannot cancel the Christoffel terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateMetric
 from .spacetime import ETA_DIAGONAL, FourVector, MetricField
 
 EIGENVALUE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class Tetrad:
-    """Frame-change pair anchored at a point of one metric branch, as diagonal (4, 4) matrices.
-
-    b maps coordinate displacements to local-frame components; f is its
-    inverse.
-    """
-
-    b: np.ndarray
-    f: np.ndarray
-    anchor: FourVector
 
 
 def _spectrum_ok(d: np.ndarray) -> np.ndarray:
@@ -108,22 +93,12 @@ def diagonal_frame_deviation(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_tetrad(field: MetricField, x: FourVector) -> Tetrad:
-    """Chart-aligned tetrad of ``field`` at x.
+def build_tetrad(field: MetricField, x: FourVector) -> tuple[np.ndarray, np.ndarray]:
+    """The frame diagonals (b, f) of ``field`` at x, each shape (4,): ``tetrad_arrays`` at one point.
 
-    Deterministic: identical inputs give bit-identical matrices.  Raises
-    SingularRegion if x is invalid and DegenerateMetric on a near-singular
-    eigenvalue.
+    The frame counterpart of ``MetricField.diagonal_at``: raises
+    SingularRegion if x is in the singular set and DegenerateMetric where
+    ``tetrad_arrays`` does.
     """
     b, f = tetrad_arrays(field.diagonal_at(x)[None, :])
-    return Tetrad(b=np.diag(b[0]), f=np.diag(f[0]), anchor=x)
-
-
-def to_local(t: Tetrad, x_prime: FourVector) -> FourVector:
-    """xi = b (x' - anchor); exactly zero at the anchor."""
-    return FourVector.from_array(t.b @ (x_prime.array - t.anchor.array))
-
-
-def from_local(t: Tetrad, xi: FourVector) -> FourVector:
-    """x' = anchor + f xi; inverse of ``to_local`` up to roundoff."""
-    return FourVector.from_array(t.anchor.array + t.f @ xi.array)
+    return b[0], f[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import grid_points
 from qlif.qstate import Branch, GridSpec, gaussian_psi, make_state
 from qlif.spacetime import FourVector, Minkowski, Schwarzschild, UnitSystem, WeakFieldPointMass
 from qlif.tetrad import tetrad_arrays
@@ -82,7 +83,7 @@ def two_branch_state(
 
 def derived_b_xi(branch, grid):
     """Tetrad diagonals b and local mass coordinates xi = b (x_S - x) of a P-frame branch over its source grid."""
-    pts = grid.points4()
+    pts = grid_points(grid)
     b, _ = tetrad_arrays(branch.source_metric.diagonal_batch(pts))
     xi = b * (branch.mass_position.array[None, :] - pts)
     return b, xi

@@ -35,6 +35,22 @@ def schwarzschild_christoffel(rs: float, r: float, theta: float) -> np.ndarray:
     return gam
 
 
+def grid_mesh(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three whole coordinate arrays of ``grid``, each shape grid.shape, from ``np.meshgrid``."""
+    return np.meshgrid(grid.axis(0), grid.axis(1), grid.axis(2), indexing="ij")
+
+
+def grid_points(grid) -> np.ndarray:
+    """Every grid point as (N, 4) rows (c*t0, x, y, z), C-ordered, from the whole meshgrid arrays."""
+    xx, yy, zz = grid_mesh(grid)
+    pts = np.empty((xx.size, 4))
+    pts[:, 0] = grid.t0
+    pts[:, 1] = xx.ravel()
+    pts[:, 2] = yy.ravel()
+    pts[:, 3] = zz.ravel()
+    return pts
+
+
 def metric_matrices(field, points) -> np.ndarray:
     """(N, 4, 4) metric components at (N, 4) points: the diagonal embedded in zeros, slot by slot."""
     d = field.diagonal_batch(np.asarray(points, dtype=float))
@@ -213,7 +229,7 @@ def loop_qlif_metric_rows(state, radius: float, sample_points: int = 16) -> list
     valid points of the source grid, ties in index order.
     """
     grid = state.grid.negated()
-    pts = grid.points4()
+    pts = grid_points(grid)
     rows = []
     for branch in state.branches:
         metric = branch.source_metric
@@ -239,7 +255,7 @@ def meshgrid_gaussian_psi(grid, center, sigma, momentum=None, hbar: float = 1.0)
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (3,))
     if np.any(sigma <= 0):
         raise ValueError("sigma must be > 0")
-    xx, yy, zz = grid.meshgrid()
+    xx, yy, zz = grid_mesh(grid)
     q = (
         ((xx - center[0]) / sigma[0]) ** 2
         + ((yy - center[1]) / sigma[1]) ** 2
@@ -253,11 +269,11 @@ def meshgrid_gaussian_psi(grid, center, sigma, momentum=None, hbar: float = 1.0)
 
 
 def whole_grid_metric_on_grid(metric, grid) -> tuple[np.ndarray, np.ndarray]:
-    """(measure, deviation) of ``metric_on_grid`` from one evaluation over the whole ``points4()`` array.
+    """(measure, deviation) of ``metric_on_grid`` from one evaluation over the whole ``grid_points`` array.
 
     The route it had before it went slab by slab, with the same per-point kernels.
     """
-    pts = grid.points4()
+    pts = grid_points(grid)
     valid = metric.valid_mask(pts)
     measure = np.zeros(len(pts))
     deviation = np.full(len(pts), np.inf)

@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -213,7 +214,7 @@ def test_selftest_tetrad_eta_equals_the_matrix_route_bit_for_bit(tmp_path, capsy
     checks = json.loads((out / "selftest_report.json").read_text())["checks"]
     value = next(c["value"] for c in checks if c["check"] == "tetrad_eta")
     assert len(frames) == 50
-    assert value == max(frame_defect(t.f, metric_matrices(f, x.array[None, :])[0]) for f, x, t in frames)
+    assert value == max(frame_defect(np.diag(bf[1]), metric_matrices(f, x.array[None, :])[0]) for f, x, bf in frames)
 
 
 def test_selftest_injected_zero_tolerance_fails(tmp_path):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import derived_b_xi, two_branch_state
-from oracles import loop_qlif_metric_rows, matmul_certificate, metric_matrices
+from oracles import grid_mesh, grid_points, loop_qlif_metric_rows, matmul_certificate, metric_matrices
 from qlif import qrf
-from qlif.errors import DegenerateMetric, MissingTetradRecord, SingularRegion, WrongFrame
+from qlif.errors import DegenerateMetric, MissingSourceMetric, SingularRegion, WrongFrame
 from qlif.qrf import QrfTransformReport, _heaviest, check_qlif_metric, from_qlif, to_qlif
 from qlif.qstate import (
     Branch,
@@ -22,7 +22,7 @@ from qlif.qstate import (
     state_norm,
 )
 from qlif.spacetime import FourVector, Minkowski, Schwarzschild, WeakFieldPointMass
-from qlif.tetrad import build_tetrad, to_local
+from qlif.tetrad import build_tetrad
 
 
 def test_report_rejects_bad_fields():
@@ -45,7 +45,7 @@ def test_minkowski_branch_is_relational_relabeling(units):
     assert np.array_equal(psi_out, psi_in[::-1, ::-1, ::-1])
     # mass local coordinate is mass_position - x at every grid point (b = identity)
     _, xi = derived_b_xi(out.branches[0], out.grid.negated())
-    expected_xi = mass_pos.array[None, :] - grid.points4()
+    expected_xi = mass_pos.array[None, :] - grid_points(grid)
     assert np.max(np.abs(xi - expected_xi)) == 0.0
     # metric register is flat
     assert out.branches[0].metric.label == "minkowski"
@@ -103,13 +103,14 @@ def test_single_branch_matches_classical_tetrad_map(units):
     b, xi_all = derived_b_xi(out.branches[0], out.grid.negated())
     field = single.branches[0].metric
     mass_pos = single.branches[0].mass_position
-    pts = grid.points4()
+    pts = grid_points(grid)
     rng = np.random.default_rng(4)
     for p in rng.choice(pts.shape[0], size=60, replace=False):
-        t = build_tetrad(field, FourVector.from_array(pts[p]))
-        xi = to_local(t, mass_pos)
-        assert np.max(np.abs(np.diag(b[p]) - t.b)) < 1e-12
-        assert np.max(np.abs(xi_all[p] - xi.array)) < 1e-12
+        # the classical tetrad map xi = b (x_S - x), b as a matrix
+        b_p, _ = build_tetrad(field, FourVector.from_array(pts[p]))
+        xi = np.diag(b_p) @ (mass_pos.array - pts[p])
+        assert np.max(np.abs(b[p] - b_p)) < 1e-12
+        assert np.max(np.abs(xi_all[p] - xi)) < 1e-12
 
 
 def test_transform_never_mixes_branches(units):
@@ -123,7 +124,7 @@ def test_transform_never_mixes_branches(units):
     assert inner_product(tl, tr) == 0j
     # and the transformed two-branch state keeps its branch keys
     out, _ = to_qlif(s)
-    assert out.branch_keys() == s.branch_keys()
+    assert [b.key for b in out.branches] == [b.key for b in s.branches]
 
 
 def test_relational_amplitude_profile(units):
@@ -187,7 +188,7 @@ def test_reloaded_state_inverts(units, tmp_path):
     save_state(out, path)
     reloaded = load_state(path)
     assert [b.source_metric for b in reloaded.branches] == [b.metric for b in s.branches]
-    assert reloaded.branch_keys() == s.branch_keys()
+    assert [b.key for b in reloaded.branches] == [b.key for b in s.branches]
     assert abs(inner_product(s, from_qlif(reloaded)) - 1.0) < 1e-8
     for radius in (0.0, 0.05):
         assert check_qlif_metric(reloaded, radius) == check_qlif_metric(out, radius)
@@ -197,15 +198,15 @@ def test_p_frame_branch_built_by_hand_cannot_invert(units):
     grid = GridSpec(lo=(-2, -2, -2), hi=(2, 2, 2), n=(9, 9, 9))
     psi = gaussian_psi(grid, (0, 0, 0), 0.5)
     s = make_state([Branch(1.0, "M", FourVector(0, 0, 0, 0), Minkowski(units), psi)], grid, frame=Frame.P)
-    with pytest.raises(MissingTetradRecord):
+    with pytest.raises(MissingSourceMetric):
         from_qlif(s)
-    with pytest.raises(MissingTetradRecord):
+    with pytest.raises(MissingSourceMetric):
         check_qlif_metric(s, 0.1)
 
 
 def _first_singular_support_point(s):
     b = s.branches[0]
-    pts = s.grid.points4()
+    pts = grid_points(s.grid)
     bad = (b.psi.reshape(-1) != 0) & ~b.metric.valid_mask(pts)
     return f"branch {b.key}: support point {pts[np.argmax(bad)].tolist()} is in the singular set of {b.metric.label}"
 
@@ -233,7 +234,7 @@ def test_round_trip_with_singular_points_on_the_grid(units):
     # the grid straddles the horizon; psi is exactly 0 on every invalid point
     sch = Schwarzschild(units, mass=1.0)
     grid = GridSpec(lo=(1.0, 0.6, 0.1), hi=(8.0, 2.5, 5.0), n=(15, 7, 7))
-    valid = sch.valid_mask(grid.points4()).reshape(grid.shape)
+    valid = sch.valid_mask(grid_points(grid)).reshape(grid.shape)
     assert not np.all(valid)
     psi = np.where(valid, gaussian_psi(grid, (5.0, 1.5, 2.5), 1.0), 0.0)
     s = make_state([Branch(1.0, "S", FourVector(0, 5.0, 1.5, 2.5), sch, psi)], grid)
@@ -261,9 +262,9 @@ def _minkowski_state(units):
 
 def _boxed_state(metric, grid, center, sigma, zero, singular_points=False):
     """One branch of ``metric`` whose psi is 0 where ``zero(xx, yy, zz)`` holds."""
-    assert (not np.all(metric.valid_mask(grid.points4()))) == singular_points
+    assert (not np.all(metric.valid_mask(grid_points(grid)))) == singular_points
     psi = gaussian_psi(grid, center, sigma)
-    psi[zero(*grid.meshgrid())] = 0.0
+    psi[zero(*grid_mesh(grid))] = 0.0
     return make_state([Branch(1.0, "M", FourVector(0, *center), metric, psi)], grid)
 
 
@@ -309,7 +310,7 @@ def test_certificate_equals_the_matmul_route_bit_for_bit(units, make):
     # the certificate covers the support only: singular points elsewhere do not raise
     s = make(units)
     _, report = to_qlif(s)
-    pts = s.grid.points4()
+    pts = grid_points(s.grid)
     for branch, rec in zip(s.branches, report.branches):
         support = np.asarray(branch.psi).reshape(-1) != 0
         assert not np.any(support & ~branch.metric.valid_mask(pts))
@@ -327,7 +328,7 @@ def test_degenerate_support_point_raises_with_the_spectrum_message(units):
     sch = Schwarzschild(units, mass=0.01)
     grid = GridSpec(lo=(0.4, 1.5e-6, 0.5), hi=(0.6, 1.0, 1.5), n=(5, 5, 5))
     s = _boxed_state(sch, grid, (0.5, 0.5, 1.0), 0.5, lambda r, th, ph: np.zeros(r.shape, bool))
-    pts = grid.points4()
+    pts = grid_points(grid)
     d = sch.diagonal_batch(pts)
     assert np.all(sch.valid_mask(pts)) and np.any(np.abs(d) < 1e-12)
     with pytest.raises(DegenerateMetric) as exc:

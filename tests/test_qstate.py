@@ -7,6 +7,7 @@ import pytest
 from conftest import two_branch_state
 from oracles import (
     gaussian_translate_overlap,
+    grid_points,
     matmul_deviation,
     meshgrid_gaussian_psi,
     metric_matrices,
@@ -16,7 +17,7 @@ from qlif.dynamics import branch_centroid
 from qlif.errors import (
     BadContainer,
     GridMismatch,
-    MissingTetradRecord,
+    MissingSourceMetric,
     OffGridTranslation,
     WrongFrame,
     ZeroNorm,
@@ -58,7 +59,6 @@ def test_grid_spec_basics():
     g = GridSpec(lo=(-1, -2, 0), hi=(1, 2, 3), n=(5, 9, 4))
     assert g.spacing == (0.5, 0.5, 1.0)
     assert g.dvol == 0.25
-    assert g.points4().shape == (5 * 9 * 4, 4)
     neg = g.negated()
     assert neg.lo == (-1.0, -2.0, -3.0) and neg.hi == (1.0, 2.0, 0.0)
     with pytest.raises(ValueError):
@@ -68,6 +68,13 @@ def test_grid_spec_basics():
             GridSpec(lo=(bad, 0, 0), hi=(1, 1, 1), n=(4, 4, 4))
         with pytest.raises(ValueError, match="hi must be finite"):
             GridSpec(lo=(0, 0, 0), hi=(1, bad, 1), n=(4, 4, 4))
+
+
+def test_points4_at_equals_the_meshgrid_points_bit_for_bit():
+    g = GridSpec(lo=(-1.3, -2, 0.1), hi=(1, 2.7, 3), n=(5, 9, 4), t0=0.75)
+    pts = g.points4_at(np.arange(5 * 9 * 4))
+    assert pts.shape == (5 * 9 * 4, 4)
+    assert pts.tobytes() == grid_points(g).tobytes()
 
 
 def test_two_branch_norm_and_amplitudes(units):
@@ -179,7 +186,7 @@ def test_measure_is_zero_exactly_on_the_singular_set(units, catalog):
     # to_qlif finds singular support points from the cached measure alone
     for metric, grid, has_singular_points in _grid_cases(units, catalog):
         w = branch_sqrt_neg_det(Branch(1.0, "M", FourVector(0, 0, 0, 0), metric, np.ones(grid.shape)), grid)
-        valid = metric.valid_mask(grid.points4())
+        valid = metric.valid_mask(grid_points(grid))
         assert np.array_equal(w.reshape(-1) > 0, valid), metric.label
         assert np.all(w.reshape(-1)[~valid] == 0.0)
         assert (not np.all(valid)) == has_singular_points
@@ -190,7 +197,7 @@ def test_cached_figures_equal_the_pointwise_routes(units, catalog):
     # the matrix product f^T g f - eta, +inf on the singular set
     for metric, grid, _ in _grid_cases(units, catalog):
         measure, deviation = metric_on_grid(metric, grid)
-        pts = grid.points4()
+        pts = grid_points(grid)
         valid = metric.valid_mask(pts)
         assert measure.reshape(-1)[valid].tobytes() == sqrt_neg_det_batch(metric, pts[valid]).tobytes()
         assert np.array_equal(deviation.reshape(-1)[valid], matmul_deviation(metric_matrices(metric, pts[valid])))
@@ -231,11 +238,14 @@ def test_gaussian_psi_equals_the_meshgrid_route_bit_for_bit():
 
 
 def test_grid_routes_build_no_whole_grid_point_arrays(units, monkeypatch):
-    def whole_grid(*args, **kwargs):
-        raise AssertionError("whole-grid point array built")
+    meshgrid = np.meshgrid
 
-    monkeypatch.setattr(GridSpec, "meshgrid", whole_grid)
-    monkeypatch.setattr(GridSpec, "points4", whole_grid)
+    def open_only(*args, **kwargs):
+        if not kwargs.get("sparse", False):
+            raise AssertionError("whole-grid coordinate array built")
+        return meshgrid(*args, **kwargs)
+
+    monkeypatch.setattr(np, "meshgrid", open_only)
     grid = GridSpec(lo=(-3.01, -3, -3), hi=(3, 3, 3), n=(12, 10, 8))  # a cold measure cache
     s = two_branch_state(units, grid=grid, rng=np.random.default_rng(3))
     branch_centroid(s, 0)
@@ -349,6 +359,13 @@ def test_translate_off_grid_rejected(units, grid):
         translate_state(s, (0.4999 * grid.spacing[0], 0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_translate_rejects_a_non_finite_shift(units, grid, bad):
+    s = make_state([flat_branch(units, grid)], grid)
+    with pytest.raises(ValueError, match="translation must be finite"):
+        translate_state(s, (0.0, bad, 0.0))
+
+
 def test_save_load_round_trip(units, tmp_path):
     rng = np.random.default_rng(12)
     s = two_branch_state(units, rng=rng)
@@ -357,7 +374,7 @@ def test_save_load_round_trip(units, tmp_path):
     loaded = load_state(path)
     assert loaded.frame == s.frame
     assert loaded.grid == s.grid
-    assert loaded.branch_keys() == s.branch_keys()
+    assert [b.key for b in loaded.branches] == [b.key for b in s.branches]
     assert inner_product(s, loaded) == pytest.approx(1.0, abs=1e-12)
     assert state_norm(loaded) == pytest.approx(1.0, abs=1e-10)
 
@@ -507,7 +524,7 @@ def test_load_rejects_bad_source_metric_record(units, tmp_path):
 
 def test_save_rejects_p_frame_branch_without_source_metric(units, grid, tmp_path):
     s = make_state([flat_branch(units, grid)], grid, frame=Frame.P)
-    with pytest.raises(MissingTetradRecord):
+    with pytest.raises(MissingSourceMetric):
         save_state(s, tmp_path / "p.qst")
 
 

@@ -8,7 +8,7 @@ from conftest import diagonal_cases, random_point
 from qlif.dynamics import timelike_velocity
 from qlif.errors import SingularRegion
 from qlif.spacetime import (
-    ETA,
+    ETA_DIAGONAL,
     METRIC_KINDS,
     FourVector,
     MetricField,
@@ -17,12 +17,15 @@ from qlif.spacetime import (
     UnitSystem,
     WeakFieldPointMass,
     christoffel,
-    metric_det_sqrt,
-    metric_eval,
     metric_from_dict,
-    metric_inverse,
     sqrt_neg_det_batch,
+    sqrt_neg_det_diagonal,
 )
+
+
+def det_sqrt(field, x):
+    """sqrt(-g) at one point, read through ``diagonal_at`` (which checks the singular set)."""
+    return float(sqrt_neg_det_diagonal(field.diagonal_at(x)[None, :])[0])
 
 
 def test_fourvector_rejects_nonfinite():
@@ -43,15 +46,15 @@ def test_unit_system_presets():
 
 def test_minkowski_is_flat(units):
     x = FourVector(0.2, 1.0, -2.0, 3.0)
-    assert np.array_equal(metric_eval(Minkowski(units), x), ETA)
-    assert metric_det_sqrt(Minkowski(units), x) == 1.0
+    assert np.array_equal(Minkowski(units).diagonal_at(x), ETA_DIAGONAL)
+    assert det_sqrt(Minkowski(units), x) == 1.0
     assert np.all(christoffel(Minkowski(units), x) == 0.0)
 
 
 def test_weak_field_asymptotic_flatness(units):
     wf = WeakFieldPointMass(units, mass=1e-6, soft=1e-3)
     far = FourVector(0.0, 1e9, 0.0, 0.0)
-    assert np.max(np.abs(metric_eval(wf, far) - ETA)) < 1e-12
+    assert np.max(np.abs(wf.diagonal_at(far) - ETA_DIAGONAL)) < 1e-12
 
 
 def test_weak_field_label_formats_plain_floats(units):
@@ -97,13 +100,12 @@ def test_metrics_are_values(units):
 def test_weak_field_metric_components(units):
     wf = WeakFieldPointMass(units, mass=1e-5, soft=1e-4, center=(0.5, 0.0, 0.0))
     x = FourVector(0.0, 2.0, 1.0, -0.7)
-    g = metric_eval(wf, x)
-    r = np.linalg.norm(x.spatial - np.array([0.5, 0.0, 0.0]))
+    d = wf.diagonal_at(x)
+    r = np.linalg.norm(x.array[1:] - np.array([0.5, 0.0, 0.0]))
     phi = -1e-5 / np.sqrt(r**2 + (1e-4) ** 2)
-    assert g[0, 0] == pytest.approx(-(1.0 + 2.0 * phi), abs=1e-15)
+    assert d[0] == pytest.approx(-(1.0 + 2.0 * phi), abs=1e-15)
     for i in (1, 2, 3):
-        assert g[i, i] == pytest.approx(1.0 - 2.0 * phi, abs=1e-15)
-    assert np.count_nonzero(g - np.diag(np.diag(g))) == 0
+        assert d[i] == pytest.approx(1.0 - 2.0 * phi, abs=1e-15)
 
 
 def test_weak_field_det_closed_form(units):
@@ -111,18 +113,18 @@ def test_weak_field_det_closed_form(units):
     x = FourVector(0.0, 1.3, -0.4, 0.9)
     phi = wf.potential(x.array[None, :])[0]
     expected = (1.0 - 2.0 * phi) ** 1.5 * (1.0 + 2.0 * phi) ** 0.5
-    assert metric_det_sqrt(wf, x) == pytest.approx(expected, rel=1e-12)
+    assert det_sqrt(wf, x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_schwarzschild_line_element(units):
     sch = Schwarzschild(units, mass=1.0)
     # r = 10 * 2GM/c^2: g_00 = -(1 - 0.1)
     x = FourVector(0.0, 10.0 * sch.r_s, 1.1, 0.4)
-    g = metric_eval(sch, x)
-    assert g[0, 0] == pytest.approx(-0.9, rel=1e-14)
-    assert g[1, 1] == pytest.approx(1.0 / 0.9, rel=1e-14)
-    assert g[2, 2] == pytest.approx(x.x**2, rel=1e-14)
-    assert g[3, 3] == pytest.approx(x.x**2 * np.sin(1.1) ** 2, rel=1e-14)
+    d = sch.diagonal_at(x)
+    assert d[0] == pytest.approx(-0.9, rel=1e-14)
+    assert d[1] == pytest.approx(1.0 / 0.9, rel=1e-14)
+    assert d[2] == pytest.approx(x.x**2, rel=1e-14)
+    assert d[3] == pytest.approx(x.x**2 * np.sin(1.1) ** 2, rel=1e-14)
 
 
 def test_schwarzschild_det_includes_spherical_factor(units):
@@ -130,31 +132,14 @@ def test_schwarzschild_det_includes_spherical_factor(units):
     # r = 4GM/c^2 = 2 r_s in the spherical chart: sqrt(-g) = r^2 sin(theta)
     r, th = 2.0 * sch.r_s, 0.8
     x = FourVector(0.0, r, th, 2.0)
-    assert metric_det_sqrt(sch, x) == pytest.approx(r**2 * np.sin(th), rel=1e-12)
-
-
-def test_metric_inverse(units, catalog):
-    rng = np.random.default_rng(5)
-    for field in catalog.values():
-        x = random_point(field, rng)
-        gi = metric_inverse(field, x)
-        assert np.max(np.abs(gi @ metric_eval(field, x) - np.eye(4))) < 1e-12
-
-
-def test_metric_inverse_matches_the_dense_inverse(units, catalog):
-    rng = np.random.default_rng(6)
-    for field, pts in diagonal_cases(catalog, rng, 100):
-        for p, g in zip(pts, metric_matrices(field, pts)):
-            want = np.linalg.inv(g)
-            got = metric_inverse(field, FourVector.from_array(p))
-            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), field.label
+    assert det_sqrt(sch, x) == pytest.approx(r**2 * np.sin(th), rel=1e-12)
 
 
 def test_lorentzian_signature_everywhere(catalog):
     rng = np.random.default_rng(42)
     for field in catalog.values():
         for _ in range(100):
-            g = metric_eval(field, random_point(field, rng))
+            g = metric_matrices(field, random_point(field, rng).array[None, :])[0]
             w = np.linalg.eigvalsh(g)
             assert np.count_nonzero(w < 0) == 1
             assert np.linalg.det(g) < 0
@@ -211,14 +196,14 @@ def test_fd_convergence_is_fourth_order(units):
 def test_singular_region(units):
     sch = Schwarzschild(units, mass=1.0)
     with pytest.raises(SingularRegion):
-        metric_eval(sch, FourVector(0.0, 0.5 * sch.r_s, 1.0, 0.0))
+        sch.diagonal_at(FourVector(0.0, 0.5 * sch.r_s, 1.0, 0.0))
     with pytest.raises(SingularRegion):
-        metric_eval(sch, FourVector(0.0, sch.r_s * (1.0 + 1e-12), 1.0, 0.0))
+        sch.diagonal_at(FourVector(0.0, sch.r_s * (1.0 + 1e-12), 1.0, 0.0))
     with pytest.raises(SingularRegion):  # polar axis
-        metric_eval(sch, FourVector(0.0, 10.0, 0.0, 0.0))
+        sch.diagonal_at(FourVector(0.0, 10.0, 0.0, 0.0))
     deep = WeakFieldPointMass(units, mass=1.0, soft=1e-4)
     with pytest.raises(SingularRegion):  # potential deep enough to flip the signature
-        metric_eval(deep, FourVector(0.0, 1e-3, 0.0, 0.0))
+        deep.diagonal_at(FourVector(0.0, 1e-3, 0.0, 0.0))
 
 
 def test_christoffel_raises_in_the_singular_set(units):
@@ -336,4 +321,4 @@ def test_measure_matches_the_det_route_within_4_ulp(units, catalog):
         got = sqrt_neg_det_batch(field, pts)
         want = det_sqrt_neg_g(metric_matrices(field, pts))
         assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), field.label
-        assert metric_det_sqrt(field, FourVector.from_array(pts[0])) == got[0]
+        assert det_sqrt(field, FourVector.from_array(pts[0])) == got[0]
