@@ -35,7 +35,6 @@ from .errors import (
     DegenerateMetric,
     GridMismatch,
     InfiniteLifetime,
-    MissingSourceMetric,
     OffGridTranslation,
     QlifError,
     QuadratureNonConvergence,

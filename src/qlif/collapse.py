@@ -290,17 +290,19 @@ def separation_sweep(
     """(d, E, t) rows for a copy of ``template_a`` displaced along ``axis``.
 
     ``t`` is None on rows with zero self-energy (the infinite-lifetime
-    case, marked explicitly by the CLI).
+    case, marked explicitly by the CLI).  d = inf is the far-field row,
+    E = G (W_aa + W_bb): only the axis's nonzero components move, so no
+    0 * inf turns the centre NaN.  ValueError unless d >= 0 (NaN included).
     """
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
     rows = []
     for d in separations:
-        if d < 0.0:
-            raise ValueError("separations must be >= 0")
+        if not d >= 0.0:
+            raise ValueError(f"separations must be >= 0, got {d!r}")
         moved = replace(
             template_a,
-            center=tuple(np.asarray(template_a.center) + d * axis),
+            center=tuple(c + d * a if a else c for c, a in zip(template_a.center, axis)),
         )
         e = delta_self_energy(template_a, moved, units)
         t = units.hbar / e if e > 0.0 else None

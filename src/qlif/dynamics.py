@@ -32,8 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import QlifError
-from .qstate import SuperposedState, _freeze, branch_sqrt_neg_det, translate_state
+from .errors import QlifError, WrongFrame
+from .qstate import Frame, SuperposedState, _freeze, _measure, translate_state
 from .spacetime import FourVector, MetricField, Minkowski
 from .tetrad import build_tetrad
 
@@ -200,9 +200,9 @@ class BranchTrajectory:
 
 
 def branch_centroid(state: SuperposedState, branch_index: int) -> FourVector:
-    """Measure-weighted mean position of a branch wavefunction on its slice."""
+    """Measure-weighted mean position of a branch wavefunction on its slice (flat weight in the P frame)."""
     branch = state.branches[branch_index]
-    w = branch_sqrt_neg_det(branch, state.grid) * np.abs(branch.psi) ** 2
+    w = _measure(branch, state.grid, state.frame) * np.abs(branch.psi) ** 2
     total = float(np.sum(w))
     if total <= 0.0:
         raise ValueError("branch has zero weight")
@@ -228,13 +228,17 @@ def geodesic_superposition(
     along the chart axes, (x, y, z) or (r, theta, phi) on Schwarzschild,
     which are the same directions in every branch, so every branch starts
     with the same physical velocity even though the metrics differ.
+    Raises WrongFrame unless ``state`` is R-frame: a P-frame grid holds
+    relative coordinates, at which the branch metrics are not defined.
     """
+    if state.frame != Frame.R:
+        raise WrongFrame(f"geodesic_superposition needs an R-frame state, got {state.frame.value}-frame")
     out = []
     for i, branch in enumerate(state.branches):
         x0 = branch_centroid(state, i)
         u0 = local_frame_velocity(branch.metric, x0, init_local_velocity)
         traj = integrate_geodesic(branch.metric, GeodesicState(x=x0, u=u0, tau=0.0), dtau, n_steps)
-        out.append(BranchTrajectory(branch.mass_label, branch.key[1].label, traj))
+        out.append(BranchTrajectory(branch.mass_label, branch.metric.label, traj))
     return out
 
 
@@ -248,16 +252,16 @@ def evolve_free(s: SuperposedState, t: float, mass: float) -> SuperposedState:
 
     Each axis is periodic with period n h (h the grid spacing), the
     convention under which ``translate_state`` is an exact roll; hbar comes
-    from ``s.units``.  Every branch must be flat (metric ``Minkowski``, as
-    are the P-frame registers ``to_qlif`` produces), else ValueError, as for
-    a t that is not finite and >= 0.
+    from ``s.units``.  The state must be flat, P-frame (the QLIF) or with
+    every metric ``Minkowski``, else ValueError, as for a t that is not
+    finite and >= 0 or a mass that is not finite and > 0.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    if not mass > 0.0:
-        raise ValueError("mass must be > 0")
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"mass must be finite and > 0, got {mass!r}")
     for b in s.branches:
-        if not isinstance(b.metric, Minkowski):
+        if s.frame == Frame.R and not isinstance(b.metric, Minkowski):
             raise ValueError(f"branch {b.key}: free evolution needs a flat (Minkowski) branch")
     if t == 0.0:
         return s

@@ -29,10 +29,6 @@ class WrongFrame(QlifError):
     """State is tagged with the wrong frame for the requested operation."""
 
 
-class MissingSourceMetric(QlifError):
-    """P-frame branch lacks the source metric needed to invert it (built by hand, not by ``to_qlif``)."""
-
-
 class BadContainer(QlifError, ValueError):
     """File is not a well-formed state container (magic, header or payload length)."""
 

@@ -15,14 +15,15 @@ x_S, the component at probe position x is relabeled as follows:
   xi_i = b(x, g_i) (x_S - x).  It is not stored: ``mass_position`` is
   kept as it was, and xi is derived when needed, as
   ``b * (mass_position - x)`` with ``b`` from
-  ``build_tetrad(source_metric, x)``;
-* the branch metric register becomes the flat metric: by construction
-  f^T g_i f = eta at every support point, which is the per-branch locally
-  inertial property, verified and reported rather than assumed.  The
-  certificate is max |f^T g_i f - eta| over the support, read from the
-  diagonals (``tetrad.diagonal_frame_deviation``) in the same evaluation
-  as the measure, once per (metric, grid) (``qstate.metric_on_grid``), so
-  ``to_qlif`` evaluates no metric.
+  ``build_tetrad(metric, x)``;
+* the branch keeps its label and its metric g_i; the state's frame tag
+  becomes P, under which its samples are weighed flat, because by
+  construction f^T g_i f = eta at every support point, which is the
+  per-branch locally inertial property, verified and reported rather
+  than assumed.  The certificate is max |f^T g_i f - eta| over the
+  support, read from the diagonals (``tetrad.diagonal_frame_deviation``)
+  in the same evaluation as the measure, once per (metric, grid)
+  (``qstate.metric_on_grid``), so ``to_qlif`` evaluates no metric.
 
 The round-trip figure |<input | from_qlif(output)> - 1| is computed
 branch by branch inside ``to_qlif``, without building the inverse state:
@@ -33,12 +34,11 @@ figure is theirs bit for bit.
 
 The transformation never mixes branches (it is block-diagonal in the
 (mass_label, metric) key).  It is fixed entirely by the branch metric on
-the source grid, so each output branch keeps only that metric
-(``Branch.source_metric``, which also keys it and which the state
-container keeps); the source grid is the negated P-frame grid,
-and the frames f(x, g_i) and the measure are re-derived from the metric's
-diagonal wherever they are needed (deterministically, so they come out the
-same every time), through the public names of module ``tetrad``.
+the source grid, the negated P-frame grid, so a P-frame branch keeps only
+its metric (``Branch.metric``, which keys it in both frames), and the
+frames f(x, g_i) and the measure are re-derived from the metric's diagonal
+wherever they are needed (deterministically, so they come out the same
+every time), through the public names of module ``tetrad``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MissingSourceMetric, SingularRegion, WrongFrame
+from .errors import SingularRegion, WrongFrame
 from .qstate import (
     Branch,
     Frame,
@@ -58,7 +58,6 @@ from .qstate import (
     metric_on_grid,
     state_norm,
 )
-from .spacetime import MetricField, Minkowski
 from .tetrad import frame_deviation, tetrad_arrays
 
 # Highest-amplitude support points probed per branch by ``check_qlif_metric``.
@@ -128,12 +127,11 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float, co
 
     factor = np.sqrt(measure)
     scaled = branch.psi * factor
-    psi_new = _freeze(_reverse(scaled))
-    new_branch = replace(branch, metric=Minkowski(branch.metric.units), psi=psi_new, source_metric=branch.metric)
+    new_branch = replace(branch, psi=_freeze(_reverse(scaled)))
 
     # from_qlif's sample, back = scaled / factor (0 where factor is 0, where
     # psi is 0 as well), and inner_product's term for it, in the same
-    # operations; the buffer of ``scaled`` is reused once psi_new is copied
+    # operations; the buffer of ``scaled`` is reused once the new samples are copied
     back = np.divide(scaled, factor, out=scaled, where=factor > 0)
     np.multiply(np.conj(branch.psi), back, out=back)
     back *= measure
@@ -177,38 +175,29 @@ def to_qlif(s: SuperposedState) -> tuple[SuperposedState, QrfTransformReport]:
         max_metric_deviation_at_origin=max(deviations),
         roundtrip_error=abs(complex(overlap) - 1.0),
         branches=tuple(
-            BranchTransformRecord(nb.mass_label, nb.source_metric.label, dev)
+            BranchTransformRecord(nb.mass_label, nb.metric.label, dev)
             for nb, dev in zip(new_branches, deviations)
         ),
     )
     return out, report
 
 
-def _source_metric(branch: Branch) -> MetricField:
-    if branch.source_metric is None:
-        raise MissingSourceMetric(f"branch {branch.key} carries no source metric")
-    return branch.source_metric
-
-
 def from_qlif(s: SuperposedState) -> SuperposedState:
-    """Invert ``to_qlif`` by dividing out the source measure (-g_i)^(1/4).
+    """Invert ``to_qlif`` by dividing out the branch measure (-g_i)^(1/4) over the source grid.
 
-    Points where the measure is 0 (the source metric's singular set, where
+    Points where the measure is 0 (the metric's singular set, where
     ``to_qlif`` only admits zero amplitude) come back as 0.  Raises
-    WrongFrame unless ``s`` is P-frame and MissingSourceMetric if a branch
-    lacks its source metric (a P-frame branch built by hand, not by
-    ``to_qlif`` or ``load_state``).
+    WrongFrame unless ``s`` is P-frame.
     """
     if s.frame != Frame.P:
         raise WrongFrame(f"from_qlif needs a P-frame state, got {s.frame.value}-frame")
     grid = s.grid.negated()
     branches = []
     for branch in s.branches:
-        restored = replace(branch, metric=_source_metric(branch), psi=_reverse(branch.psi), source_metric=None)
-        factor = np.sqrt(branch_sqrt_neg_det(restored, grid))
+        factor = np.sqrt(branch_sqrt_neg_det(branch, grid))
         psi = np.zeros(grid.shape, dtype=complex)
-        np.divide(restored.psi, factor, out=psi, where=factor > 0)
-        branches.append(replace(restored, psi=_freeze(psi)))
+        np.divide(_reverse(branch.psi), factor, out=psi, where=factor > 0)
+        branches.append(replace(branch, psi=_freeze(psi)))
     return SuperposedState(
         branches=tuple(branches),
         grid=grid,
@@ -267,14 +256,13 @@ def check_qlif_metric(s: SuperposedState, *radii: float) -> list[QlifMetricRow]:
     grid = s.grid.negated()
     frames = []
     for branch in s.branches:
-        metric = _source_metric(branch)
-        measure = branch_sqrt_neg_det(replace(branch, metric=metric), grid).reshape(-1)
+        measure = branch_sqrt_neg_det(branch, grid).reshape(-1)
         weight = np.abs(_reverse(np.asarray(branch.psi)).reshape(-1))
         weight[measure == 0] = 0.0
         chosen = _heaviest(weight, min(CHECK_SAMPLE_POINTS, np.count_nonzero(weight)))
         anchors = grid.points4_at(chosen)
-        _, f = tetrad_arrays(metric.diagonal_batch(anchors))
-        frames.append((branch.mass_label, metric, anchors, f))
+        _, f = tetrad_arrays(branch.metric.diagonal_batch(anchors))
+        frames.append((branch.mass_label, branch.metric, anchors, f))
 
     rows = []
     for radius in radii:

@@ -4,11 +4,13 @@ A state is a finite sum of branches.  Each branch pairs a mass-configuration
 label and a classical metric with the relative wavefunction of the probe
 particle, sampled on a shared spatial grid at one fixed coordinate time
 (the equal-time restriction: the time label is a parameter, not a grid
-axis).  Wavefunctions are measured with the branch's own volume weight
-sqrt(-g_i) d^3x, so
+axis).  The frame tag alone sets the weight of the samples: the branch's
+own volume weight sqrt(-g_i) d^3x in the R frame, d^3x in the P frame
+(the probe's QLIF, flat by construction), so
 
     <a|b> = sum over matching (mass_label, metric) branches of
-            conj(amp_a) amp_b * sum_points conj(psi_a) psi_b sqrt(-g_i) dV
+            conj(amp_a) amp_b * sum_points conj(psi_a) psi_b w_i dV,
+    w_i = sqrt(-g_i) in the R frame, 1 in the P frame,
 
 and branches with different labels are orthogonal by construction, which is
 how "macroscopically distinguishable implies orthogonal" is represented.
@@ -33,8 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadContainer, GridMismatch, MissingSourceMetric, OffGridTranslation, WrongFrame, ZeroNorm
-from .spacetime import FourVector, MetricField, UnitSystem, metric_from_dict, sqrt_neg_det_diagonal
+from .errors import BadContainer, GridMismatch, OffGridTranslation, WrongFrame, ZeroNorm
+from .spacetime import FourVector, MetricField, Minkowski, UnitSystem, metric_from_dict, sqrt_neg_det_diagonal
 from .tetrad import diagonal_frame_deviation
 
 
@@ -127,14 +129,13 @@ class Branch:
     """One term of the superposition.
 
     ``psi`` is the relative wavefunction of the probe over the state's
-    grid (complex, shape grid.shape).  ``metric`` is the branch's metric
-    register; for P-frame branches it is the flat metric.
-    ``source_metric`` is the pre-transformation metric, set only on
-    branches produced by the QLIF transformation (and kept through the
-    state container): it keys the branch, so branch matching survives the
-    frame change, and since the source grid is the negated state grid the
-    tetrads and the measure of the transformation follow from it and
-    nothing per point is stored.  It is None on R-frame branches.
+    grid (complex, shape grid.shape).  ``metric`` is the branch's
+    spacetime g_i in both frames: the QLIF transformation re-expresses
+    only ``psi``, so the branch keeps its key through the frame change.
+    In the P frame the metric is read over the source grid (the negated
+    state grid), where the tetrads and the measure of the transformation
+    follow from it and nothing per point is stored; the samples
+    themselves are weighed flat there (see the module notes).
     """
 
     amplitude: complex
@@ -142,12 +143,11 @@ class Branch:
     mass_position: FourVector
     metric: MetricField
     psi: np.ndarray
-    source_metric: MetricField | None = None
 
     @property
     def key(self) -> tuple[str, MetricField]:
         """(mass_label, metric) pair used for branch matching; the metric compares by value."""
-        return (self.mass_label, self.source_metric or self.metric)
+        return (self.mass_label, self.metric)
 
 
 @dataclass(frozen=True)
@@ -214,14 +214,14 @@ def branch_sqrt_neg_det(branch: Branch, grid: GridSpec) -> np.ndarray:
     """sqrt(-g) of the branch metric over the grid, shape grid.shape, read-only.
 
     Points inside the metric's singular set get weight 0, so samples there
-    count for nothing in norms and overlaps; ``to_qlif`` rejects a branch
-    with amplitude there.  Read from ``metric_on_grid``."""
+    count for nothing in R-frame norms and overlaps; ``to_qlif`` rejects a
+    branch with amplitude there.  Read from ``metric_on_grid``."""
     return metric_on_grid(branch.metric, grid).measure
 
 
-def _branch_measure_norm_sq(branch: Branch, grid: GridSpec) -> float:
-    w = branch_sqrt_neg_det(branch, grid)
-    return float(np.sum(w * np.abs(branch.psi) ** 2).real * grid.dvol)
+def _measure(branch: Branch, grid: GridSpec, frame: Frame) -> np.ndarray | float:
+    """Weight of the branch's samples: sqrt(-g) in the R frame, 1 in the (flat) P frame."""
+    return branch_sqrt_neg_det(branch, grid) if frame == Frame.R else 1.0
 
 
 def make_state(
@@ -232,15 +232,16 @@ def make_state(
 ) -> SuperposedState:
     """Build a normalized superposed state.
 
-    Each branch wavefunction is normalized under its own sqrt(-g) measure
-    and the amplitude vector is scaled to unit total weight, so the result
+    Each branch wavefunction is normalized under its frame's measure and
+    the amplitude vector is scaled to unit total weight, so the result
     satisfies <state|state> = 1.  The absorbed overall constant is recorded
     as ``prefactor``.
 
     Raises ZeroNorm for an identically-zero wavefunction, GridMismatch for
     a wavefunction of the wrong shape, and ValueError for non-finite
-    samples or amplitudes, duplicate (mass_label, metric) pairs or
-    amplitudes that are all zero.
+    samples or amplitudes, a metric in other units than ``units`` (which
+    defaults to the first branch's), duplicate (mass_label, metric) pairs
+    or amplitudes that are all zero.
     """
     branches = list(branches)
     if not branches:
@@ -254,6 +255,8 @@ def make_state(
     normalized = []
     weights = []
     for b in branches:
+        if b.metric.units != units:
+            raise ValueError(f"branch {b.key}: metric units differ from the state's {units}")
         psi = np.asarray(b.psi, dtype=complex)
         if psi.shape != grid.shape:
             raise GridMismatch(f"psi shape {psi.shape} != grid shape {grid.shape}")
@@ -263,7 +266,7 @@ def make_state(
             raise ValueError(f"branch {b.key}: amplitude {b.amplitude!r} is not finite")
         if not np.any(psi):
             raise ZeroNorm(f"branch {b.key}: psi is identically zero")
-        nrm_sq = _branch_measure_norm_sq(replace(b, psi=psi), grid)
+        nrm_sq = float(np.sum(_measure(b, grid, frame) * np.abs(psi) ** 2).real * grid.dvol)
         if nrm_sq <= 0.0:
             raise ZeroNorm(f"branch {b.key}: zero measure-weighted norm")
         nrm = np.sqrt(nrm_sq)
@@ -283,7 +286,7 @@ def make_state(
 
 
 def inner_product(a: SuperposedState, b: SuperposedState) -> complex:
-    """<a|b> with the per-branch sqrt(-g) measure and branch-label orthogonality.
+    """<a|b> with the frame's per-branch measure and branch-label orthogonality.
 
     Branches are matched on their (mass_label, metric) key; unmatched
     branches contribute exactly zero.  Raises GridMismatch if the grids
@@ -299,7 +302,7 @@ def inner_product(a: SuperposedState, b: SuperposedState) -> complex:
         br_b = b_by_key.get(br_a.key)
         if br_b is None:
             continue
-        w = branch_sqrt_neg_det(br_a, a.grid)
+        w = _measure(br_a, a.grid, a.frame)
         s = np.sum(np.conj(br_a.psi) * br_b.psi * w) * a.grid.dvol
         out += np.conj(br_a.amplitude) * br_b.amplitude * s
     return complex(out)
@@ -365,17 +368,21 @@ def gaussian_psi(grid: GridSpec, center, sigma, momentum=None, hbar: float = 1.0
 #
 # Layout: magic, format version, u64 header length, UTF-8 JSON header, then
 # per branch (in header order) the raw complex128 little-endian samples,
-# row-major with axis order (x, y, z).  Format 2 writes each branch's
-# source metric as its ``describe()`` record (null on R-frame branches), so
-# a reloaded P-frame state inverts like the one that was saved.  Format 1
-# kept only a label string for it and is not read: such files are
-# regenerated from their config by ``qlif transform``.
+# row-major with axis order (x, y, z).  Format 2 keeps a P-frame branch's
+# metric (its ``describe()`` record) under ``source_metric``, beside a flat
+# ``metric`` register; an R-frame record keeps it under ``metric``, with a
+# null ``source_metric``.  So a reloaded P-frame state inverts like the one
+# that was saved.  Format 1 kept only a label string for the P-frame metric
+# and is not read: such files are regenerated from their config by
+# ``qlif transform``.
 
 _MAGIC = b"QLIFSTA1"
 FORMAT = 2
 
 
 def _state_header(s: SuperposedState) -> dict:
+    flat = Minkowski(s.units).describe()
+    p_frame = s.frame == Frame.P
     return {
         "format": FORMAT,
         "grid": {"lo": list(s.grid.lo), "hi": list(s.grid.hi), "n": list(s.grid.n), "t0": s.grid.t0},
@@ -387,8 +394,8 @@ def _state_header(s: SuperposedState) -> dict:
                 "amplitude": [b.amplitude.real, b.amplitude.imag],
                 "mass_label": b.mass_label,
                 "mass_position": b.mass_position.array.tolist(),
-                "metric": b.metric.describe(),
-                "source_metric": None if b.source_metric is None else b.source_metric.describe(),
+                "metric": flat if p_frame else b.metric.describe(),
+                "source_metric": b.metric.describe() if p_frame else None,
             }
             for b in s.branches
         ],
@@ -396,13 +403,7 @@ def _state_header(s: SuperposedState) -> dict:
 
 
 def save_state(s: SuperposedState, path) -> None:
-    """Write the state container (see module notes for the layout).
-
-    Raises MissingSourceMetric for a P-frame branch without a source metric, which could not be reloaded.
-    """
-    for b in s.branches:
-        if s.frame == Frame.P and b.source_metric is None:
-            raise MissingSourceMetric(f"P-frame branch {b.key} has no source metric")
+    """Write the state container (see module notes for the layout)."""
     header = json.dumps(_state_header(s), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -418,7 +419,8 @@ def load_state(path) -> SuperposedState:
     Raises BadContainer for a wrong magic or format version, a short or
     unreadable header, a missing or invalid header field, a source metric
     that does not match the frame (required on P-frame branches, absent on
-    R-frame ones), a truncated payload and trailing bytes.
+    R-frame ones), a P-frame metric register that is not flat, a truncated
+    payload and trailing bytes.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -447,21 +449,25 @@ def load_state(path) -> SuperposedState:
             frame = Frame(header["frame"])
             prefactor = complex(*header["prefactor"])
             records = [
-                dict(
-                    amplitude=complex(*rec["amplitude"]),
-                    mass_label=rec["mass_label"],
-                    mass_position=FourVector.from_array(rec["mass_position"]),
-                    metric=metric_from_dict(rec["metric"], units),
-                    source_metric=None if rec["source_metric"] is None else metric_from_dict(rec["source_metric"], units),
+                (
+                    dict(
+                        amplitude=complex(*rec["amplitude"]),
+                        mass_label=rec["mass_label"],
+                        mass_position=FourVector.from_array(rec["mass_position"]),
+                    ),
+                    metric_from_dict(rec["metric"], units),
+                    None if rec["source_metric"] is None else metric_from_dict(rec["source_metric"], units),
                 )
                 for rec in header["branches"]
             ]
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise BadContainer(f"bad header field: {exc!r}") from exc
-        for rec in records:
-            if (rec["source_metric"] is None) == (frame == Frame.P):
+        for rec, register, source in records:
+            if (source is None) == (frame == Frame.P):
                 verb = "lacks" if frame == Frame.P else "has"
                 raise BadContainer(f"{frame.value}-frame branch {rec['mass_label']!r} {verb} a source metric")
+            if source is not None and not isinstance(register, Minkowski):
+                raise BadContainer(f"P-frame branch {rec['mass_label']!r} has a curved metric register")
         count = math.prod(grid.shape)
         payload = size - prefix - hlen
         expected = 16 * count * len(records)
@@ -470,9 +476,9 @@ def load_state(path) -> SuperposedState:
         if payload > expected:
             raise BadContainer(f"{payload - expected} trailing bytes after the last branch")
         branches = []
-        for rec in records:
+        for rec, register, source in records:
             psi = np.fromfile(fh, dtype="<c16", count=count).astype(complex, copy=False)
-            branches.append(Branch(psi=_freeze(psi.reshape(grid.shape)), **rec))
+            branches.append(Branch(metric=source or register, psi=_freeze(psi.reshape(grid.shape)), **rec))
     return SuperposedState(
         branches=tuple(branches), grid=grid, frame=frame, units=units, prefactor=prefactor
     )

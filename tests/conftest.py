@@ -84,7 +84,7 @@ def two_branch_state(
 def derived_b_xi(branch, grid):
     """Tetrad diagonals b and local mass coordinates xi = b (x_S - x) of a P-frame branch over its source grid."""
     pts = grid_points(grid)
-    b, _ = tetrad_arrays(branch.source_metric.diagonal_batch(pts))
+    b, _ = tetrad_arrays(branch.metric.diagonal_batch(pts))
     xi = b * (branch.mass_position.array[None, :] - pts)
     return b, xi
 

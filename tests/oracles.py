@@ -232,7 +232,7 @@ def loop_qlif_metric_rows(state, radius: float, sample_points: int = 16) -> list
     pts = grid_points(grid)
     rows = []
     for branch in state.branches:
-        metric = branch.source_metric
+        metric = branch.metric
         weight = np.abs(np.asarray(branch.psi)[::-1, ::-1, ::-1]).reshape(-1)
         weight[~metric.valid_mask(pts)] = 0.0
         k = min(sample_points, np.count_nonzero(weight))

@@ -85,7 +85,7 @@ def test_criterion_3_branch_classicality(units):
     state = two_branch_state(units, grid=grid)
     single = make_state([state.branches[0]], grid, units=units)
     out, _ = to_qlif(single)
-    field = out.branches[0].source_metric
+    field = out.branches[0].metric
     mass_pos = single.branches[0].mass_position
     pts = grid_points(grid)
     b, xi = derived_b_xi(out.branches[0], out.grid.negated())

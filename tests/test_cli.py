@@ -187,6 +187,20 @@ def test_collapse_table(tmp_path):
         assert abs(t_geo - t_si * c) / t_geo < 1e-10
 
 
+def test_collapse_far_field_row_is_the_sum_of_the_self_energies(tmp_path):
+    # d = inf moves the copy out of reach: E = G (W_aa + W_bb) = 2.4 G m^2 / R for a sphere
+    payload = collapse_config()
+    payload["collapse"]["separations"] = [1e-7, float("inf")]
+    out = tmp_path / "out"
+    assert main(["collapse", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    near, far = csv.DictReader(open(out / "collapse_table.csv"))
+    G, hbar = 6.6743e-11, 1.054571817e-34
+    assert far["d"] == "inf"
+    assert float(far["E_delta"]) == pytest.approx(2.4 * G * 1e-14**2 / 1e-7, rel=1e-12)
+    assert float(far["t_delta"]) == pytest.approx(hbar / float(far["E_delta"]), rel=1e-12)
+    assert float(far["E_delta"]) > float(near["E_delta"])
+
+
 def test_selftest_passes(tmp_path, capsys):
     payload = {"units": "geometric", "seed": 0}
     out = tmp_path / "out"

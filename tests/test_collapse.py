@@ -92,6 +92,21 @@ def test_monotone_in_separation(units, spheres):
     assert rows[0][2] is None  # infinite lifetime marker
 
 
+@pytest.mark.parametrize("d", [-1.0, np.nan])
+def test_sweep_rejects_a_separation_that_is_not_nonnegative(units, spheres, d):
+    with pytest.raises(ValueError, match="separations must be >= 0"):
+        separation_sweep(spheres[0], [d], units)
+
+
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (1.0, -1.0, 0.0)])
+def test_sweep_far_field_row_is_the_sum_of_the_self_energies(units, spheres, axis):
+    a, _ = spheres
+    ((d, e, t),) = separation_sweep(a, [np.inf], units, axis=axis)
+    assert d == np.inf
+    assert e == units.G * 2.0 * _pair_uniform_equal(a.mass, a.mass, a.radius, 0.0)
+    assert t == units.hbar / e
+
+
 def test_mass_scaling_quadratic(units, spheres):
     a, b = spheres
     base = delta_self_energy(a, b, units)

@@ -26,7 +26,7 @@ from qlif.dynamics import (
     translation_covariance_check,
     velocity_norm,
 )
-from qlif.errors import OffGridTranslation, SingularRegion
+from qlif.errors import OffGridTranslation, SingularRegion, WrongFrame
 from qlif.qrf import to_qlif
 from qlif.qstate import GridSpec, inner_product, state_norm, translate_state
 from qlif.spacetime import (
@@ -406,6 +406,13 @@ def test_geodesic_superposition_branches_bend_apart(units):
     assert all(b >= a for a, b in zip(dev, dev[1:]))
 
 
+def test_geodesic_superposition_rejects_a_p_frame_state(units):
+    # P-frame coordinates are relative: the branch metrics do not hold there
+    transformed, _ = to_qlif(two_branch_state(units))
+    with pytest.raises(WrongFrame, match="R-frame"):
+        geodesic_superposition(transformed, (0.0, 0.0, 0.0), 1.0, 10)
+
+
 # ---------------------------------------------------------------------------
 # flat-space free evolution
 # ---------------------------------------------------------------------------
@@ -430,6 +437,13 @@ def test_evolve_zero_time_is_identity(line):
         evolve_free(line, -1.0, 1.0)
     with pytest.raises(ValueError):
         evolve_free(line, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("mass", [np.inf, np.nan, -1.0])
+def test_evolve_rejects_a_mass_that_is_not_finite_and_positive(line, mass):
+    # at mass = inf the kinetic phase would be 1 and the call an fft round trip
+    with pytest.raises(ValueError, match="mass must be finite and > 0"):
+        evolve_free(line, 1.0, mass)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf])

@@ -6,7 +6,8 @@ import pytest
 from conftest import derived_b_xi, two_branch_state
 from oracles import grid_mesh, grid_points, loop_qlif_metric_rows, matmul_certificate, metric_matrices
 from qlif import qrf
-from qlif.errors import DegenerateMetric, MissingSourceMetric, SingularRegion, WrongFrame
+from qlif.dynamics import branch_centroid, evolve_free
+from qlif.errors import DegenerateMetric, SingularRegion, WrongFrame
 from qlif.qrf import QrfTransformReport, _heaviest, check_qlif_metric, from_qlif, to_qlif
 from qlif.qstate import (
     Branch,
@@ -99,7 +100,7 @@ def test_single_branch_matches_classical_tetrad_map(units):
     s = two_branch_state(units, grid=grid)
     single = make_state([s.branches[0]], grid, units=units)
     out, _ = to_qlif(single)
-    assert out.branches[0].source_metric is single.branches[0].metric
+    assert out.branches[0].metric is single.branches[0].metric
     b, xi_all = derived_b_xi(out.branches[0], out.grid.negated())
     field = single.branches[0].metric
     mass_pos = single.branches[0].mass_position
@@ -180,28 +181,30 @@ def test_wrong_frame_rejected(units):
 
 
 def test_reloaded_state_inverts(units, tmp_path):
-    # the container keeps each branch's source metric, so the transform
-    # stays invertible across save_state / load_state
+    # the container keeps each branch's metric, so the transform stays
+    # invertible across save_state / load_state
     s = two_branch_state(units, rng=np.random.default_rng(21))
     out, _ = to_qlif(s)
     path = tmp_path / "p.qst"
     save_state(out, path)
     reloaded = load_state(path)
-    assert [b.source_metric for b in reloaded.branches] == [b.metric for b in s.branches]
+    assert [b.metric for b in reloaded.branches] == [b.metric for b in s.branches]
     assert [b.key for b in reloaded.branches] == [b.key for b in s.branches]
     assert abs(inner_product(s, from_qlif(reloaded)) - 1.0) < 1e-8
     for radius in (0.0, 0.05):
         assert check_qlif_metric(reloaded, radius) == check_qlif_metric(out, radius)
 
 
-def test_p_frame_branch_built_by_hand_cannot_invert(units):
+def test_p_frame_branch_built_by_hand_inverts(units):
+    # a flat branch's measure is 1, so from_qlif only reverses the samples,
+    # and its local metric is eta at every radius
     grid = GridSpec(lo=(-2, -2, -2), hi=(2, 2, 2), n=(9, 9, 9))
-    psi = gaussian_psi(grid, (0, 0, 0), 0.5)
+    psi = gaussian_psi(grid, (0.3, -0.2, 0.1), 0.5)
     s = make_state([Branch(1.0, "M", FourVector(0, 0, 0, 0), Minkowski(units), psi)], grid, frame=Frame.P)
-    with pytest.raises(MissingSourceMetric):
-        from_qlif(s)
-    with pytest.raises(MissingSourceMetric):
-        check_qlif_metric(s, 0.1)
+    back = from_qlif(s)
+    assert back.frame == Frame.R and back.grid == grid.negated()
+    assert np.array_equal(back.branches[0].psi, s.branches[0].psi[::-1, ::-1, ::-1])
+    assert [row.max_deviation for row in check_qlif_metric(s, 0.0, 0.1)] == [0.0, 0.0]
 
 
 def _first_singular_support_point(s):
@@ -351,6 +354,26 @@ def test_to_qlif_on_a_warm_cache_evaluates_no_source_metric(units, monkeypatch):
     monkeypatch.setattr(WeakFieldPointMass, "valid_mask", no_eval)
     out, report = to_qlif(s)
     assert report.roundtrip_error < 1e-8
+
+
+def test_p_frame_state_reads_no_metric(units, monkeypatch):
+    # the QLIF is flat by construction, so the frame tag alone sets the
+    # weight of the P-frame samples to 1: no metric is evaluated for it
+    out, _ = to_qlif(two_branch_state(units))
+    metric_on_grid.cache_clear()
+
+    def no_eval(*args, **kwargs):
+        raise AssertionError("metric evaluated")
+
+    for cls in (Minkowski, WeakFieldPointMass):
+        monkeypatch.setattr(cls, "valid_mask", no_eval)
+        monkeypatch.setattr(cls, "diagonal_batch", no_eval)
+    assert state_norm(out) == pytest.approx(1.0, abs=1e-12)
+    assert inner_product(out, out).real == state_norm(out)
+    psi = out.branches[0].psi
+    x = out.grid.axis(0)[:, None, None]
+    assert branch_centroid(out, 0).x == float(np.sum(np.abs(psi) ** 2 * x) / np.sum(np.abs(psi) ** 2))
+    assert state_norm(evolve_free(out, 0.4, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("make", [two_branch_state, _schwarzschild_state, _minkowski_state])

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from qlif.dynamics import branch_centroid
 from qlif.errors import (
     BadContainer,
     GridMismatch,
-    MissingSourceMetric,
     OffGridTranslation,
     WrongFrame,
     ZeroNorm,
@@ -154,7 +154,12 @@ def test_different_units_give_unequal_keys(units, grid):
     b = _weak_branch(other, grid)
     assert a.metric.label == b.metric.label  # the display form omits units
     assert a.key != b.key
-    assert inner_product(make_state([a], grid), make_state([b], grid, units=units)) == 0j
+    assert inner_product(make_state([a], grid), make_state([b], grid)) == 0j
+    # a state holds metrics of its own units only, which its container records once
+    with pytest.raises(ValueError, match="units"):
+        make_state([b], grid, units=units)
+    with pytest.raises(ValueError, match="units"):
+        make_state([a, replace(b, mass_label="N")], grid)
 
 
 def test_measure_cache_keys_on_units_and_grid(units, grid):
@@ -522,10 +527,12 @@ def test_load_rejects_bad_source_metric_record(units, tmp_path):
         _load_bytes(tmp_path, head + payload)
 
 
-def test_save_rejects_p_frame_branch_without_source_metric(units, grid, tmp_path):
-    s = make_state([flat_branch(units, grid)], grid, frame=Frame.P)
-    with pytest.raises(MissingSourceMetric):
-        save_state(s, tmp_path / "p.qst")
+def test_load_rejects_a_curved_p_frame_register(units, tmp_path):
+    # save_state writes a flat register beside each P-frame branch's metric
+    spec = WeakFieldPointMass(units, 1e-6, 1e-3, (1.5, 0.0, 0.0)).describe()
+    head, payload = _edited_header(_p_frame_bytes(units, tmp_path), lambda h: h["branches"][1].update(metric=spec))
+    with pytest.raises(BadContainer, match="P-frame branch 'R' has a curved metric register"):
+        _load_bytes(tmp_path, head + payload)
 
 
 def test_load_rejects_grid_whose_point_count_overflows_int64(units, tmp_path):
