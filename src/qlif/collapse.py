@@ -22,16 +22,20 @@ Three evaluation routes are provided and kept deliberately independent:
   (mixed kinds, unequal radii),
 * a fixed-seed Monte-Carlo double integral, the brute-force oracle the
   faster routes are tested against.
+
+scipy (``special.erf`` and ``integrate.quad``) is imported on first use,
+once per process, by the Gaussian and quadrature routes only: equal-sphere
+pairs, and so every sample config, never load it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erf
 
 from .errors import InfiniteLifetime, QuadratureNonConvergence
 from .spacetime import UnitSystem
@@ -40,21 +44,34 @@ CONVENTION = "E = G * iint d3r d3r' drho(r) drho(r') / |r - r'|"
 
 
 @dataclass(frozen=True)
-class UniformSphere:
+class _Distribution:
+    """Spherically symmetric density: its fields are a mass and a size, finite
+    floats > 0, then a centre, a 3-tuple of finite floats."""
+
+    def __post_init__(self):
+        mass, size, _ = self.__dataclass_fields__
+        for name in (mass, size):
+            v = float(getattr(self, name))
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+            object.__setattr__(self, name, v)
+        center = tuple(float(c) for c in self.center)
+        if len(center) != 3 or not all(map(math.isfinite, center)):
+            raise ValueError("center must be a finite 3-vector")
+        object.__setattr__(self, "center", center)
+
+
+@dataclass(frozen=True)
+class UniformSphere(_Distribution):
     """Homogeneous ball of total mass ``mass`` and radius ``radius``."""
 
     mass: float
     radius: float
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        if not (self.mass > 0.0 and self.radius > 0.0):
-            raise ValueError("mass and radius must be > 0")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_Distribution):
     """Isotropic Gaussian density of total mass ``mass`` and width ``width``.
 
     rho(r) = mass (2 pi width^2)^(-3/2) exp(-r^2 / (2 width^2)).
@@ -64,13 +81,21 @@ class Gaussian:
     width: float
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        if not (self.mass > 0.0 and self.width > 0.0):
-            raise ValueError("mass and width must be > 0")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-
 
 MassDistribution = UniformSphere | Gaussian
+
+
+@functools.cache
+def _scipy():
+    """scipy with its ``special`` and ``integrate`` modules, imported once on first use."""
+    import scipy.integrate
+    import scipy.special
+
+    return scipy
+
+
+def _erf(x):
+    return _scipy().special.erf(x)
 
 
 def _separation(a: MassDistribution, b: MassDistribution) -> float:
@@ -99,7 +124,7 @@ def _pair_gaussian(m1: float, m2: float, w1: float, w2: float, d: float) -> floa
     s = np.sqrt(w1**2 + w2**2)
     if d == 0.0:
         return m1 * m2 * np.sqrt(2.0 / np.pi) / s
-    return m1 * m2 * float(erf(d / (np.sqrt(2.0) * s))) / d
+    return m1 * m2 * float(_erf(d / (np.sqrt(2.0) * s))) / d
 
 
 def _pair_analytic(a: MassDistribution, b: MassDistribution, d: float) -> float | None:
@@ -136,7 +161,7 @@ def _coulomb_potential(dist: MassDistribution, s: np.ndarray) -> np.ndarray:
     out = np.empty_like(s)
     small = s < 1e-12 * w
     out[small] = M * np.sqrt(2.0 / np.pi) / w
-    out[~small] = M * erf(s[~small] / (np.sqrt(2.0) * w)) / s[~small]
+    out[~small] = M * _erf(s[~small] / (np.sqrt(2.0) * w)) / s[~small]
     return out
 
 
@@ -150,7 +175,7 @@ def _potential_integral(dist: MassDistribution, s: np.ndarray) -> np.ndarray:
         return inner + M * np.maximum(s - R, 0.0)
     M, w = dist.mass, dist.width
     sw = np.sqrt(2.0) * w
-    return M * (s * erf(s / sw) + sw / np.sqrt(np.pi) * (np.exp(-(s**2) / sw**2) - 1.0))
+    return M * (s * _erf(s / sw) + sw / np.sqrt(np.pi) * (np.exp(-(s**2) / sw**2) - 1.0))
 
 
 def _radial_density(dist: MassDistribution, r: np.ndarray) -> np.ndarray:
@@ -183,6 +208,7 @@ def _pair_quadrature(
 
     # quadpack refuses tolerances below machine precision; ask for what it
     # can deliver and hold the result to the caller's tolerance ourselves
+    integrate = _scipy().integrate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, abserr = integrate.quad(
@@ -215,7 +241,11 @@ def delta_self_energy(
     Raises QuadratureNonConvergence if the fallback integral cannot reach
     ``rtol``.
     """
-    d = _separation(a, b)
+    return _delta_self_energy_at(a, b, _separation(a, b), units, rtol)
+
+
+def _delta_self_energy_at(a, b, d, units, rtol=1e-10):
+    # d = inf puts b out of reach of a: W_ab = 0
     w_aa = _pair_term(a, a, 0.0, rtol)
     w_bb = _pair_term(b, b, 0.0, rtol)
     w_ab = _pair_term(a, b, d, rtol)
@@ -291,20 +321,25 @@ def separation_sweep(
 
     ``t`` is None on rows with zero self-energy (the infinite-lifetime
     case, marked explicitly by the CLI).  d = inf is the far-field row,
-    E = G (W_aa + W_bb): only the axis's nonzero components move, so no
-    0 * inf turns the centre NaN.  ValueError unless d >= 0 (NaN included).
+    E = G (W_aa + W_bb), taken without a copy at infinity: a distribution's
+    centre is finite.  ValueError unless d >= 0 (NaN included) and unless
+    ``axis`` is a finite nonzero 3-vector.
     """
     axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+    norm = np.linalg.norm(axis) if axis.shape == (3,) else math.nan
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"axis must be a finite nonzero 3-vector, got {axis.tolist()!r}")
+    axis = (axis / norm).tolist()
     rows = []
     for d in separations:
         if not d >= 0.0:
             raise ValueError(f"separations must be >= 0, got {d!r}")
-        moved = replace(
-            template_a,
-            center=tuple(c + d * a if a else c for c, a in zip(template_a.center, axis)),
-        )
-        e = delta_self_energy(template_a, moved, units)
+        d = float(d)
+        if d == math.inf:
+            e = _delta_self_energy_at(template_a, template_a, d, units)
+        else:
+            moved = replace(template_a, center=tuple(c + d * a for c, a in zip(template_a.center, axis)))
+            e = delta_self_energy(template_a, moved, units)
         t = units.hbar / e if e > 0.0 else None
-        rows.append((float(d), e, t))
+        rows.append((d, e, t))
     return rows

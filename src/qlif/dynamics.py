@@ -123,8 +123,8 @@ def integrate_geodesic(
     lies outside the singular set, since each new state is judged (as the
     first stage of the next step) before it is kept.
     """
-    if dtau <= 0.0:
-        raise ValueError("dtau must be > 0")
+    if not 0.0 < dtau < math.inf:
+        raise ValueError("dtau must be finite and > 0")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     c = field.units.c

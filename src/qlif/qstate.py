@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadContainer, GridMismatch, OffGridTranslation, WrongFrame, ZeroNorm
-from .spacetime import FourVector, MetricField, Minkowski, UnitSystem, metric_from_dict, sqrt_neg_det_diagonal
+from .spacetime import FourVector, MetricField, UnitSystem, metric_from_dict, sqrt_neg_det_diagonal
 from .tetrad import diagonal_frame_deviation
 
 
@@ -351,13 +351,17 @@ def gaussian_psi(grid: GridSpec, center, sigma, momentum=None, hbar: float = 1.0
     """
     center = np.broadcast_to(np.asarray(center, dtype=float), (3,))
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (3,))
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be > 0")
+    if not np.all(np.isfinite(center)):
+        raise ValueError("center must be finite")
+    if not np.all((sigma > 0) & np.isfinite(sigma)):
+        raise ValueError("sigma must be finite and > 0")
     x, y, z = grid.open_mesh()
     q = ((x - center[0]) / sigma[0]) ** 2 + ((y - center[1]) / sigma[1]) ** 2 + ((z - center[2]) / sigma[2]) ** 2
     psi = np.exp(-0.5 * q).astype(complex)
     if momentum is not None:
         p = np.broadcast_to(np.asarray(momentum, dtype=float), (3,))
+        if not np.all(np.isfinite(p)):
+            raise ValueError("momentum must be finite")
         psi *= np.exp(1j * (p[0] * x + p[1] * y + p[2] * z) / hbar)
     return psi
 
@@ -368,21 +372,18 @@ def gaussian_psi(grid: GridSpec, center, sigma, momentum=None, hbar: float = 1.0
 #
 # Layout: magic, format version, u64 header length, UTF-8 JSON header, then
 # per branch (in header order) the raw complex128 little-endian samples,
-# row-major with axis order (x, y, z).  Format 2 keeps a P-frame branch's
-# metric (its ``describe()`` record) under ``source_metric``, beside a flat
-# ``metric`` register; an R-frame record keeps it under ``metric``, with a
-# null ``source_metric``.  So a reloaded P-frame state inverts like the one
-# that was saved.  Format 1 kept only a label string for the P-frame metric
-# and is not read: such files are regenerated from their config by
-# ``qlif transform``.
+# row-major with axis order (x, y, z).  Every branch record holds its
+# metric's ``describe()`` record under ``metric`` in both frames; the
+# header's ``frame`` alone says how the samples are weighed, as it does in
+# memory.  So a reloaded P-frame state inverts like the one that was saved.
+# Formats 1 and 2 stored the P-frame metric differently and are not read:
+# such files are regenerated from their config by ``qlif transform``.
 
 _MAGIC = b"QLIFSTA1"
-FORMAT = 2
+FORMAT = 3
 
 
 def _state_header(s: SuperposedState) -> dict:
-    flat = Minkowski(s.units).describe()
-    p_frame = s.frame == Frame.P
     return {
         "format": FORMAT,
         "grid": {"lo": list(s.grid.lo), "hi": list(s.grid.hi), "n": list(s.grid.n), "t0": s.grid.t0},
@@ -394,8 +395,7 @@ def _state_header(s: SuperposedState) -> dict:
                 "amplitude": [b.amplitude.real, b.amplitude.imag],
                 "mass_label": b.mass_label,
                 "mass_position": b.mass_position.array.tolist(),
-                "metric": flat if p_frame else b.metric.describe(),
-                "source_metric": b.metric.describe() if p_frame else None,
+                "metric": b.metric.describe(),
             }
             for b in s.branches
         ],
@@ -417,9 +417,7 @@ def load_state(path) -> SuperposedState:
     """Read a state container written by ``save_state``.
 
     Raises BadContainer for a wrong magic or format version, a short or
-    unreadable header, a missing or invalid header field, a source metric
-    that does not match the frame (required on P-frame branches, absent on
-    R-frame ones), a P-frame metric register that is not flat, a truncated
+    unreadable header, a missing or invalid header field, a truncated
     payload and trailing bytes.
     """
     with open(path, "rb") as fh:
@@ -438,8 +436,8 @@ def load_state(path) -> SuperposedState:
             version = header["format"]
         except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad UTF-8 or JSON
             raise BadContainer(f"unreadable header: {exc!r}") from exc
-        if version == 1:
-            raise BadContainer("container format 1 is no longer read; regenerate the file")
+        if version in (1, 2):
+            raise BadContainer(f"container format {version} is no longer read; regenerate the file")
         if version != FORMAT:
             raise BadContainer(f"unknown container format {version!r}")
         try:
@@ -449,25 +447,16 @@ def load_state(path) -> SuperposedState:
             frame = Frame(header["frame"])
             prefactor = complex(*header["prefactor"])
             records = [
-                (
-                    dict(
-                        amplitude=complex(*rec["amplitude"]),
-                        mass_label=rec["mass_label"],
-                        mass_position=FourVector.from_array(rec["mass_position"]),
-                    ),
-                    metric_from_dict(rec["metric"], units),
-                    None if rec["source_metric"] is None else metric_from_dict(rec["source_metric"], units),
+                dict(
+                    amplitude=complex(*rec["amplitude"]),
+                    mass_label=rec["mass_label"],
+                    mass_position=FourVector.from_array(rec["mass_position"]),
+                    metric=metric_from_dict(rec["metric"], units),
                 )
                 for rec in header["branches"]
             ]
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise BadContainer(f"bad header field: {exc!r}") from exc
-        for rec, register, source in records:
-            if (source is None) == (frame == Frame.P):
-                verb = "lacks" if frame == Frame.P else "has"
-                raise BadContainer(f"{frame.value}-frame branch {rec['mass_label']!r} {verb} a source metric")
-            if source is not None and not isinstance(register, Minkowski):
-                raise BadContainer(f"P-frame branch {rec['mass_label']!r} has a curved metric register")
         count = math.prod(grid.shape)
         payload = size - prefix - hlen
         expected = 16 * count * len(records)
@@ -476,9 +465,9 @@ def load_state(path) -> SuperposedState:
         if payload > expected:
             raise BadContainer(f"{payload - expected} trailing bytes after the last branch")
         branches = []
-        for rec, register, source in records:
+        for rec in records:
             psi = np.fromfile(fh, dtype="<c16", count=count).astype(complex, copy=False)
-            branches.append(Branch(metric=source or register, psi=_freeze(psi.reshape(grid.shape)), **rec))
+            branches.append(Branch(psi=_freeze(psi.reshape(grid.shape)), **rec))
     return SuperposedState(
         branches=tuple(branches), grid=grid, frame=frame, units=units, prefactor=prefactor
     )

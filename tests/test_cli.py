@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -430,3 +433,36 @@ def test_negative_seed_flag_is_config_error(tmp_path):
     assert record["error"]["kind"] == "config"
     assert "--seed" in record["error"]["message"]
     assert not (out / "selftest_report.json").exists()
+
+
+_SAMPLE_RUNS_IN_A_FRESH_PROCESS = """
+import json, sys
+from pathlib import Path
+
+loaded = {}
+import qlif
+loaded["import qlif"] = "scipy" in sys.modules
+import qlif.cli
+loaded["import qlif.cli"] = "scipy" in sys.modules
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+for command, cfg in [("transform", "two_branch_weakfield"), ("geodesics", "two_branch_weakfield"),
+                     ("collapse", "collapse_si"), ("selftest", "selftest")]:
+    code = qlif.cli.main([command, "--config", str(configs / f"{cfg}.yaml"), "--out", str(out / command)])
+    loaded[command] = code if code else "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_sample_runs_leave_scipy_unimported(tmp_path):
+    # scipy serves only the Gaussian and quadrature collapse routes, which no
+    # sample config reaches; importing it took most of each run's start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _SAMPLE_RUNS_IN_A_FRESH_PROCESS, str(CONFIGS), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert loaded == dict.fromkeys(
+        ["import qlif", "import qlif.cli", "transform", "geodesics", "collapse", "selftest"], False
+    )

@@ -98,6 +98,38 @@ def test_sweep_rejects_a_separation_that_is_not_nonnegative(units, spheres, d):
         separation_sweep(spheres[0], [d], units)
 
 
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (0.0, 0.0, np.inf), (np.nan, 0.0, 1.0), (0.0, 1.0)])
+def test_sweep_rejects_an_axis_that_is_not_a_finite_nonzero_3_vector(units, spheres, axis):
+    # each would give rows of NaN
+    with pytest.raises(ValueError, match="axis must be a finite nonzero 3-vector"):
+        separation_sweep(spheres[0], [0.5], units, axis=axis)
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: Gaussian(1.0, np.inf), "width must be finite and > 0"),
+        (lambda: Gaussian(np.nan, 1.0), "mass must be finite and > 0"),
+        (lambda: UniformSphere(np.inf, 1.0), "mass must be finite and > 0"),
+        (lambda: UniformSphere(1.0, 0.0), "radius must be finite and > 0"),
+        (lambda: UniformSphere(1.0, 1.0, (np.nan, 0.0, 0.0)), "center must be a finite 3-vector"),
+        (lambda: Gaussian(1.0, 1.0, (0.0, 0.0)), "center must be a finite 3-vector"),
+    ],
+    ids=["gaussian-inf-width", "gaussian-nan-mass", "sphere-inf-mass", "sphere-zero-radius", "nan-center", "2-center"],
+)
+def test_distributions_reject_parameters_that_are_not_finite(make, match):
+    # an infinite width swept to E = 0 (an infinite lifetime), an infinite
+    # mass or a NaN centre to E = nan
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_distributions_store_floats():
+    a = UniformSphere(2, 1, center=np.array([0, 0, 1]))
+    assert a == UniformSphere(2.0, 1.0, (0.0, 0.0, 1.0))
+    assert all(type(v) is float for v in (a.mass, a.radius, *a.center))
+
+
 @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (1.0, -1.0, 0.0)])
 def test_sweep_far_field_row_is_the_sum_of_the_self_energies(units, spheres, axis):
     a, _ = spheres

@@ -153,6 +153,14 @@ def test_unnormalized_initial_velocity_rejected(units):
         integrate_geodesic(mink, bad, 0.1, 1)
 
 
+@pytest.mark.parametrize("dtau", [0.0, -0.1, np.nan, np.inf])
+def test_integrate_rejects_a_step_that_is_not_finite_and_positive(units, dtau):
+    # a NaN or infinite step used to end in a one-state trajectory with an error
+    start = GeodesicState(FourVector(0, 0, 0, 0), FourVector(1.0, 0, 0, 0), 0.0)
+    with pytest.raises(ValueError, match="dtau must be finite and > 0"):
+        integrate_geodesic(Minkowski(units), start, dtau, 1)
+
+
 def test_weak_field_drop_matches_newtonian(units):
     # released from rest at z0; depth grows as g t^2 / 2 with g = GM/z0^2
     mass, z0 = 3e-7, 1.0

@@ -48,7 +48,7 @@ def test_minkowski_branch_is_relational_relabeling(units):
     _, xi = derived_b_xi(out.branches[0], out.grid.negated())
     expected_xi = mass_pos.array[None, :] - grid_points(grid)
     assert np.max(np.abs(xi - expected_xi)) == 0.0
-    # metric register is flat
+    # the branch metric is flat
     assert out.branches[0].metric.label == "minkowski"
     assert abs(report.norm_after - report.norm_before) < 1e-12
     assert report.max_metric_deviation_at_origin < 1e-12

@@ -242,6 +242,25 @@ def test_gaussian_psi_equals_the_meshgrid_route_bit_for_bit():
             assert psi.dtype == complex and psi.shape == grid.shape
 
 
+@pytest.mark.parametrize(
+    "center, sigma, momentum, match",
+    [
+        ((0.0, 0.0, 0.0), 0.0, None, "sigma must be finite and > 0"),
+        ((0.0, 0.0, 0.0), np.nan, None, "sigma must be finite and > 0"),
+        ((0.0, 0.0, 0.0), np.inf, None, "sigma must be finite and > 0"),
+        ((0.0, 0.0, 0.0), (0.5, np.nan, 0.5), None, "sigma must be finite and > 0"),
+        ((np.nan, 0.0, 0.0), 0.5, None, "center must be finite"),
+        ((0.0, 0.0, 0.0), 0.5, (np.inf, 0.0, 0.0), "momentum must be finite"),
+    ],
+    ids=["zero-sigma", "nan-sigma", "inf-sigma", "nan-axis-sigma", "nan-center", "inf-momentum"],
+)
+def test_gaussian_psi_rejects_non_finite_parameters(center, sigma, momentum, match):
+    # each gave NaN samples (an infinite width a constant) instead of an error
+    grid = GridSpec(lo=(-1.0,) * 3, hi=(1.0,) * 3, n=(4, 4, 4))
+    with pytest.raises(ValueError, match=match):
+        gaussian_psi(grid, center, sigma, momentum)
+
+
 def test_grid_routes_build_no_whole_grid_point_arrays(units, monkeypatch):
     meshgrid = np.meshgrid
 
@@ -399,9 +418,12 @@ def test_load_rejects_other_files(tmp_path):
         load_state(bad)
 
 
-def _saved_bytes(units, tmp_path):
+def _saved_bytes(units, tmp_path, frame=Frame.R):
+    s = two_branch_state(units)
+    if frame == Frame.P:
+        s = to_qlif(s)[0]
     path = tmp_path / "good.qst"
-    save_state(two_branch_state(units), path)
+    save_state(s, path)
     return path.read_bytes()
 
 
@@ -449,19 +471,21 @@ def test_load_rejects_unreadable_header(units, tmp_path):
 def test_load_rejects_unknown_format(units, tmp_path):
     data = _saved_bytes(units, tmp_path)
     hlen = int.from_bytes(data[8:16], "little")
-    header = data[16 : 16 + hlen].replace(b'"format": 2', b'"format": 9')
+    header = data[16 : 16 + hlen].replace(b'"format": 3', b'"format": 9')
     assert header != data[16 : 16 + hlen] and len(header) == hlen
     with pytest.raises(BadContainer, match="format 9"):
         _load_bytes(tmp_path, data[:16] + header + data[16 + hlen :])
 
 
 def test_load_rejects_format_1_with_a_hint(units, tmp_path):
+    # formats 1 and 2 stored the P-frame metric differently; both are regenerated
     data = _saved_bytes(units, tmp_path)
     hlen = int.from_bytes(data[8:16], "little")
-    header = data[16 : 16 + hlen].replace(b'"format": 2', b'"format": 1')
-    assert header != data[16 : 16 + hlen]
-    with pytest.raises(BadContainer, match="format 1 .*regenerate"):
-        _load_bytes(tmp_path, data[:16] + header + data[16 + hlen :])
+    for version in (1, 2):
+        header = data[16 : 16 + hlen].replace(b'"format": 3', f'"format": {version}'.encode())
+        assert header != data[16 : 16 + hlen]
+        with pytest.raises(BadContainer, match=f"format {version} is no longer read; regenerate"):
+            _load_bytes(tmp_path, data[:16] + header + data[16 + hlen :])
 
 
 def _edited_header(data, edit):
@@ -474,65 +498,42 @@ def _edited_header(data, edit):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "frame, edit",
     [
-        lambda h: h.pop("units"),
-        lambda h: h.pop("grid"),
-        lambda h: h["grid"].pop("n"),
-        lambda h: h["branches"][0].pop("metric"),
-        lambda h: h.update(frame="Q"),
-        lambda h: h["branches"][0]["metric"].update(kind="kerr"),
-        lambda h: h["branches"][0].update(metric="minkowski"),
-        lambda h: h["units"].update(c=-1.0),
-        lambda h: h["branches"][1].update(amplitude=[0.5, 0.0, 0.1]),
+        (Frame.R, lambda h: h.pop("units")),
+        (Frame.R, lambda h: h.pop("grid")),
+        (Frame.R, lambda h: h["grid"].pop("n")),
+        (Frame.R, lambda h: h["branches"][0].pop("metric")),
+        (Frame.R, lambda h: h.update(frame="Q")),
+        (Frame.R, lambda h: h["branches"][0]["metric"].update(kind="kerr")),
+        (Frame.R, lambda h: h["branches"][0].update(metric="minkowski")),
+        (Frame.R, lambda h: h["units"].update(c=-1.0)),
+        (Frame.R, lambda h: h["branches"][1].update(amplitude=[0.5, 0.0, 0.1])),
+        (Frame.P, lambda h: h["branches"][0]["metric"].update(mass=-1.0)),
     ],
     ids=[
         "no-units", "no-grid", "no-grid-n", "no-metric", "frame-Q",
         "unknown-kind", "metric-not-mapping", "negative-c", "3-amplitude",
+        "p-frame-negative-mass",
     ],
 )
-def test_load_rejects_bad_header_fields(units, tmp_path, edit):
-    head, payload = _edited_header(_saved_bytes(units, tmp_path), edit)
+def test_load_rejects_bad_header_fields(units, tmp_path, frame, edit):
+    head, payload = _edited_header(_saved_bytes(units, tmp_path, frame), edit)
     with pytest.raises(BadContainer, match="bad header field") as info:
         _load_bytes(tmp_path, head + payload)
     assert isinstance(info.value.__cause__, (KeyError, ValueError, TypeError, AttributeError))
 
 
-def _p_frame_bytes(units, tmp_path):
-    path = tmp_path / "p.qst"
-    save_state(to_qlif(two_branch_state(units))[0], path)
-    return path.read_bytes()
-
-
-def test_load_rejects_source_metric_that_does_not_match_the_frame(units, tmp_path):
-    # a P-frame branch needs its source metric to invert; an R-frame branch has none
-    head, payload = _edited_header(
-        _p_frame_bytes(units, tmp_path), lambda h: h["branches"][1].update(source_metric=None)
-    )
-    with pytest.raises(BadContainer, match="P-frame branch 'R' lacks a source metric"):
-        _load_bytes(tmp_path, head + payload)
-    spec = WeakFieldPointMass(units, 1e-6, 1e-3, (1.5, 0.0, 0.0)).describe()
-    head, payload = _edited_header(
-        _saved_bytes(units, tmp_path), lambda h: h["branches"][0].update(source_metric=spec)
-    )
-    with pytest.raises(BadContainer, match="R-frame branch 'L' has a source metric"):
-        _load_bytes(tmp_path, head + payload)
-
-
-def test_load_rejects_bad_source_metric_record(units, tmp_path):
-    head, payload = _edited_header(
-        _p_frame_bytes(units, tmp_path), lambda h: h["branches"][0]["source_metric"].update(mass=-1.0)
-    )
-    with pytest.raises(BadContainer, match="bad header field"):
-        _load_bytes(tmp_path, head + payload)
-
-
-def test_load_rejects_a_curved_p_frame_register(units, tmp_path):
-    # save_state writes a flat register beside each P-frame branch's metric
-    spec = WeakFieldPointMass(units, 1e-6, 1e-3, (1.5, 0.0, 0.0)).describe()
-    head, payload = _edited_header(_p_frame_bytes(units, tmp_path), lambda h: h["branches"][1].update(metric=spec))
-    with pytest.raises(BadContainer, match="P-frame branch 'R' has a curved metric register"):
-        _load_bytes(tmp_path, head + payload)
+@pytest.mark.parametrize("frame", [Frame.R, Frame.P])
+def test_saved_records_hold_each_branch_metric_once(units, tmp_path, frame):
+    s = two_branch_state(units)
+    data = _saved_bytes(units, tmp_path, frame)
+    hlen = int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16 : 16 + hlen])
+    assert header["frame"] == frame.value
+    for rec, b in zip(header["branches"], s.branches, strict=True):
+        assert rec["metric"] == json.loads(json.dumps(b.metric.describe()))
+        assert set(rec) == {"amplitude", "mass_label", "mass_position", "metric"}
 
 
 def test_load_rejects_grid_whose_point_count_overflows_int64(units, tmp_path):
