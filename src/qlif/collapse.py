@@ -21,7 +21,12 @@ Three evaluation routes are provided and kept deliberately independent:
 * an adaptive-quadrature route for general spherically symmetric pairs
   (mixed kinds, unequal radii),
 * a fixed-seed Monte-Carlo double integral, the brute-force oracle the
-  faster routes are tested against.
+  faster routes are tested against; ``n_samples`` must be an int >= 1.
+
+``separation_sweep`` evaluates every row at its requested separation d, in
+one array pass over the analytic pair term (every template's copy has the
+template's shape, so every row has a closed form).  Every energy and
+lifetime these functions return is a Python float.
 
 scipy (``special.erf`` and ``integrate.quad``) is imported on first use,
 once per process, by the Gaussian and quadrature routes only: equal-sphere
@@ -33,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,26 +113,35 @@ def _separation(a: MassDistribution, b: MassDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pair_uniform_equal(m1: float, m2: float, R: float, d: float) -> float:
+def _pair_uniform_equal(m1: float, m2: float, R: float, d):
     # Overlapping equal spheres: piecewise quintic, C^1 at d = 2R, derived
     # by integrating the interior/exterior sphere potential against the
     # second density; checked against the Monte-Carlo route in the tests.
-    if d >= 2.0 * R:
-        return m1 * m2 / d
-    x = d / R
-    return (m1 * m2 / R) * (1.2 - 0.5 * x**2 + (3.0 / 16.0) * x**3 - x**5 / 160.0)
+    # An array d takes the far rows in one pass and the quintic row by row:
+    # Python's ** is libm pow, which numpy's array powers can miss by an ulp.
+    def quintic(x):
+        return (m1 * m2 / R) * (1.2 - 0.5 * x**2 + (3.0 / 16.0) * x**3 - x**5 / 160.0)
+
+    if np.ndim(d) == 0:
+        return m1 * m2 / d if d >= 2.0 * R else quintic(d / R)
+    w = m1 * m2 / np.maximum(d, 2.0 * R)
+    near = d < 2.0 * R
+    w[near] = [quintic(x) for x in (d[near] / R).tolist()]
+    return w
 
 
-def _pair_gaussian(m1: float, m2: float, w1: float, w2: float, d: float) -> float:
+def _pair_gaussian(m1: float, m2: float, w1: float, w2: float, d):
     # Two Gaussian clouds interact like a point and a cloud of combined
-    # width sqrt(w1^2 + w2^2).
+    # width sqrt(w1^2 + w2^2); d = 0 takes the limit.
     s = np.sqrt(w1**2 + w2**2)
-    if d == 0.0:
-        return m1 * m2 * np.sqrt(2.0 / np.pi) / s
-    return m1 * m2 * float(_erf(d / (np.sqrt(2.0) * s))) / d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = m1 * m2 * _erf(d / (np.sqrt(2.0) * s)) / d
+    return np.where(d == 0.0, m1 * m2 * np.sqrt(2.0 / np.pi) / s, w)
 
 
-def _pair_analytic(a: MassDistribution, b: MassDistribution, d: float) -> float | None:
+def _pair_analytic(a: MassDistribution, b: MassDistribution, d):
+    """W_ab at the separation(s) ``d`` (a float or an array), or None
+    without a closed form for the pair."""
     if isinstance(a, UniformSphere) and isinstance(b, UniformSphere):
         if a.radius == b.radius:
             return _pair_uniform_equal(a.mass, b.mass, a.radius, d)
@@ -148,43 +162,44 @@ def _pair_analytic(a: MassDistribution, b: MassDistribution, d: float) -> float 
 _QUAD_LIMIT = 200
 
 
-def _coulomb_potential(dist: MassDistribution, s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
+def _radial(dist: MassDistribution):
+    """(rho, V, I) of ``dist``, each a function of one float: the density at
+    radius r, the Coulomb potential at s and I(s) = int_0^s u V(u) du."""
+    M = dist.mass
     if isinstance(dist, UniformSphere):
-        M, R = dist.mass, dist.radius
-        inside = s < R
-        out = np.empty_like(s)
-        out[inside] = M * (3.0 * R**2 - s[inside] ** 2) / (2.0 * R**3)
-        out[~inside] = M / s[~inside]
-        return out
-    M, w = dist.mass, dist.width
-    out = np.empty_like(s)
-    small = s < 1e-12 * w
-    out[small] = M * np.sqrt(2.0 / np.pi) / w
-    out[~small] = M * _erf(s[~small] / (np.sqrt(2.0) * w)) / s[~small]
-    return out
+        R = dist.radius
+        rho0 = M / (4.0 / 3.0 * np.pi * R**3)
+        three_r2, two_r3, inner = 3.0 * R**2, 2.0 * R**3, 1.5 * R**2
+        at_r = M * (inner * R**2 - 0.25 * R**4) / two_r3
 
+        def rho(r):
+            return rho0 if r <= R else 0.0
 
-def _potential_integral(dist: MassDistribution, s: np.ndarray) -> np.ndarray:
-    """I(s) = int_0^s u V(u) du, closed form per kind."""
-    s = np.asarray(s, dtype=float)
-    if isinstance(dist, UniformSphere):
-        M, R = dist.mass, dist.radius
-        s_in = np.minimum(s, R)
-        inner = M * (1.5 * R**2 * s_in**2 - 0.25 * s_in**4) / (2.0 * R**3)
-        return inner + M * np.maximum(s - R, 0.0)
-    M, w = dist.mass, dist.width
+        def V(s):
+            return M * (three_r2 - s * s) / two_r3 if s < R else M / s
+
+        def I(s):
+            if s < R:
+                return M * (inner * s**2 - 0.25 * s**4) / two_r3
+            return at_r + M * (s - R)
+
+        return rho, V, I
+    w, erf = dist.width, _scipy().special.erf
+    coef, two_w2 = M * (2.0 * np.pi * w**2) ** -1.5, 2.0 * w**2
+    small, v0 = 1e-12 * w, M * np.sqrt(2.0 / np.pi) / w
     sw = np.sqrt(2.0) * w
-    return M * (s * _erf(s / sw) + sw / np.sqrt(np.pi) * (np.exp(-(s**2) / sw**2) - 1.0))
+    sw2, tail = sw**2, sw / np.sqrt(np.pi)
 
+    def rho(r):
+        return coef * np.exp(-(r * r) / two_w2)
 
-def _radial_density(dist: MassDistribution, r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if isinstance(dist, UniformSphere):
-        rho0 = dist.mass / (4.0 / 3.0 * np.pi * dist.radius**3)
-        return np.where(r <= dist.radius, rho0, 0.0)
-    w = dist.width
-    return dist.mass * (2.0 * np.pi * w**2) ** -1.5 * np.exp(-(r**2) / (2.0 * w**2))
+    def V(s):
+        return v0 if s < small else M * erf(s / sw) / s
+
+    def I(s):
+        return M * (s * erf(s / sw) + tail * (np.exp(-(s * s) / sw2) - 1.0))
+
+    return rho, V, I
 
 
 def _outer_radius(dist: MassDistribution) -> float:
@@ -195,16 +210,19 @@ def _pair_quadrature(
     a: MassDistribution, b: MassDistribution, d: float, rtol: float = 1e-10
 ) -> float:
     hi = _outer_radius(b)
+    rho = _radial(b)[0]
+    _, V, I = _radial(a)
     if d == 0.0:
+        four_pi = 4.0 * np.pi
 
         def integrand(r):
-            return 4.0 * np.pi * r**2 * _radial_density(b, r) * _coulomb_potential(a, r)
+            return four_pi * r**2 * rho(r) * V(r)
 
     else:
+        scale = 2.0 * np.pi / d
 
         def integrand(r):
-            shells = _potential_integral(a, d + r) - _potential_integral(a, abs(d - r))
-            return (2.0 * np.pi / d) * r * _radial_density(b, r) * shells
+            return scale * r * rho(r) * (I(d + r) - I(abs(d - r)))
 
     # quadpack refuses tolerances below machine precision; ask for what it
     # can deliver and hold the result to the caller's tolerance ourselves
@@ -225,7 +243,7 @@ def _pair_term(a: MassDistribution, b: MassDistribution, d: float, rtol: float) 
     w = _pair_analytic(a, b, d)
     if w is None:
         w = _pair_quadrature(a, b, d, rtol=rtol)
-    return w
+    return float(w)
 
 
 def delta_self_energy(
@@ -249,7 +267,7 @@ def _delta_self_energy_at(a, b, d, units, rtol=1e-10):
     w_aa = _pair_term(a, a, 0.0, rtol)
     w_bb = _pair_term(b, b, 0.0, rtol)
     w_ab = _pair_term(a, b, d, rtol)
-    return units.G * max(w_aa + w_bb - 2.0 * w_ab, 0.0)
+    return float(units.G * max(w_aa + w_bb - 2.0 * w_ab, 0.0))
 
 
 def delta_self_energy_monte_carlo(
@@ -263,8 +281,11 @@ def delta_self_energy_monte_carlo(
 
     Each pair term draws ``n_samples`` independent point pairs from the two
     densities using its own PCG64 substream spawned from ``seed``, in fixed
-    chunks, so the value is reproducible bit for bit.
+    chunks, so the value is reproducible bit for bit.  ValueError unless
+    ``n_samples`` is an int >= 1.
     """
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"n_samples must be an int >= 1, got {n_samples!r}")
     streams = np.random.SeedSequence(seed).spawn(3)
     pairs = ((a, a), (b, b), (a, b))
     signs = (1.0, 1.0, -2.0)
@@ -277,21 +298,29 @@ def delta_self_energy_monte_carlo(
         while done < n_samples:
             m = min(chunk, n_samples - done)
             rx = _sample(x, rng, m)
-            ry = _sample(y, rng, m)
-            acc += float(np.sum(1.0 / np.linalg.norm(rx - ry, axis=1)))
+            rx -= _sample(y, rng, m)
+            acc += float(np.sum(1.0 / _row_norms(rx)))
             done += m
         total += sign * x.mass * y.mass * acc / n_samples
-    return units.G * total
+    return float(units.G * total)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(v, axis=1) bit for bit, without its (n, 3) square
+    x, y, z = v.T
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def _sample(dist: MassDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
-    center = np.asarray(dist.center)
+    # normal(scale=w) is 0 + w * standard_normal(): the same draws and bits, one pass fewer
+    v = rng.standard_normal((n, 3))
     if isinstance(dist, UniformSphere):
-        v = rng.normal(size=(n, 3))
-        v /= np.linalg.norm(v, axis=1)[:, None]
-        radii = dist.radius * rng.random(n) ** (1.0 / 3.0)
-        return center + v * radii[:, None]
-    return center + rng.normal(scale=dist.width, size=(n, 3))
+        v /= _row_norms(v)[:, None]
+        v *= (dist.radius * rng.random(n) ** (1.0 / 3.0))[:, None]
+    else:
+        v *= dist.width
+    v += dist.center
+    return v
 
 
 def collapse_time(
@@ -320,26 +349,23 @@ def separation_sweep(
     """(d, E, t) rows for a copy of ``template_a`` displaced along ``axis``.
 
     ``t`` is None on rows with zero self-energy (the infinite-lifetime
-    case, marked explicitly by the CLI).  d = inf is the far-field row,
-    E = G (W_aa + W_bb), taken without a copy at infinity: a distribution's
-    centre is finite.  ValueError unless d >= 0 (NaN included) and unless
-    ``axis`` is a finite nonzero 3-vector.
+    case, marked explicitly by the CLI).  Each row is evaluated at its
+    requested d, all rows in one array pass over the analytic pair term;
+    d = inf is the far-field row, E = G (W_aa + W_bb).  ValueError unless
+    d >= 0 (NaN included) and unless ``axis`` is a finite nonzero 3-vector.
     """
     axis = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(axis) if axis.shape == (3,) else math.nan
     if not 0.0 < norm < math.inf:
         raise ValueError(f"axis must be a finite nonzero 3-vector, got {axis.tolist()!r}")
-    axis = (axis / norm).tolist()
-    rows = []
+    separations = list(separations)
     for d in separations:
         if not d >= 0.0:
             raise ValueError(f"separations must be >= 0, got {d!r}")
-        d = float(d)
-        if d == math.inf:
-            e = _delta_self_energy_at(template_a, template_a, d, units)
-        else:
-            moved = replace(template_a, center=tuple(c + d * a for c, a in zip(template_a.center, axis)))
-            e = delta_self_energy(template_a, moved, units)
-        t = units.hbar / e if e > 0.0 else None
-        rows.append((d, e, t))
-    return rows
+    d = np.array(separations, dtype=float)
+    # a copy at any d has the template's self term, so W_bb = W_aa
+    w_self = _pair_term(template_a, template_a, 0.0, 1e-10)
+    e = units.G * np.maximum(w_self + w_self - 2.0 * _pair_analytic(template_a, template_a, d), 0.0)
+    with np.errstate(divide="ignore"):
+        t = units.hbar / e
+    return [(d, e, t if e > 0.0 else None) for d, e, t in zip(d.tolist(), e.tolist(), t.tolist())]

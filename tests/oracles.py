@@ -5,12 +5,16 @@ parametrizations, scalar code paths) so agreement between the two routes
 is a real check and not a tautology.
 """
 
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
+import scipy.integrate
+import scipy.special
 
+from qlif.collapse import UniformSphere
 from qlif.spacetime import sqrt_neg_det_diagonal
 from qlif.tetrad import diagonal_frame_deviation
 
@@ -282,3 +286,67 @@ def whole_grid_metric_on_grid(metric, grid) -> tuple[np.ndarray, np.ndarray]:
         measure[valid] = sqrt_neg_det_diagonal(d)
         deviation[valid] = diagonal_frame_deviation(d)
     return measure.reshape(grid.shape), deviation.reshape(grid.shape)
+
+
+# The radial closed forms as 0-d array code: the reference that the scalar
+# closures of ``collapse._radial`` must equal bit for bit.
+
+
+def array_coulomb_potential(dist, s: np.ndarray) -> np.ndarray:
+    s = np.asarray(s, dtype=float)
+    if isinstance(dist, UniformSphere):
+        M, R = dist.mass, dist.radius
+        inside = s < R
+        out = np.empty_like(s)
+        out[inside] = M * (3.0 * R**2 - s[inside] ** 2) / (2.0 * R**3)
+        out[~inside] = M / s[~inside]
+        return out
+    M, w = dist.mass, dist.width
+    out = np.empty_like(s)
+    small = s < 1e-12 * w
+    out[small] = M * np.sqrt(2.0 / np.pi) / w
+    out[~small] = M * scipy.special.erf(s[~small] / (np.sqrt(2.0) * w)) / s[~small]
+    return out
+
+
+def array_potential_integral(dist, s: np.ndarray) -> np.ndarray:
+    """I(s) = int_0^s u V(u) du, closed form per kind."""
+    s = np.asarray(s, dtype=float)
+    if isinstance(dist, UniformSphere):
+        M, R = dist.mass, dist.radius
+        s_in = np.minimum(s, R)
+        inner = M * (1.5 * R**2 * s_in**2 - 0.25 * s_in**4) / (2.0 * R**3)
+        return inner + M * np.maximum(s - R, 0.0)
+    M, w = dist.mass, dist.width
+    sw = np.sqrt(2.0) * w
+    return M * (s * scipy.special.erf(s / sw) + sw / np.sqrt(np.pi) * (np.exp(-(s**2) / sw**2) - 1.0))
+
+
+def array_radial_density(dist, r: np.ndarray) -> np.ndarray:
+    r = np.asarray(r, dtype=float)
+    if isinstance(dist, UniformSphere):
+        rho0 = dist.mass / (4.0 / 3.0 * np.pi * dist.radius**3)
+        return np.where(r <= dist.radius, rho0, 0.0)
+    w = dist.width
+    return dist.mass * (2.0 * np.pi * w**2) ** -1.5 * np.exp(-(r**2) / (2.0 * w**2))
+
+
+def array_pair_quadrature(a, b, d: float, rtol: float = 1e-10) -> float:
+    """The quadrature pair term W_ab(d) over the array closed forms above,
+    with the quadpack call of ``collapse._pair_quadrature``."""
+    hi = b.radius if isinstance(b, UniformSphere) else 12.0 * b.width
+    if d == 0.0:
+
+        def integrand(r):
+            return 4.0 * np.pi * r**2 * array_radial_density(b, r) * array_coulomb_potential(a, r)
+
+    else:
+
+        def integrand(r):
+            shells = array_potential_integral(a, d + r) - array_potential_integral(a, abs(d - r))
+            return (2.0 * np.pi / d) * r * array_radial_density(b, r) * shells
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        val, _ = scipy.integrate.quad(integrand, 0.0, hi, limit=200, epsrel=max(rtol, 1e-13), epsabs=0.0)
+    return float(val)

@@ -3,7 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import gaussian_delta_energy, uniform_sphere_delta_energy
+from oracles import (
+    array_coulomb_potential,
+    array_pair_quadrature,
+    array_potential_integral,
+    array_radial_density,
+    gaussian_delta_energy,
+    uniform_sphere_delta_energy,
+)
 from qlif.collapse import (
     Gaussian,
     UniformSphere,
@@ -12,7 +19,7 @@ from qlif.collapse import (
     delta_self_energy_monte_carlo,
     separation_sweep,
 )
-from qlif.collapse import _pair_quadrature, _pair_uniform_equal  # internal cross-checks
+from qlif.collapse import _pair_quadrature, _pair_uniform_equal, _radial, _row_norms  # internal cross-checks
 from qlif.errors import InfiniteLifetime, QuadratureNonConvergence
 from qlif.spacetime import UnitSystem
 
@@ -61,6 +68,32 @@ def test_monte_carlo_is_reproducible(units, spheres):
     assert v1 != v3
 
 
+def test_monte_carlo_value_is_frozen(units, spheres):
+    # the draws, their order and their chunking are part of the value
+    a, b = spheres
+    assert delta_self_energy_monte_carlo(a, b, units, n_samples=200_000, seed=5) == 4.3113287997408944
+
+
+@pytest.mark.parametrize("n_samples", [-5, 0, 2.5, "100"])
+def test_monte_carlo_rejects_a_sample_count_that_is_not_a_positive_int(units, spheres, n_samples):
+    # -5 returned 0.0, 0 divided by zero and 2.5 failed inside numpy
+    with pytest.raises(ValueError, match="n_samples must be an int >= 1"):
+        delta_self_energy_monte_carlo(*spheres, units, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("kind", ["sphere", "gaussian"])
+def test_every_collapse_value_is_a_float(units, kind):
+    a = UniformSphere(2.0, 1.0) if kind == "sphere" else Gaussian(2.0, 0.7)
+    b = dataclasses.replace(a, center=(0.0, 0.0, 1.5))
+    values = [
+        delta_self_energy(a, b, units),
+        collapse_time(a, b, units),
+        delta_self_energy_monte_carlo(a, b, units, n_samples=1000, seed=1),
+        *(v for row in separation_sweep(a, [0.0, 1.5, np.inf], units) for v in row if v is not None),
+    ]
+    assert {type(v) for v in values} == {float}
+
+
 def test_matches_independent_piecewise_polynomial(units, spheres):
     a, _ = spheres
     for d in (0.0, 0.3, 1.0, 1.7, 2.0, 3.5):
@@ -90,6 +123,58 @@ def test_monotone_in_separation(units, spheres):
     assert energies[0] == 0.0
     assert all(e2 >= e1 for e1, e2 in zip(energies, energies[1:]))
     assert rows[0][2] is None  # infinite lifetime marker
+
+
+@pytest.mark.parametrize("kind", ["sphere", "gaussian"])
+def test_sweep_rows_equal_the_displaced_copy_bit_for_bit(units, kind):
+    # on the z axis from the origin |c - (c + d z)| is d, so one array pass
+    # at the requested d must give each row the bits of its own copy
+    a = UniformSphere(2.0, 1.0) if kind == "sphere" else Gaussian(1.3, 1.0)
+    # the listed d/R and the benchmark's 949 rows from 1e-9 to 3
+    xs = [0.0, 1e-9, 1e-3, 1.937, 2.0, 3.0, *np.logspace(-9.0, np.log10(3.0), 949).tolist()]
+    rows = separation_sweep(a, xs + [np.inf], units)
+    assert len(rows) == len(xs) + 1
+    # a copy at 1e150 R has a cross term far below an ulp of the self terms: the d = inf value
+    for (d, e, t), x in zip(rows, xs + [1e150]):
+        assert d == (x if x < 1e150 else np.inf)
+        copy = dataclasses.replace(a, center=(0.0, 0.0, x))
+        assert e == delta_self_energy(a, copy, units)
+        assert t == (None if e == 0.0 else collapse_time(a, copy, units))
+
+
+def test_sweep_keeps_its_edge_cases(units, spheres):
+    a, _ = spheres
+    assert separation_sweep(a, [], units) == []
+    # any iterable of numbers >= 0, checked before any row is evaluated
+    assert separation_sweep(a, (d for d in [2, 0]), units) == separation_sweep(a, [2.0, 0.0], units)
+    with pytest.raises(ValueError, match=r"separations must be >= 0, got np.float64\(-1.0\)"):
+        separation_sweep(a, np.array([0.5, -1.0]), units)
+
+
+@pytest.mark.parametrize("dist", [UniformSphere(2.0, 1.3), Gaussian(1.5, 0.6)], ids=["sphere", "gaussian"])
+def test_radial_closures_equal_the_array_closed_forms(dist):
+    # a quadrature value can hide an ulp of one integrand call; the integrands cannot
+    rho, V, I = _radial(dist)
+    s = np.concatenate([[0.0, 1e-14, 1.3, 0.6], np.random.default_rng(3).uniform(0.0, 4.0, 2000)])
+    for f, oracle in ((rho, array_radial_density), (V, array_coulomb_potential), (I, array_potential_integral)):
+        assert [f(x) for x in s.tolist()] == [oracle(dist, x) for x in s.tolist()]
+
+
+def test_row_norms_equal_linalg_norm():
+    v = np.random.default_rng(4).normal(size=(100_000, 3)) * [1.0, 3.0, 1e-3]
+    assert np.array_equal(_row_norms(v), np.linalg.norm(v, axis=1))
+
+
+@pytest.mark.parametrize("kinds", ["sphere-gaussian", "gaussian-sphere", "sphere-sphere", "gaussian-gaussian"])
+@pytest.mark.parametrize("where", ["zero", "inside", "touching", "apart"])
+def test_quadrature_equals_the_array_integrand_route(kinds, where):
+    make = {"sphere": UniformSphere, "gaussian": Gaussian}
+    first, second = kinds.split("-")
+    a, b = make[first](2.0, 1.0), make[second](1.5, 0.6)
+    d = {"zero": 0.0, "inside": 0.45, "touching": 1.6, "apart": 4.8}[where]
+    b = dataclasses.replace(b, center=(0.0, 0.0, d))
+    assert _pair_quadrature(a, b, d) == array_pair_quadrature(a, b, d)
+    assert _pair_quadrature(b, a, d) == array_pair_quadrature(b, a, d)
 
 
 @pytest.mark.parametrize("d", [-1.0, np.nan])
