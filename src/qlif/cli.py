@@ -326,11 +326,10 @@ def cmd_geodesics(scn: Scenario, out: Path) -> int:
     summary = []
     for idx, (branch, bt) in enumerate(zip(state.branches, results)):
         name = f"geodesic_{idx}_{bt.mass_label}.csv"
-        rows = []
-        for st in bt.trajectory.states:
-            a = st.x.array
-            uv = st.u.array
-            rows.append([st.tau, a[0] / c, a[1], a[2], a[3], uv[0], uv[1], uv[2], uv[3]])
+        rows = [
+            [st.tau, st.x.t / c, st.x.x, st.x.y, st.x.z, st.u.t, st.u.x, st.u.y, st.u.z]
+            for st in bt.trajectory.states
+        ]
         _write_csv(out / name, ["tau", "t", "x", "y", "z", "u0", "u1", "u2", "u3"], rows)
         norm_drift, energy_drift, angular_momentum_drift = drift_figures(branch.metric, bt.trajectory)
         summary.append(

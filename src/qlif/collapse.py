@@ -104,8 +104,7 @@ def _erf(x):
 
 
 def _separation(a: MassDistribution, b: MassDistribution) -> float:
-    d = np.asarray(a.center) - np.asarray(b.center)
-    return float(np.sqrt(d @ d))
+    return math.dist(a.center, b.center)  # scaled: no finite pair over- or underflows
 
 
 # ---------------------------------------------------------------------------

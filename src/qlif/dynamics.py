@@ -5,16 +5,19 @@ pair (x, u):
 
     dx^mu/dtau = u^mu,    du^mu/dtau = -Gamma^mu_{nu rho} u^nu u^rho.
 
-The loop runs on the 8 state components as plain Python floats: each stage
-calls the closed-form acceleration of the metric kind
-(``MetricField.geodesic_acceleration``, constants bound once per run),
-which also judges the singular set, and the ``GeodesicState`` records are
-built once, from the finished rows.  The (4, 4, 4) Christoffel tables
-remain the public ``christoffel()`` and the tests' reference for that
-acceleration.  Timelike normalization is g_munu u^mu u^nu = -c^2, with
-u^0 = d(ct)/dtau; it, and the drift figures, are read from the metric
-diagonal (``MetricField.diagonal_at`` at a point, ``diagonal_batch`` along
-a trajectory), as every catalog metric is diagonal in its chart.
+The loop keeps the 8 state components and the 4 stage accelerations in
+named local floats, so a step builds no list: each stage is one call of
+the closed-form acceleration of the metric kind
+(``MetricField.geodesic_acceleration``, constants bound once per run) on
+expressions such as x0 + (dtau/2) u0, and the call also judges the
+singular set.  Only the finished step is packed into a tuple, and the
+``GeodesicState`` records are built once, from the finished rows.  The
+(4, 4, 4) Christoffel tables remain the public ``christoffel()`` and the
+tests' reference for that acceleration.  Timelike normalization is
+g_munu u^mu u^nu = -c^2, with u^0 = d(ct)/dtau; it, and the drift
+figures, are read from the metric diagonal (``MetricField.diagonal_at`` at
+a point, ``diagonal_batch`` along a trajectory), as every catalog metric
+is diagonal in its chart.
 
 The flat-space stationarity demo evolves the flat branches of a
 ``SuperposedState`` under H = P^2 / 2m by the spectral (FFT) method, each
@@ -118,10 +121,13 @@ def integrate_geodesic(
     Returns n_steps + 1 states (including the initial one).  The initial
     state must be timelike-normalized within ``NORM_TOL`` (relative to
     c^2) and at a valid point, else ValueError / SingularRegion is raised.
-    A singular point hit mid-run, at any stage, stops the integration and
-    returns the partial trajectory with ``error`` set; every state it holds
-    lies outside the singular set, since each new state is judged (as the
-    first stage of the next step) before it is kept.
+    The loop runs on named local floats (see the module docstring) and
+    packs only each finished step into a row.  A singular point hit
+    mid-run, at any stage, stops the integration and returns the partial
+    trajectory with ``error`` set; every state it holds lies outside the
+    singular set, since each new row is checked for finiteness and judged
+    (as the first stage of the next step) before it is kept.  A non-finite
+    row stops the run the same way, with a ``QlifError``.
     """
     if not 0.0 < dtau < math.inf:
         raise ValueError("dtau must be finite and > 0")
@@ -136,24 +142,36 @@ def integrate_geodesic(
 
     accel = field.geodesic_acceleration()
     h2, h6 = 0.5 * dtau, dtau / 6.0
-    y = [float(v) for v in (*init.x.array, *init.u.array)]
+    # the state y = (x, u) and the stage slopes k1 = (u, a), k2 = (p, b), k3 = (q, c)
+    # and k4 = (e, d) are named floats; stage i > 1 runs at y + h k_(i-1), h = h2, h2, dtau
+    x0, x1, x2, x3, u0, u1, u2, u3 = row = tuple(float(v) for v in (*init.x.array, *init.u.array))
     rows = []
     error = None
     try:
-        k1 = (*y[4:], *accel(*y))
+        a0, a1, a2, a3 = accel(*row)
         for k in range(n_steps):
-            y2 = [a + h2 * b for a, b in zip(y, k1)]
-            k2 = (*y2[4:], *accel(*y2))
-            y3 = [a + h2 * b for a, b in zip(y, k2)]
-            k3 = (*y3[4:], *accel(*y3))
-            y4 = [a + dtau * b for a, b in zip(y, k3)]
-            k4 = (*y4[4:], *accel(*y4))
-            y = [a + h6 * (b + 2.0 * p + 2.0 * q + e) for a, b, p, q, e in zip(y, k1, k2, k3, k4)]
-            if not all(map(math.isfinite, y)):
+            p0, p1, p2, p3 = u0 + h2 * a0, u1 + h2 * a1, u2 + h2 * a2, u3 + h2 * a3
+            b0, b1, b2, b3 = accel(x0 + h2 * u0, x1 + h2 * u1, x2 + h2 * u2, x3 + h2 * u3, p0, p1, p2, p3)
+            q0, q1, q2, q3 = u0 + h2 * b0, u1 + h2 * b1, u2 + h2 * b2, u3 + h2 * b3
+            c0, c1, c2, c3 = accel(x0 + h2 * p0, x1 + h2 * p1, x2 + h2 * p2, x3 + h2 * p3, q0, q1, q2, q3)
+            e0, e1, e2, e3 = u0 + dtau * c0, u1 + dtau * c1, u2 + dtau * c2, u3 + dtau * c3
+            d0, d1, d2, d3 = accel(x0 + dtau * q0, x1 + dtau * q1, x2 + dtau * q2, x3 + dtau * q3, e0, e1, e2, e3)
+            row = (
+                x0 + h6 * (u0 + 2.0 * p0 + 2.0 * q0 + e0),
+                x1 + h6 * (u1 + 2.0 * p1 + 2.0 * q1 + e1),
+                x2 + h6 * (u2 + 2.0 * p2 + 2.0 * q2 + e2),
+                x3 + h6 * (u3 + 2.0 * p3 + 2.0 * q3 + e3),
+                u0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+                u1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                u2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+                u3 + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+            )
+            if not all(map(math.isfinite, row)):
                 error = QlifError(f"non-finite state at step {k + 1}")
                 break
-            k1 = (*y[4:], *accel(*y))
-            rows.append(y)
+            a0, a1, a2, a3 = accel(*row)
+            rows.append(row)
+            x0, x1, x2, x3, u0, u1, u2, u3 = row
     except QlifError as exc:
         error = exc
     states = [replace(init, tau=float(init.tau))]
@@ -175,8 +193,8 @@ def drift_figures(field: MetricField, traj: Trajectory) -> tuple[float, float, f
     distance from the kind's centre (for a start at the centre, where
     L_0 = 0, the largest distance reached).
     """
-    x = np.array([st.x.array for st in traj.states])
-    u = np.array([st.u.array for st in traj.states])
+    x = np.array([(st.x.t, st.x.x, st.x.y, st.x.z) for st in traj.states], dtype=float)
+    u = np.array([(st.u.t, st.u.x, st.u.y, st.u.z) for st in traj.states], dtype=float)
     d = field.diagonal_batch(x)
     c = field.units.c
     norm = np.sum(d * u * u, axis=1)  # in index order, as the (N, 4, 4) contraction summed it: the same bits

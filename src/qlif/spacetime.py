@@ -97,9 +97,9 @@ class FourVector:
     z: float
 
     def __post_init__(self):
-        for name in ("t", "x", "y", "z"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"FourVector.{name} must be finite")
+        if not all(map(math.isfinite, (self.t, self.x, self.y, self.z))):
+            name = next(n for n in ("t", "x", "y", "z") if not math.isfinite(getattr(self, n)))
+            raise ValueError(f"FourVector.{name} must be finite")
 
     @classmethod
     def from_array(cls, a) -> "FourVector":

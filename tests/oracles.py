@@ -5,7 +5,9 @@ parametrizations, scalar code paths) so agreement between the two routes
 is a real check and not a tautology.
 """
 
+import math
 import warnings
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations
@@ -15,7 +17,9 @@ import scipy.integrate
 import scipy.special
 
 from qlif.collapse import UniformSphere
-from qlif.spacetime import sqrt_neg_det_diagonal
+from qlif.dynamics import GeodesicState, Trajectory
+from qlif.errors import QlifError
+from qlif.spacetime import FourVector, sqrt_neg_det_diagonal
 from qlif.tetrad import diagonal_frame_deviation
 
 
@@ -91,6 +95,45 @@ def newtonian_drop(z0: float, g_newton: float, t: float) -> float:
     return z0 - 0.5 * g_newton * t**2
 
 
+def list_rk4(field, init: GeodesicState, dtau: float, n_steps: int) -> Trajectory:
+    """Classic RK4 on 8-element lists, the loop ``integrate_geodesic`` must match bit for bit.
+
+    Each stage builds y + h k as a list and each slope k as a tuple
+    (u, a); the update is y + (h/6)(k1 + 2 k2 + 2 k3 + k4) component by
+    component, in that order.  A stage that raises QlifError or a non-finite
+    step ends the run with the rows kept so far; the argument checks of
+    ``integrate_geodesic`` are not repeated here.
+    """
+    accel = field.geodesic_acceleration()
+    h2, h6 = 0.5 * dtau, dtau / 6.0
+    y = [float(v) for v in (*init.x.array, *init.u.array)]
+    rows = []
+    error = None
+    try:
+        k1 = (*y[4:], *accel(*y))
+        for k in range(n_steps):
+            y2 = [a + h2 * b for a, b in zip(y, k1)]
+            k2 = (*y2[4:], *accel(*y2))
+            y3 = [a + h2 * b for a, b in zip(y, k2)]
+            k3 = (*y3[4:], *accel(*y3))
+            y4 = [a + dtau * b for a, b in zip(y, k3)]
+            k4 = (*y4[4:], *accel(*y4))
+            y = [a + h6 * (b + 2.0 * p + 2.0 * q + e) for a, b, p, q, e in zip(y, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, y)):
+                error = QlifError(f"non-finite state at step {k + 1}")
+                break
+            k1 = (*y[4:], *accel(*y))
+            rows.append(y)
+    except QlifError as exc:
+        error = exc
+    states = [replace(init, tau=float(init.tau))]
+    states += (
+        GeodesicState(x=FourVector(*row[:4]), u=FourVector(*row[4:]), tau=init.tau + (k + 1) * dtau)
+        for k, row in enumerate(rows)
+    )
+    return Trajectory(states=tuple(states), error=error)
+
+
 def perihelion_advance_weak_field(mass: float, a: float, e: float, c: float = 1.0) -> float:
     """Leading-order advance per orbit, 6 pi G M / (c^2 a (1 - e^2))."""
     return 6.0 * np.pi * mass / (c**2 * a * (1.0 - e**2))
@@ -133,6 +176,13 @@ def uniform_sphere_delta_energy(G: float, mass: float, radius: float, d: float) 
         )
 
     return G * 2.0 * (pair(0.0) - pair(d))
+
+
+def decimal_distance(p, q) -> float:
+    """Euclidean distance of two 3-points in 60-digit decimal arithmetic, which neither over- nor underflows."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(sum((Decimal(a) - Decimal(b)) ** 2 for a, b in zip(p, q)).sqrt())
 
 
 def gaussian_delta_energy(G: float, mass: float, width: float, d: float) -> float:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from oracles import (
     array_pair_quadrature,
     array_potential_integral,
     array_radial_density,
+    decimal_distance,
     gaussian_delta_energy,
     uniform_sphere_delta_energy,
 )
@@ -19,7 +21,7 @@ from qlif.collapse import (
     delta_self_energy_monte_carlo,
     separation_sweep,
 )
-from qlif.collapse import _pair_quadrature, _pair_uniform_equal, _radial, _row_norms  # internal cross-checks
+from qlif.collapse import _pair_quadrature, _pair_uniform_equal, _radial, _row_norms, _separation  # internal cross-checks
 from qlif.errors import InfiniteLifetime, QuadratureNonConvergence
 from qlif.spacetime import UnitSystem
 
@@ -113,6 +115,31 @@ def test_large_separation_limit_is_twice_self_term(units, spheres):
     # E -> 2 * (6/5) G M^2 / R under this convention
     assert delta_self_energy(a, far, units) == pytest.approx(
         2.0 * 1.2 * units.G * a.mass**2 / a.radius, rel=1e-10
+    )
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0, 1e300), (1e300, -1e300, 1e300)])
+def test_spheres_1e300_apart_give_the_far_field_form_without_a_warning(units, spheres, center):
+    a, _ = spheres
+    far = dataclasses.replace(a, center=center)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = delta_self_energy(a, far, units)
+    # 2 G m^2 (6 / (5 R) - 1 / d)
+    oracle = uniform_sphere_delta_energy(units.G, a.mass, a.radius, decimal_distance(a.center, center))
+    assert e == pytest.approx(oracle, rel=1e-15, abs=0.0)
+
+
+def test_centres_1e_300_apart_are_1e_300_apart():
+    a = UniformSphere(mass=1.0, radius=1.0)
+    assert _separation(a, dataclasses.replace(a, center=(0.0, 0.0, 1e-300))) == 1e-300
+
+
+@pytest.mark.parametrize("center", [(3e-300, -4e-300, 0.0), (1e-300, 1e-300, 1e-300), (-1e300, 1e300, 1e300)])
+def test_separation_neither_overflows_nor_underflows(center):
+    a = UniformSphere(mass=1.0, radius=1.0, center=(0.0, 0.0, 0.0))
+    assert _separation(a, dataclasses.replace(a, center=center)) == pytest.approx(
+        decimal_distance(a.center, center), rel=1e-15, abs=0.0
     )
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from conftest import diagonal_cases, line_state, two_branch_state, x_width
 from oracles import (
     free_gaussian_width,
+    list_rk4,
     local_frame_u,
     matrix_timelike_u0,
     metric_matrices,
@@ -26,7 +29,7 @@ from qlif.dynamics import (
     translation_covariance_check,
     velocity_norm,
 )
-from qlif.errors import OffGridTranslation, SingularRegion, WrongFrame
+from qlif.errors import OffGridTranslation, QlifError, SingularRegion, WrongFrame
 from qlif.qrf import to_qlif
 from qlif.qstate import GridSpec, inner_product, state_norm, translate_state
 from qlif.spacetime import (
@@ -316,6 +319,89 @@ def test_weak_field_dive_into_signature_loss_keeps_a_valid_partial_trajectory(un
     x = np.array([st.x.array for st in traj.states])
     assert np.all(deep.valid_mask(x))
     assert np.linalg.norm(x[-1, 1:]) < 2.1
+
+
+def _bits(traj):
+    return [
+        tuple(float(v).hex() for v in (st.tau, st.x.t, st.x.x, st.x.y, st.x.z, st.u.t, st.u.x, st.u.y, st.u.z))
+        for st in traj.states
+    ]
+
+
+def _assert_matches_list_rk4(field, init, dtau, n_steps):
+    traj = integrate_geodesic(field, init, dtau, n_steps)
+    ref = list_rk4(field, init, dtau, n_steps)
+    assert len(traj.states) == len(ref.states)
+    assert _bits(traj) == _bits(ref)
+    assert type(traj.error) is type(ref.error)
+    assert str(traj.error) == str(ref.error)
+    return traj
+
+
+def _rk4_cases(units):
+    wf = WeakFieldPointMass(units, mass=3e-7, soft=1e-6)
+    wf_off = WeakFieldPointMass(units, mass=1e-5, soft=1e-3, center=(0.3, -0.2, 0.1))
+    sch = Schwarzschild(units, mass=1.0)
+    mink = Minkowski(units)
+    deep = WeakFieldPointMass(units, mass=1.0, soft=1e-4)
+    at_rest = FourVector(0.0, 0.0, 0.0, 1.0)
+    moving = FourVector(0.0, 1.0, 0.5, -0.4)
+    orbit_x, orbit_u = _eccentric_orbit_ic(sch, 20.0, 1.02)
+    line_x = FourVector(0.0, 1.0, -1.0, 0.5)
+    plunge_x = FourVector(0.0, 3.0, np.pi / 2, 0.0)
+    dive_x = FourVector(0.0, 6.0, 0.0, 0.0)
+    return {
+        "weak_field_from_rest": (wf, at_rest, timelike_velocity(wf, at_rest, (0.0, 0.0, 0.0)), 0.05, 400),
+        "weak_field_moving": (wf_off, moving, local_frame_velocity(wf_off, moving, (1e-3, -2e-3, 5e-4)), 0.1, 400),
+        "schwarzschild_orbit": (sch, orbit_x, orbit_u, 1.0, 2000),
+        "minkowski": (mink, line_x, timelike_velocity(mink, line_x, (0.12, -0.3, 0.05)), 0.25, 40),
+        "horizon_plunge": (sch, plunge_x, timelike_velocity(sch, plunge_x, (-0.5, 0.0, 0.0)), 0.05, 200),
+        "signature_loss_dive": (deep, dive_x, local_frame_velocity(deep, dive_x, (0.0, 0.1, 0.0)), 0.05, 2000),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "weak_field_from_rest",
+        "weak_field_moving",
+        "schwarzschild_orbit",
+        "minkowski",
+        "horizon_plunge",
+        "signature_loss_dive",
+    ],
+)
+def test_integration_equals_the_list_rk4_bit_for_bit(units, case):
+    field, x0, u0, dtau, n = _rk4_cases(units)[case]
+    traj = _assert_matches_list_rk4(field, GeodesicState(x0, u0, 0.0), dtau, n)
+    # the two partial runs stop early on the singular set, the others run to the end
+    assert traj.completed == (case not in ("horizon_plunge", "signature_loss_dive"))
+
+
+class _TurnsNonFinite(Minkowski):
+    """Flat test double whose acceleration turns to ``bad`` after ``good`` calls."""
+
+    def __init__(self, units, good, bad):
+        super().__init__(units)
+        object.__setattr__(self, "_after", (good, bad))
+
+    def geodesic_acceleration(self):
+        good, bad = self._after
+        calls = itertools.count()
+        return lambda *y: (bad if next(calls) >= good else 0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("good", range(9))
+def test_non_finite_stop_equals_the_list_rk4(units, good, bad):
+    # good = 0 .. 8 puts the first bad value at every stage of the first two
+    # steps and at the first stage of the third
+    field = _TurnsNonFinite(units, good, bad)
+    x0 = FourVector(0.0, 1.0, -1.0, 0.5)
+    traj = _assert_matches_list_rk4(field, GeodesicState(x0, timelike_velocity(field, x0, (0.1, 0.0, 0.0)), 0.0), 0.5, 5)
+    assert type(traj.error) is QlifError
+    assert str(traj.error) == f"non-finite state at step {good // 4 + 1}"
+    assert len(traj.states) == good // 4 + 1
 
 
 def test_integration_builds_no_christoffel_table(catalog, monkeypatch):

@@ -35,6 +35,20 @@ def test_fourvector_rejects_nonfinite():
         FourVector.from_array([0.0, np.inf, 0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "components, name",
+    [
+        ((np.nan, 0.0, 0.0, 0.0), "t"),
+        ((0.0, np.inf, -np.inf, 0.0), "x"),
+        ((0, 1, -np.inf, np.nan), "y"),
+        ((0.0, 1.0, 2.0, np.nan), "z"),
+    ],
+)
+def test_fourvector_names_its_first_non_finite_component(components, name):
+    with pytest.raises(ValueError, match=rf"^FourVector\.{name} must be finite$"):
+        FourVector(*components)
+
+
 def test_unit_system_presets():
     g = UnitSystem.geometric()
     assert (g.c, g.G, g.hbar) == (1.0, 1.0, 1.0)
