@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from . import collapse as collapse_mod
-from .collapse import CONVENTION, Gaussian, UniformSphere, delta_self_energy
+from .collapse import CONVENTION, DISTRIBUTION_KINDS, UniformSphere, delta_self_energy
 from .dynamics import (
     GeodesicState,
     drift_figures,
@@ -255,16 +255,13 @@ class Scenario:
         return make_state(branches, self.grid, units=self.units)
 
 
-# collapse.distribution kinds: (class, name of the size parameter)
-DISTRIBUTIONS = {"uniform_sphere": (UniformSphere, "radius"), "gaussian": (Gaussian, "width")}
-
-
 def _parse_distribution(spec):
     where = "collapse.distribution"
     kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind not in DISTRIBUTIONS:
+    cls = DISTRIBUTION_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ConfigError(f"{where}: unknown kind {kind!r}")
-    cls, size = DISTRIBUTIONS[kind]
+    _, size, _ = cls.__dataclass_fields__  # mass, size, center
     _check_keys(spec, {"kind", "mass", size, "center"}, {"kind", "mass", size}, where)
     mass = _convert(f"{where}.mass", _positive, spec["mass"])
     extent = _convert(f"{where}.{size}", _positive, spec[size])

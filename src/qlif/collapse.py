@@ -14,19 +14,22 @@ terms W_xy = (1/G) * G-free double integral of rho_x rho_y / |r - r'|;
 only the pair term is needed at each center separation because every
 catalog distribution is spherically symmetric.
 
-Three evaluation routes are provided and kept deliberately independent:
+One array function, ``_energies``, forms E over an array of separations:
+``separation_sweep`` passes its rows, ``delta_self_energy`` and
+``collapse_time`` one row.  It takes each pair term from ``_pair_terms``,
+the one place where kinds are told apart: a closed form for equal-radius
+uniform spheres and for any pair of Gaussians, adaptive quadrature row by
+row for every other pair (mixed kinds, unequal radii).  A kind carries its
+own forms: ``radial()`` (density, potential and its integral, for the
+quadrature route), ``outer_radius`` (where that route stops) and
+``sample(rng, n)`` (for the Monte-Carlo route); ``DISTRIBUTION_KINDS``
+maps each ``kind`` key to its class.
 
-* an analytic route (closed forms for equal-radius uniform spheres and for
-  any pair of Gaussians),
-* an adaptive-quadrature route for general spherically symmetric pairs
-  (mixed kinds, unequal radii),
-* a fixed-seed Monte-Carlo double integral, the brute-force oracle the
-  faster routes are tested against; ``n_samples`` must be an int >= 1.
-
-``separation_sweep`` evaluates every row at its requested separation d, in
-one array pass over the analytic pair term (every template's copy has the
-template's shape, so every row has a closed form).  Every energy and
-lifetime these functions return is a Python float.
+``delta_self_energy_monte_carlo``, a fixed-seed Monte-Carlo double
+integral, is kept independent of the closed forms and the quadrature: it is
+the brute-force oracle they are tested against; ``n_samples`` must be an
+int >= 1.  Every energy and lifetime these functions return is a Python
+float.
 
 scipy (``special.erf`` and ``integrate.quad``) is imported on first use,
 once per process, by the Gaussian and quadrature routes only: equal-sphere
@@ -38,56 +41,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InfiniteLifetime, QuadratureNonConvergence
-from .spacetime import UnitSystem
+from .spacetime import UnitSystem, _set_parameters
 
 CONVENTION = "E = G * iint d3r d3r' drho(r) drho(r') / |r - r'|"
-
-
-@dataclass(frozen=True)
-class _Distribution:
-    """Spherically symmetric density: its fields are a mass and a size, finite
-    floats > 0, then a centre, a 3-tuple of finite floats."""
-
-    def __post_init__(self):
-        mass, size, _ = self.__dataclass_fields__
-        for name in (mass, size):
-            v = float(getattr(self, name))
-            if not 0.0 < v < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
-            object.__setattr__(self, name, v)
-        center = tuple(float(c) for c in self.center)
-        if len(center) != 3 or not all(map(math.isfinite, center)):
-            raise ValueError("center must be a finite 3-vector")
-        object.__setattr__(self, "center", center)
-
-
-@dataclass(frozen=True)
-class UniformSphere(_Distribution):
-    """Homogeneous ball of total mass ``mass`` and radius ``radius``."""
-
-    mass: float
-    radius: float
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class Gaussian(_Distribution):
-    """Isotropic Gaussian density of total mass ``mass`` and width ``width``.
-
-    rho(r) = mass (2 pi width^2)^(-3/2) exp(-r^2 / (2 width^2)).
-    """
-
-    mass: float
-    width: float
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-
-MassDistribution = UniformSphere | Gaussian
 
 
 @functools.cache
@@ -99,74 +60,35 @@ def _scipy():
     return scipy
 
 
-def _erf(x):
-    return _scipy().special.erf(x)
+@dataclass(frozen=True)
+class _Distribution:
+    """Spherically symmetric density: its fields are a mass and a size, finite
+    floats > 0, then a centre, a 3-tuple of finite floats.
+
+    A kind sets ``kind`` (its ``collapse.distribution`` key) and carries its
+    forms: ``radial()``, the (rho, V, I) closures of one float each (the
+    density at radius r, the Coulomb potential at s and
+    I(s) = int_0^s u V(u) du); ``outer_radius``, where the quadrature route
+    stops; and ``sample(rng, n)``, n points drawn from the density.
+    """
+
+    kind = ""
+
+    def __post_init__(self):
+        _set_parameters(self, fields(self))
 
 
-def _separation(a: MassDistribution, b: MassDistribution) -> float:
-    return math.dist(a.center, b.center)  # scaled: no finite pair over- or underflows
+@dataclass(frozen=True)
+class UniformSphere(_Distribution):
+    """Homogeneous ball of total mass ``mass`` and radius ``radius``."""
 
+    kind = "uniform_sphere"
+    mass: float
+    radius: float
+    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-# ---------------------------------------------------------------------------
-# Analytic pair terms W_xy(d) = iint rho_x rho_y / |r - r'| (no G)
-# ---------------------------------------------------------------------------
-
-
-def _pair_uniform_equal(m1: float, m2: float, R: float, d):
-    # Overlapping equal spheres: piecewise quintic, C^1 at d = 2R, derived
-    # by integrating the interior/exterior sphere potential against the
-    # second density; checked against the Monte-Carlo route in the tests.
-    # An array d takes the far rows in one pass and the quintic row by row:
-    # Python's ** is libm pow, which numpy's array powers can miss by an ulp.
-    def quintic(x):
-        return (m1 * m2 / R) * (1.2 - 0.5 * x**2 + (3.0 / 16.0) * x**3 - x**5 / 160.0)
-
-    if np.ndim(d) == 0:
-        return m1 * m2 / d if d >= 2.0 * R else quintic(d / R)
-    w = m1 * m2 / np.maximum(d, 2.0 * R)
-    near = d < 2.0 * R
-    w[near] = [quintic(x) for x in (d[near] / R).tolist()]
-    return w
-
-
-def _pair_gaussian(m1: float, m2: float, w1: float, w2: float, d):
-    # Two Gaussian clouds interact like a point and a cloud of combined
-    # width sqrt(w1^2 + w2^2); d = 0 takes the limit.
-    s = np.sqrt(w1**2 + w2**2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = m1 * m2 * _erf(d / (np.sqrt(2.0) * s)) / d
-    return np.where(d == 0.0, m1 * m2 * np.sqrt(2.0 / np.pi) / s, w)
-
-
-def _pair_analytic(a: MassDistribution, b: MassDistribution, d):
-    """W_ab at the separation(s) ``d`` (a float or an array), or None
-    without a closed form for the pair."""
-    if isinstance(a, UniformSphere) and isinstance(b, UniformSphere):
-        if a.radius == b.radius:
-            return _pair_uniform_equal(a.mass, b.mass, a.radius, d)
-        return None
-    if isinstance(a, Gaussian) and isinstance(b, Gaussian):
-        return _pair_gaussian(a.mass, b.mass, a.width, b.width, d)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Quadrature pair term for general spherically symmetric pairs
-# ---------------------------------------------------------------------------
-#
-# W_xy(d) = (2 pi / d) * int_0^inf r rho_y(r) [ I_x(d + r) - I_x(|d - r|) ] dr
-# with I_x(s) = int_0^s u V_x(u) du and V_x the Coulomb potential of x;
-# for d = 0 the angular average collapses to W = int 4 pi r^2 rho_y V_x dr.
-
-_QUAD_LIMIT = 200
-
-
-def _radial(dist: MassDistribution):
-    """(rho, V, I) of ``dist``, each a function of one float: the density at
-    radius r, the Coulomb potential at s and I(s) = int_0^s u V(u) du."""
-    M = dist.mass
-    if isinstance(dist, UniformSphere):
-        R = dist.radius
+    def radial(self):
+        M, R = self.mass, self.radius
         rho0 = M / (4.0 / 3.0 * np.pi * R**3)
         three_r2, two_r3, inner = 3.0 * R**2, 2.0 * R**3, 1.5 * R**2
         at_r = M * (inner * R**2 - 0.25 * R**4) / two_r3
@@ -183,34 +105,116 @@ def _radial(dist: MassDistribution):
             return at_r + M * (s - R)
 
         return rho, V, I
-    w, erf = dist.width, _scipy().special.erf
-    coef, two_w2 = M * (2.0 * np.pi * w**2) ** -1.5, 2.0 * w**2
-    small, v0 = 1e-12 * w, M * np.sqrt(2.0 / np.pi) / w
-    sw = np.sqrt(2.0) * w
-    sw2, tail = sw**2, sw / np.sqrt(np.pi)
 
-    def rho(r):
-        return coef * np.exp(-(r * r) / two_w2)
+    @property
+    def outer_radius(self) -> float:
+        return self.radius
 
-    def V(s):
-        return v0 if s < small else M * erf(s / sw) / s
-
-    def I(s):
-        return M * (s * erf(s / sw) + tail * (np.exp(-(s * s) / sw2) - 1.0))
-
-    return rho, V, I
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        v = rng.standard_normal((n, 3))
+        v /= _row_norms(v)[:, None]
+        v *= (self.radius * rng.random(n) ** (1.0 / 3.0))[:, None]
+        v += self.center
+        return v
 
 
-def _outer_radius(dist: MassDistribution) -> float:
-    return dist.radius if isinstance(dist, UniformSphere) else 12.0 * dist.width
+@dataclass(frozen=True)
+class Gaussian(_Distribution):
+    """Isotropic Gaussian density of total mass ``mass`` and width ``width``.
+
+    rho(r) = mass (2 pi width^2)^(-3/2) exp(-r^2 / (2 width^2)).
+    """
+
+    kind = "gaussian"
+    mass: float
+    width: float
+    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
+
+    def radial(self):
+        M, w, erf = self.mass, self.width, _scipy().special.erf
+        coef, two_w2 = M * (2.0 * np.pi * w**2) ** -1.5, 2.0 * w**2
+        small, v0 = 1e-12 * w, M * np.sqrt(2.0 / np.pi) / w
+        sw = np.sqrt(2.0) * w
+        sw2, tail = sw**2, sw / np.sqrt(np.pi)
+
+        def rho(r):
+            return coef * np.exp(-(r * r) / two_w2)
+
+        def V(s):
+            return v0 if s < small else M * erf(s / sw) / s
+
+        def I(s):
+            return M * (s * erf(s / sw) + tail * (np.exp(-(s * s) / sw2) - 1.0))
+
+        return rho, V, I
+
+    @property
+    def outer_radius(self) -> float:
+        return 12.0 * self.width
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # normal(scale=w) is 0 + w * standard_normal(): the same draws and bits, one pass fewer
+        v = rng.standard_normal((n, 3))
+        v *= self.width
+        v += self.center
+        return v
 
 
-def _pair_quadrature(
-    a: MassDistribution, b: MassDistribution, d: float, rtol: float = 1e-10
-) -> float:
-    hi = _outer_radius(b)
-    rho = _radial(b)[0]
-    _, V, I = _radial(a)
+DISTRIBUTION_KINDS = {cls.kind: cls for cls in (UniformSphere, Gaussian)}
+
+
+def _separation(a: _Distribution, b: _Distribution) -> float:
+    return math.dist(a.center, b.center)  # scaled: no finite pair over- or underflows
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(v, axis=1) bit for bit, without its (n, 3) square
+    x, y, z = v.T
+    return np.sqrt(x * x + y * y + z * z)
+
+
+# ---------------------------------------------------------------------------
+# Pair terms W_xy(d) = iint rho_x rho_y / |r - r'| (no G) over an array of d
+# ---------------------------------------------------------------------------
+
+
+def _pair_uniform_equal(m1: float, m2: float, R: float, d: np.ndarray) -> np.ndarray:
+    # Overlapping equal spheres: piecewise quintic, C^1 at d = 2R, derived
+    # by integrating the interior/exterior sphere potential against the
+    # second density; checked against the Monte-Carlo route in the tests.
+    # The far rows take one array pass and the quintic goes row by row:
+    # Python's ** is libm pow, which numpy's array powers can miss by an ulp.
+    def quintic(x):
+        return (m1 * m2 / R) * (1.2 - 0.5 * x**2 + (3.0 / 16.0) * x**3 - x**5 / 160.0)
+
+    w = m1 * m2 / np.maximum(d, 2.0 * R)
+    near = d < 2.0 * R
+    w[near] = [quintic(x) for x in (d[near] / R).tolist()]
+    return w
+
+
+def _pair_gaussian(m1: float, m2: float, w1: float, w2: float, d: np.ndarray) -> np.ndarray:
+    # Two Gaussian clouds interact like a point and a cloud of combined
+    # width sqrt(w1^2 + w2^2); d = 0 takes the limit.
+    s = np.sqrt(w1**2 + w2**2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = m1 * m2 * _scipy().special.erf(d / (np.sqrt(2.0) * s)) / d
+    return np.where(d == 0.0, m1 * m2 * np.sqrt(2.0 / np.pi) / s, w)
+
+
+# W_xy(d) = (2 pi / d) * int_0^inf r rho_y(r) [ I_x(d + r) - I_x(|d - r|) ] dr
+# with I_x(s) = int_0^s u V_x(u) du and V_x the Coulomb potential of x;
+# for d = 0 the angular average collapses to W = int 4 pi r^2 rho_y V_x dr.
+# The quadrature route holds each pair term to _QUAD_RTOL.
+
+_QUAD_LIMIT = 200
+_QUAD_RTOL = 1e-10
+
+
+def _pair_quadrature(a: _Distribution, b: _Distribution, d: float, rtol: float = _QUAD_RTOL) -> float:
+    hi = b.outer_radius
+    rho = b.radial()[0]
+    _, V, I = a.radial()
     if d == 0.0:
         four_pi = 4.0 * np.pi
 
@@ -238,40 +242,37 @@ def _pair_quadrature(
     return float(val)
 
 
-def _pair_term(a: MassDistribution, b: MassDistribution, d: float, rtol: float) -> float:
-    w = _pair_analytic(a, b, d)
-    if w is None:
-        w = _pair_quadrature(a, b, d, rtol=rtol)
-    return float(w)
+def _pair_terms(a: _Distribution, b: _Distribution, d: np.ndarray) -> np.ndarray:
+    """W_ab at each separation in ``d``: closed form where the pair has one, quadrature row by row otherwise."""
+    if isinstance(a, UniformSphere) and isinstance(b, UniformSphere) and a.radius == b.radius:
+        return _pair_uniform_equal(a.mass, b.mass, a.radius, d)
+    if isinstance(a, Gaussian) and isinstance(b, Gaussian):
+        return _pair_gaussian(a.mass, b.mass, a.width, b.width, d)
+    return np.array([_pair_quadrature(a, b, x, _QUAD_RTOL) for x in d.tolist()])
 
 
-def delta_self_energy(
-    a: MassDistribution,
-    b: MassDistribution,
-    units: UnitSystem,
-    rtol: float = 1e-10,
-) -> float:
+def _energies(a: _Distribution, b: _Distribution, d: np.ndarray, units: UnitSystem) -> np.ndarray:
+    """E = G max(W_aa + W_bb - 2 W_ab(d), 0) at each separation in ``d``;
+    d = inf puts b out of reach of a: W_ab = 0."""
+    at_zero = np.zeros(1)
+    w_self = _pair_terms(a, a, at_zero) + _pair_terms(b, b, at_zero)
+    return units.G * np.maximum(w_self - 2.0 * _pair_terms(a, b, d), 0.0)
+
+
+def delta_self_energy(a: _Distribution, b: _Distribution, units: UnitSystem) -> float:
     """Self-energy of the density difference (see module convention).
 
-    Uses the analytic pair formulas where they exist and adaptive
+    Uses the closed-form pair terms where they exist and adaptive
     quadrature otherwise; exactly zero for identical configurations.
-    Raises QuadratureNonConvergence if the fallback integral cannot reach
-    ``rtol``.
+    Raises QuadratureNonConvergence if a quadrature pair term cannot reach
+    its relative tolerance, 1e-10.
     """
-    return _delta_self_energy_at(a, b, _separation(a, b), units, rtol)
-
-
-def _delta_self_energy_at(a, b, d, units, rtol=1e-10):
-    # d = inf puts b out of reach of a: W_ab = 0
-    w_aa = _pair_term(a, a, 0.0, rtol)
-    w_bb = _pair_term(b, b, 0.0, rtol)
-    w_ab = _pair_term(a, b, d, rtol)
-    return float(units.G * max(w_aa + w_bb - 2.0 * w_ab, 0.0))
+    return float(_energies(a, b, np.array([_separation(a, b)]), units)[0])
 
 
 def delta_self_energy_monte_carlo(
-    a: MassDistribution,
-    b: MassDistribution,
+    a: _Distribution,
+    b: _Distribution,
     units: UnitSystem,
     n_samples: int = 4_000_000,
     seed: int = 20405,
@@ -296,51 +297,28 @@ def delta_self_energy_monte_carlo(
         chunk = 500_000
         while done < n_samples:
             m = min(chunk, n_samples - done)
-            rx = _sample(x, rng, m)
-            rx -= _sample(y, rng, m)
+            rx = x.sample(rng, m)
+            rx -= y.sample(rng, m)
             acc += float(np.sum(1.0 / _row_norms(rx)))
             done += m
         total += sign * x.mass * y.mass * acc / n_samples
     return float(units.G * total)
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(v, axis=1) bit for bit, without its (n, 3) square
-    x, y, z = v.T
-    return np.sqrt(x * x + y * y + z * z)
-
-
-def _sample(dist: MassDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
-    # normal(scale=w) is 0 + w * standard_normal(): the same draws and bits, one pass fewer
-    v = rng.standard_normal((n, 3))
-    if isinstance(dist, UniformSphere):
-        v /= _row_norms(v)[:, None]
-        v *= (dist.radius * rng.random(n) ** (1.0 / 3.0))[:, None]
-    else:
-        v *= dist.width
-    v += dist.center
-    return v
-
-
-def collapse_time(
-    a: MassDistribution,
-    b: MassDistribution,
-    units: UnitSystem,
-    rtol: float = 1e-10,
-) -> float:
+def collapse_time(a: _Distribution, b: _Distribution, units: UnitSystem) -> float:
     """hbar / E for the pair, in the unit system's time unit.
 
     Raises InfiniteLifetime when the difference self-energy vanishes
     (identical configurations never collapse).
     """
-    e = delta_self_energy(a, b, units, rtol=rtol)
+    e = delta_self_energy(a, b, units)
     if e == 0.0:
         raise InfiniteLifetime("identical mass configurations: zero difference self-energy")
     return units.hbar / e
 
 
 def separation_sweep(
-    template_a: MassDistribution,
+    template_a: _Distribution,
     separations,
     units: UnitSystem,
     axis=(0.0, 0.0, 1.0),
@@ -349,9 +327,10 @@ def separation_sweep(
 
     ``t`` is None on rows with zero self-energy (the infinite-lifetime
     case, marked explicitly by the CLI).  Each row is evaluated at its
-    requested d, all rows in one array pass over the analytic pair term;
-    d = inf is the far-field row, E = G (W_aa + W_bb).  ValueError unless
-    d >= 0 (NaN included) and unless ``axis`` is a finite nonzero 3-vector.
+    requested d, all rows in one pass of ``_energies`` (a copy has the
+    template's shape, so every row has a closed form); d = inf is the
+    far-field row, E = G (W_aa + W_bb).  ValueError unless d >= 0 (NaN
+    included) and unless ``axis`` is a finite nonzero 3-vector.
     """
     axis = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(axis) if axis.shape == (3,) else math.nan
@@ -362,9 +341,7 @@ def separation_sweep(
         if not d >= 0.0:
             raise ValueError(f"separations must be >= 0, got {d!r}")
     d = np.array(separations, dtype=float)
-    # a copy at any d has the template's self term, so W_bb = W_aa
-    w_self = _pair_term(template_a, template_a, 0.0, 1e-10)
-    e = units.G * np.maximum(w_self + w_self - 2.0 * _pair_analytic(template_a, template_a, d), 0.0)
+    e = _energies(template_a, template_a, d, units)
     with np.errstate(divide="ignore"):
         t = units.hbar / e
     return [(d, e, t if e > 0.0 else None) for d, e, t in zip(d.tolist(), e.tolist(), t.tolist())]

@@ -144,7 +144,8 @@ def integrate_geodesic(
     h2, h6 = 0.5 * dtau, dtau / 6.0
     # the state y = (x, u) and the stage slopes k1 = (u, a), k2 = (p, b), k3 = (q, c)
     # and k4 = (e, d) are named floats; stage i > 1 runs at y + h k_(i-1), h = h2, h2, dtau
-    x0, x1, x2, x3, u0, u1, u2, u3 = row = tuple(float(v) for v in (*init.x.array, *init.u.array))
+    start = tuple(float(v) for v in (*init.x.array, *init.u.array))
+    x0, x1, x2, x3, u0, u1, u2, u3 = row = start
     rows = []
     error = None
     try:
@@ -174,7 +175,8 @@ def integrate_geodesic(
             x0, x1, x2, x3, u0, u1, u2, u3 = row
     except QlifError as exc:
         error = exc
-    states = [replace(init, tau=float(init.tau))]
+    # the first state is built from the floats of its row too, whatever numbers init holds
+    states = [GeodesicState(x=FourVector(*start[:4]), u=FourVector(*start[4:]), tau=float(init.tau))]
     states += (
         GeodesicState(x=FourVector(*row[:4]), u=FourVector(*row[4:]), tau=init.tau + (k + 1) * dtau)
         for k, row in enumerate(rows)

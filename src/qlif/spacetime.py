@@ -113,6 +113,24 @@ class FourVector:
         return np.array([self.t, self.x, self.y, self.z], dtype=float)
 
 
+def _set_parameters(value, params) -> None:
+    """Coerce and check the dataclass fields ``params`` of the frozen ``value``
+    in place: a ``float`` field must be finite and > 0, any other field is a
+    point of 3-space, stored as a 3-tuple of finite floats."""
+    for f in params:
+        v = getattr(value, f.name)
+        if f.type in ("float", float):
+            v = float(v)
+            if not (0.0 < v < math.inf):
+                raise ValueError(f"{f.name} must be finite and > 0")
+        else:
+            a = np.asarray(v, dtype=float)
+            if a.shape != (3,) or not np.all(np.isfinite(a)):
+                raise ValueError(f"{f.name} must be a finite 3-vector")
+            v = tuple(float(x) + 0.0 for x in a)  # -0.0 -> 0.0: one key, one label
+        object.__setattr__(value, f.name, v)
+
+
 @dataclass(frozen=True)
 class MetricField:
     """A fixed analytic metric g_munu(x) with signature (-, +, +, +).
@@ -135,18 +153,7 @@ class MetricField:
     units: UnitSystem
 
     def __post_init__(self):
-        for f in fields(self)[1:]:
-            v = getattr(self, f.name)
-            if f.type in ("float", float):
-                v = float(v)
-                if not (0.0 < v < math.inf):
-                    raise ValueError(f"{f.name} must be finite and > 0")
-            else:
-                a = np.asarray(v, dtype=float)
-                if a.shape != (3,) or not np.all(np.isfinite(a)):
-                    raise ValueError(f"{f.name} must be a finite 3-vector")
-                v = tuple(float(x) + 0.0 for x in a)  # -0.0 -> 0.0: one key, one label
-            object.__setattr__(self, f.name, v)
+        _set_parameters(self, fields(self)[1:])
 
     def describe(self) -> dict:
         """JSON-ready record: kind, then the parameters; ``metric_from_dict`` inverts it."""

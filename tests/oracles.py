@@ -339,7 +339,7 @@ def whole_grid_metric_on_grid(metric, grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The radial closed forms as 0-d array code: the reference that the scalar
-# closures of ``collapse._radial`` must equal bit for bit.
+# closures of each kind's ``radial()`` must equal bit for bit.
 
 
 def array_coulomb_potential(dist, s: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ import yaml
 from oracles import frame_defect, metric_matrices
 from qlif import cli, qrf
 from qlif.cli import main
+from qlif.collapse import Gaussian, separation_sweep
+from qlif.spacetime import UnitSystem
 from qlif.tetrad import build_tetrad
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -173,6 +175,9 @@ def collapse_config():
     }
 
 
+GAUSSIAN = {"kind": "gaussian", "mass": 1e-14, "width": 1e-7}
+
+
 def test_collapse_table(tmp_path):
     out = tmp_path / "out"
     assert main(["collapse", "--config", write_config(tmp_path, collapse_config()), "--out", str(out)]) == 0
@@ -188,6 +193,20 @@ def test_collapse_table(tmp_path):
         assert abs(e_geo - e_si * G / c**4) / e_geo < 1e-10
         t_si, t_geo = float(r["t_delta"]), float(r["t_delta_geom"])
         assert abs(t_geo - t_si * c) / t_geo < 1e-10
+
+
+def test_gaussian_collapse_table_rows_equal_the_sweep(tmp_path):
+    payload = collapse_config()
+    payload["collapse"]["distribution"] = dict(GAUSSIAN, center=[0.0, 3e-7, 0.0])
+    separations = [0.0, 1e-9, 5e-8, 1e-7, 2e-7, 4e-7, float("inf")]
+    payload["collapse"]["separations"] = separations
+    out = tmp_path / "out"
+    assert main(["collapse", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    _, *rows = csv.reader(open(out / "collapse_table.csv"))
+    # the table prints each float by its shortest round-trip repr and an infinite lifetime as inf
+    got = [(float(d), float(e), None if t == "inf" else float(t)) for d, e, t, *_ in rows]
+    assert got == separation_sweep(Gaussian(1e-14, 1e-7, (0.0, 3e-7, 0.0)), separations, UnitSystem.si())
+    assert json.loads((out / "collapse_summary.json").read_text())["distribution"]["kind"] == "gaussian"
 
 
 def test_collapse_far_field_row_is_the_sum_of_the_self_energies(tmp_path):
@@ -314,6 +333,7 @@ MALFORMED = [
     ("geodesics", ("geodesics", "local_velocity"), [1.0, 0.0, 0.0]),
     ("collapse", ("collapse", "separations"), ["near"]),
     ("collapse", ("collapse", "separations"), [-1.0]),
+    ("collapse", ("collapse", "distribution", "kind"), ["uniform_sphere"]),  # unhashable: a TypeError escaped
     ("collapse", ("collapse", "axis"), [0, 0]),
     ("collapse", ("collapse", "axis"), [0, 0, 0]),
     # non-finite numbers
@@ -356,9 +376,17 @@ def test_malformed_values_are_config_errors(tmp_path, command, path, value):
     assert str(path[-1]) in record["error"]["message"]
 
 
-@pytest.mark.parametrize("key, value", [("mass", float("inf")), ("mass", -1.0), ("radius", float("nan")), ("radius", 0.0)])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("mass", float("inf")), ("mass", -1.0), ("radius", float("nan")), ("radius", 0.0),
+        ("width", float("inf")), ("width", 0.0),
+    ],
+)
 def test_distribution_errors_name_the_key(tmp_path, key, value):
     payload = collapse_config()
+    if key == "width":
+        payload["collapse"]["distribution"] = dict(GAUSSIAN)
     payload["collapse"]["distribution"][key] = value
     out = tmp_path / "out"
     assert main(["collapse", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from oracles import (
     array_coulomb_potential,
@@ -14,6 +15,7 @@ from oracles import (
     uniform_sphere_delta_energy,
 )
 from qlif.collapse import (
+    DISTRIBUTION_KINDS,
     Gaussian,
     UniformSphere,
     collapse_time,
@@ -21,7 +23,8 @@ from qlif.collapse import (
     delta_self_energy_monte_carlo,
     separation_sweep,
 )
-from qlif.collapse import _pair_quadrature, _pair_uniform_equal, _radial, _row_norms, _separation  # internal cross-checks
+from qlif import collapse
+from qlif.collapse import _pair_quadrature, _pair_uniform_equal, _row_norms, _separation  # internal cross-checks
 from qlif.errors import InfiniteLifetime, QuadratureNonConvergence
 from qlif.spacetime import UnitSystem
 
@@ -181,7 +184,7 @@ def test_sweep_keeps_its_edge_cases(units, spheres):
 @pytest.mark.parametrize("dist", [UniformSphere(2.0, 1.3), Gaussian(1.5, 0.6)], ids=["sphere", "gaussian"])
 def test_radial_closures_equal_the_array_closed_forms(dist):
     # a quadrature value can hide an ulp of one integrand call; the integrands cannot
-    rho, V, I = _radial(dist)
+    rho, V, I = dist.radial()
     s = np.concatenate([[0.0, 1e-14, 1.3, 0.6], np.random.default_rng(3).uniform(0.0, 4.0, 2000)])
     for f, oracle in ((rho, array_radial_density), (V, array_coulomb_potential), (I, array_potential_integral)):
         assert [f(x) for x in s.tolist()] == [oracle(dist, x) for x in s.tolist()]
@@ -226,8 +229,13 @@ def test_sweep_rejects_an_axis_that_is_not_a_finite_nonzero_3_vector(units, sphe
         (lambda: UniformSphere(1.0, 0.0), "radius must be finite and > 0"),
         (lambda: UniformSphere(1.0, 1.0, (np.nan, 0.0, 0.0)), "center must be a finite 3-vector"),
         (lambda: Gaussian(1.0, 1.0, (0.0, 0.0)), "center must be a finite 3-vector"),
+        (lambda: Gaussian(1.0, 1.0, 5.0), "center must be a finite 3-vector"),
+        (lambda: UniformSphere(1.0, 1.0, [[0.0, 0.0, 1.0]]), "center must be a finite 3-vector"),
     ],
-    ids=["gaussian-inf-width", "gaussian-nan-mass", "sphere-inf-mass", "sphere-zero-radius", "nan-center", "2-center"],
+    ids=[
+        "gaussian-inf-width", "gaussian-nan-mass", "sphere-inf-mass", "sphere-zero-radius", "nan-center", "2-center",
+        "scalar-center", "nested-center",
+    ],
 )
 def test_distributions_reject_parameters_that_are_not_finite(make, match):
     # an infinite width swept to E = 0 (an infinite lifetime), an infinite
@@ -240,6 +248,22 @@ def test_distributions_store_floats():
     a = UniformSphere(2, 1, center=np.array([0, 0, 1]))
     assert a == UniformSphere(2.0, 1.0, (0.0, 0.0, 1.0))
     assert all(type(v) is float for v in (a.mass, a.radius, *a.center))
+    # the rule metrics follow: -0.0 is stored as 0.0
+    assert str(Gaussian(1.0, 1.0, (-0.0, 0.0, -0.0)).center) == "(0.0, 0.0, 0.0)"
+
+
+@pytest.mark.parametrize("kind", sorted(DISTRIBUTION_KINDS))
+def test_each_kind_carries_its_forms(kind):
+    dist = DISTRIBUTION_KINDS[kind](2.0, 0.5, (1.0, -1.0, 0.5))
+    assert dist.kind == kind
+    rho, V, _ = dist.radial()
+    # the density holds the mass inside the outer radius, and the potential is M / s outside it
+    mass, _ = scipy.integrate.quad(lambda r: 4.0 * np.pi * r * r * rho(r), 0.0, dist.outer_radius, epsabs=0.0)
+    assert mass == pytest.approx(dist.mass, rel=1e-10)
+    assert V(2.0 * dist.outer_radius) == pytest.approx(dist.mass / (2.0 * dist.outer_radius), rel=1e-15)
+    points = dist.sample(np.random.default_rng(1), 20_000)
+    assert np.max(_row_norms(points - dist.center)) <= dist.outer_radius
+    assert np.allclose(np.mean(points, axis=0), dist.center, rtol=0.0, atol=0.02)
 
 
 @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (1.0, -1.0, 0.0)])
@@ -247,7 +271,7 @@ def test_sweep_far_field_row_is_the_sum_of_the_self_energies(units, spheres, axi
     a, _ = spheres
     ((d, e, t),) = separation_sweep(a, [np.inf], units, axis=axis)
     assert d == np.inf
-    assert e == units.G * 2.0 * _pair_uniform_equal(a.mass, a.mass, a.radius, 0.0)
+    assert e == units.G * 2.0 * _pair_uniform_equal(a.mass, a.mass, a.radius, np.zeros(1))[0]
     assert t == units.hbar / e
 
 
@@ -285,7 +309,7 @@ def test_quadrature_route_matches_analytic(units):
     a = UniformSphere(mass=2.0, radius=1.0)
     for d in (0.0, 0.7, 1.9, 3.0):
         quad = _pair_quadrature(a, dataclasses.replace(a, center=(0, 0, d)), d)
-        assert quad == pytest.approx(_pair_uniform_equal(2.0, 2.0, 1.0, d), rel=1e-9)
+        assert quad == pytest.approx(_pair_uniform_equal(2.0, 2.0, 1.0, np.array([d]))[0], rel=1e-9)
 
 
 def test_mixed_pair_uses_quadrature_and_matches_monte_carlo(units):
@@ -302,11 +326,12 @@ def test_mixed_pair_uses_quadrature_and_matches_monte_carlo(units):
     assert abs(e2 - mc2) / e2 < 0.005
 
 
-def test_quadrature_nonconvergence_signal(units):
+def test_quadrature_nonconvergence_signal(units, monkeypatch):
     a = UniformSphere(mass=2.0, radius=1.0)
     g = Gaussian(mass=1.5, width=0.5, center=(0.0, 0.0, 0.8))
+    monkeypatch.setattr(collapse, "_QUAD_RTOL", 1e-30)
     with pytest.raises(QuadratureNonConvergence):
-        delta_self_energy(a, g, units, rtol=1e-30)
+        delta_self_energy(a, g, units)
 
 
 def test_collapse_time_definition(units, spheres):

@@ -296,6 +296,18 @@ def test_zero_steps_returns_initial_condition(units):
     assert len(traj.states) == 1 and traj.completed
 
 
+@pytest.mark.parametrize("n_steps", [0, 2])
+def test_every_state_holds_floats_from_an_int_start(units, n_steps):
+    # the first state is rebuilt from its float row, not kept as given with int components
+    start = GeodesicState(FourVector(0, 0, 0, 0), FourVector(1, 0, 0, 0), 0)
+    traj = integrate_geodesic(Minkowski(units), start, 0.1, n_steps)
+    assert len(traj.states) == n_steps + 1
+    for st in traj.states:
+        assert {type(v) for v in (st.x.t, st.x.x, st.x.y, st.x.z, st.tau)} == {float}
+        assert {type(v) for v in (st.u.t, st.u.x, st.u.y, st.u.z)} == {float}
+    assert traj.states[0] == start
+
+
 def test_partial_trajectory_on_singularity(units):
     # infalling radial plunge hits the horizon margin mid-run
     sch = Schwarzschild(units, mass=1.0)
