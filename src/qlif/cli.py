@@ -323,23 +323,21 @@ def cmd_geodesics(scn: Scenario, out: Path) -> int:
     summary = []
     for idx, (branch, bt) in enumerate(zip(state.branches, results)):
         name = f"geodesic_{idx}_{bt.mass_label}.csv"
-        rows = [
-            [st.tau, st.x.t / c, st.x.x, st.x.y, st.x.z, st.u.t, st.u.x, st.u.y, st.u.z]
-            for st in bt.trajectory.states
-        ]
+        tr = bt.trajectory
+        rows = np.column_stack([tr.tau, tr.x[:, 0] / c, tr.x[:, 1:], tr.u]).tolist()
         _write_csv(out / name, ["tau", "t", "x", "y", "z", "u0", "u1", "u2", "u3"], rows)
-        norm_drift, energy_drift, angular_momentum_drift = drift_figures(branch.metric, bt.trajectory)
+        norm_drift, energy_drift, angular_momentum_drift = drift_figures(branch.metric, tr)
         summary.append(
             {
                 "file": name,
                 "mass_label": bt.mass_label,
                 "metric_id": bt.metric_id,
-                "states": len(bt.trajectory.states),
-                "completed": bt.trajectory.completed,
+                "states": len(tr.tau),
+                "completed": tr.completed,
                 "norm_drift": norm_drift,
                 "energy_drift": energy_drift,
                 "angular_momentum_drift": angular_momentum_drift,
-                "warning": None if bt.trajectory.completed else str(bt.trajectory.error),
+                "warning": None if tr.completed else str(tr.error),
             }
         )
     _write_json(out / "geodesics_summary.json", {"branches": summary, "seed": scn.seed})
@@ -443,7 +441,7 @@ def _selftest_checks(scn: Scenario):
 
     def endpoint(n):
         tr = integrate_geodesic(sch, GeodesicState(x0, u0, 0.0), span / n, n)
-        return np.concatenate([tr.states[-1].x.array, tr.states[-1].u.array])
+        return np.concatenate([tr.x[-1], tr.u[-1]])
 
     ref = endpoint(4096)
     ratio = np.linalg.norm(endpoint(64) - ref) / np.linalg.norm(endpoint(128) - ref)

@@ -11,13 +11,13 @@ the closed-form acceleration of the metric kind
 (``MetricField.geodesic_acceleration``, constants bound once per run) on
 expressions such as x0 + (dtau/2) u0, and the call also judges the
 singular set.  Only the finished step is packed into a tuple, and the
-``GeodesicState`` records are built once, from the finished rows.  The
-(4, 4, 4) Christoffel tables remain the public ``christoffel()`` and the
-tests' reference for that acceleration.  Timelike normalization is
-g_munu u^mu u^nu = -c^2, with u^0 = d(ct)/dtau; it, and the drift
-figures, are read from the metric diagonal (``MetricField.diagonal_at`` at
-a point, ``diagonal_batch`` along a trajectory), as every catalog metric
-is diagonal in its chart.
+finished rows go into a ``Trajectory``'s arrays once: no ``GeodesicState``
+is built unless a caller reads one.  The (4, 4, 4) Christoffel tables
+remain ``christoffel()`` and the tests' reference for that acceleration.
+Timelike normalization is g_munu u^mu u^nu = -c^2, with u^0 = d(ct)/dtau;
+it, and the drift figures, are read from the metric diagonal
+(``MetricField.diagonal_at`` at a point, ``diagonal_batch`` along a
+trajectory), as every catalog metric is diagonal in its chart.
 
 The flat-space stationarity demo evolves the flat branches of a
 ``SuperposedState`` under H = P^2 / 2m by the spectral (FFT) method, each
@@ -31,6 +31,7 @@ accumulates no relative phase".
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,12 +54,34 @@ class GeodesicState:
     tau: float
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Integrator output; ``error`` is set when the run hit a singular point."""
+class _States(Sequence):
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
 
-    states: tuple[GeodesicState, ...]
+    def __len__(self) -> int:
+        return len(self._traj.tau)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        t = self._traj
+        return GeodesicState(x=FourVector(*t.x[i].tolist()), u=FourVector(*t.u[i].tolist()), tau=float(t.tau[i]))
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Read-only float arrays ``tau (n,)``, ``x (n, 4)``, ``u (n, 4)``, row k after k steps, and the ``error``
+    that stopped the run early; ``states`` views the rows as ``GeodesicState``s, built as they are read."""
+
+    tau: np.ndarray
+    x: np.ndarray
+    u: np.ndarray
     error: QlifError | None = None
+    states = property(_States)
+
+    def __post_init__(self):
+        for name in ("tau", "x", "u"):
+            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=float)))
 
     @property
     def completed(self) -> bool:
@@ -118,13 +141,13 @@ def integrate_geodesic(
 ) -> Trajectory:
     """Integrate the geodesic equation from ``init`` for ``n_steps`` RK4 steps.
 
-    Returns n_steps + 1 states (including the initial one).  The initial
+    Returns n_steps + 1 rows (including the initial one).  The initial
     state must be timelike-normalized within ``NORM_TOL`` (relative to
     c^2) and at a valid point, else ValueError / SingularRegion is raised.
     The loop runs on named local floats (see the module docstring) and
     packs only each finished step into a row.  A singular point hit
     mid-run, at any stage, stops the integration and returns the partial
-    trajectory with ``error`` set; every state it holds lies outside the
+    trajectory with ``error`` set; every row it holds lies outside the
     singular set, since each new row is checked for finiteness and judged
     (as the first stage of the next step) before it is kept.  A non-finite
     row stops the run the same way, with a ``QlifError``.
@@ -175,13 +198,9 @@ def integrate_geodesic(
             x0, x1, x2, x3, u0, u1, u2, u3 = row
     except QlifError as exc:
         error = exc
-    # the first state is built from the floats of its row too, whatever numbers init holds
-    states = [GeodesicState(x=FourVector(*start[:4]), u=FourVector(*start[4:]), tau=float(init.tau))]
-    states += (
-        GeodesicState(x=FourVector(*row[:4]), u=FourVector(*row[4:]), tau=init.tau + (k + 1) * dtau)
-        for k, row in enumerate(rows)
-    )
-    return Trajectory(states=tuple(states), error=error)
+    rows = np.array([start, *rows])
+    tau = np.concatenate(([init.tau], init.tau + np.arange(1, len(rows)) * dtau))  # row 0 is init.tau, even -0.0
+    return Trajectory(tau, rows[:, :4], rows[:, 4:], error)
 
 
 def drift_figures(field: MetricField, traj: Trajectory) -> tuple[float, float, float]:
@@ -195,10 +214,8 @@ def drift_figures(field: MetricField, traj: Trajectory) -> tuple[float, float, f
     distance from the kind's centre (for a start at the centre, where
     L_0 = 0, the largest distance reached).
     """
-    x = np.array([(st.x.t, st.x.x, st.x.y, st.x.z) for st in traj.states], dtype=float)
-    u = np.array([(st.u.t, st.u.x, st.u.y, st.u.z) for st in traj.states], dtype=float)
+    c, x, u = field.units.c, traj.x, traj.u
     d = field.diagonal_batch(x)
-    c = field.units.c
     norm = np.sum(d * u * u, axis=1)  # in index order, as the (N, 4, 4) contraction summed it: the same bits
     energy = -d[:, 0] * u[:, 0]
     ang, r = field.angular_momentum(x, u)

@@ -426,7 +426,7 @@ def metric_from_dict(spec, units: UnitSystem) -> MetricField:
         raise ValueError(f"metric spec must be a mapping, got {spec!r}")
     params = dict(spec)
     kind = params.pop("kind", None)
-    cls = METRIC_KINDS.get(kind)
+    cls = METRIC_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown metric kind {kind!r}")
     extra = set(params) - {f.name for f in fields(cls)[1:]}

@@ -7,7 +7,6 @@ is a real check and not a tautology.
 
 import math
 import warnings
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations
@@ -19,7 +18,7 @@ import scipy.special
 from qlif.collapse import UniformSphere
 from qlif.dynamics import GeodesicState, Trajectory
 from qlif.errors import QlifError
-from qlif.spacetime import FourVector, sqrt_neg_det_diagonal
+from qlif.spacetime import sqrt_neg_det_diagonal
 from qlif.tetrad import diagonal_frame_deviation
 
 
@@ -102,12 +101,13 @@ def list_rk4(field, init: GeodesicState, dtau: float, n_steps: int) -> Trajector
     (u, a); the update is y + (h/6)(k1 + 2 k2 + 2 k3 + k4) component by
     component, in that order.  A stage that raises QlifError or a non-finite
     step ends the run with the rows kept so far; the argument checks of
-    ``integrate_geodesic`` are not repeated here.
+    ``integrate_geodesic`` are not repeated here.  The proper times are
+    summed one by one in Python: float(init.tau), then init.tau + k dtau.
     """
     accel = field.geodesic_acceleration()
     h2, h6 = 0.5 * dtau, dtau / 6.0
     y = [float(v) for v in (*init.x.array, *init.u.array)]
-    rows = []
+    rows = [y]
     error = None
     try:
         k1 = (*y[4:], *accel(*y))
@@ -126,12 +126,9 @@ def list_rk4(field, init: GeodesicState, dtau: float, n_steps: int) -> Trajector
             rows.append(y)
     except QlifError as exc:
         error = exc
-    states = [replace(init, tau=float(init.tau))]
-    states += (
-        GeodesicState(x=FourVector(*row[:4]), u=FourVector(*row[4:]), tau=init.tau + (k + 1) * dtau)
-        for k, row in enumerate(rows)
-    )
-    return Trajectory(states=tuple(states), error=error)
+    tau = [float(init.tau)] + [init.tau + (k + 1) * dtau for k in range(len(rows) - 1)]
+    rows = np.array(rows)
+    return Trajectory(np.array(tau), rows[:, :4], rows[:, 4:], error)
 
 
 def perihelion_advance_weak_field(mass: float, a: float, e: float, c: float = 1.0) -> float:

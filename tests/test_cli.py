@@ -376,6 +376,16 @@ def test_malformed_values_are_config_errors(tmp_path, command, path, value):
     assert str(path[-1]) in record["error"]["message"]
 
 
+def test_a_metric_kind_that_is_not_a_string_is_unknown(tmp_path):
+    # a YAML list as the kind used to surface as "unhashable type: 'list'"
+    payload = _full_config()
+    payload["metrics"]["g_left"]["kind"] = ["a"]
+    out = tmp_path / "out"
+    assert main(["transform", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == {"kind": "config", "message": "metrics.g_left: unknown metric kind ['a']"}
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import replace
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -137,10 +137,10 @@ def test_drift_figures_equal_the_matrix_route_bit_for_bit(catalog):
         points = [FourVector.from_array(p) for p in points]
         starts = [GeodesicState(x, timelike_velocity(field, x, rng.uniform(-speed, speed, 3)), 0.0) for x in points]
         trajectories = [integrate_geodesic(field, start, dtau, 40) for start in starts]
-        random_states = (GeodesicState(x, FourVector.from_array(rng.normal(0.0, speed, 4)), 0.0) for x in points)
-        for traj in [*trajectories, Trajectory(tuple(random_states))]:
-            xs = np.array([st.x.array for st in traj.states])
-            us = np.array([st.u.array for st in traj.states])
+        at = np.array([x.array for x in points])
+        random_rows = Trajectory(np.zeros(len(at)), at, rng.normal(0.0, speed, at.shape))
+        for traj in [*trajectories, random_rows]:
+            xs, us = traj.x, traj.u
             g = metric_matrices(field, xs)
             norm, energy = np.einsum("nij,ni,nj->n", g, us, us), -g[:, 0, 0] * us[:, 0]
             c2 = field.units.c**2
@@ -294,6 +294,8 @@ def test_zero_steps_returns_initial_condition(units):
     u0 = timelike_velocity(mink, x0, (0, 0, 0))
     traj = integrate_geodesic(mink, GeodesicState(x0, u0, 0.0), 0.1, 0)
     assert len(traj.states) == 1 and traj.completed
+    assert (traj.tau.shape, traj.x.shape, traj.u.shape) == ((1,), (1, 4), (1, 4))
+    assert traj.x[0].tobytes() == x0.array.tobytes() and traj.u[0].tobytes() == u0.array.tobytes()
 
 
 @pytest.mark.parametrize("n_steps", [0, 2])
@@ -308,6 +310,57 @@ def test_every_state_holds_floats_from_an_int_start(units, n_steps):
     assert traj.states[0] == start
 
 
+def test_states_view_equals_states_built_from_the_rows(units):
+    sch = Schwarzschild(units, mass=1.0)
+    x0, u0 = _eccentric_orbit_ic(sch, 20.0, 1.02)
+    traj = integrate_geodesic(sch, GeodesicState(x0, u0, 1.5), 1.0, 300)
+    by_hand = tuple(
+        GeodesicState(FourVector(*x), FourVector(*u), tau)
+        for tau, x, u in zip(traj.tau.tolist(), traj.x.tolist(), traj.u.tolist())
+    )
+    states = traj.states
+    assert isinstance(states, Sequence) and len(states) == len(by_hand) == 301
+    assert states[0] == by_hand[0] and states[-1] == by_hand[-1] and states[-301] == by_hand[0]
+    assert states[::100] == by_hand[::100] and states[1:] == by_hand[1:] and states[5:2] == ()
+    assert tuple(states) == tuple(iter(states)) == by_hand
+    assert list(reversed(states)) == list(reversed(by_hand))
+    assert {type(v) for st in states for v in (st.tau, st.x.t, st.x.z, st.u.t, st.u.z)} == {float}
+    for i in (301, -302):
+        with pytest.raises(IndexError):
+            states[i]
+
+
+def test_trajectory_arrays_are_read_only(units):
+    mink = Minkowski(units)
+    x0 = FourVector(0.0, 1.0, -1.0, 0.5)
+    run = integrate_geodesic(mink, GeodesicState(x0, timelike_velocity(mink, x0, (0.1, 0.0, 0.0)), 0.0), 0.5, 3)
+    by_hand = Trajectory([0.0, 1.0], np.zeros((2, 4)), np.ones((2, 4)))
+    for traj in (run, by_hand):
+        for a in (traj.tau, traj.x, traj.u):
+            assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 7.0
+
+
+def test_integration_builds_no_four_vector_per_step(catalog, monkeypatch):
+    # every row stays in the arrays: the FourVector count does not grow with the step count
+    starts = {}
+    for name, field in catalog.items():
+        x0 = FourVector(0.0, 8.0, 1.2, 0.3) if name == "schwarzschild" else FourVector(0.0, 1.0, 0.5, -0.4)
+        starts[name] = GeodesicState(x0, timelike_velocity(field, x0, (0.01, 0.002, -0.003)), 0.0)
+    calls = []
+    post_init = FourVector.__post_init__
+    monkeypatch.setattr(FourVector, "__post_init__", lambda self: calls.append(self) or post_init(self))
+    for name, field in catalog.items():
+        counts = []
+        for n in (10, 1000):
+            calls.clear()
+            traj = integrate_geodesic(field, starts[name], 0.01, n)
+            assert traj.completed and len(traj.states) == n + 1
+            counts.append(len(calls))
+        assert counts[0] == counts[1], name
+
+
 def test_partial_trajectory_on_singularity(units):
     # infalling radial plunge hits the horizon margin mid-run
     sch = Schwarzschild(units, mass=1.0)
@@ -317,6 +370,10 @@ def test_partial_trajectory_on_singularity(units):
     assert not traj.completed
     assert 0 < len(traj.states) < 201
     assert traj.error is not None
+    # only the kept rows: one length for all three arrays, every row finite and valid
+    n = len(traj.states)
+    assert (traj.tau.shape, traj.x.shape, traj.u.shape) == ((n,), (n, 4), (n, 4))
+    assert np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.u)) and np.all(sch.valid_mask(traj.x))
 
 
 def test_weak_field_dive_into_signature_loss_keeps_a_valid_partial_trajectory(units):
@@ -333,18 +390,12 @@ def test_weak_field_dive_into_signature_loss_keeps_a_valid_partial_trajectory(un
     assert np.linalg.norm(x[-1, 1:]) < 2.1
 
 
-def _bits(traj):
-    return [
-        tuple(float(v).hex() for v in (st.tau, st.x.t, st.x.x, st.x.y, st.x.z, st.u.t, st.u.x, st.u.y, st.u.z))
-        for st in traj.states
-    ]
-
-
 def _assert_matches_list_rk4(field, init, dtau, n_steps):
     traj = integrate_geodesic(field, init, dtau, n_steps)
     ref = list_rk4(field, init, dtau, n_steps)
     assert len(traj.states) == len(ref.states)
-    assert _bits(traj) == _bits(ref)
+    for name in ("tau", "x", "u"):
+        assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes(), name
     assert type(traj.error) is type(ref.error)
     assert str(traj.error) == str(ref.error)
     return traj
@@ -414,6 +465,9 @@ def test_non_finite_stop_equals_the_list_rk4(units, good, bad):
     assert type(traj.error) is QlifError
     assert str(traj.error) == f"non-finite state at step {good // 4 + 1}"
     assert len(traj.states) == good // 4 + 1
+    # the non-finite row is not kept
+    assert traj.x.shape == traj.u.shape == (good // 4 + 1, 4)
+    assert np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.u))
 
 
 def test_integration_builds_no_christoffel_table(catalog, monkeypatch):
@@ -466,10 +520,10 @@ def test_angular_momentum_drift_is_tiny_on_orbits(catalog):
     radial = GeodesicState(origin, timelike_velocity(mink, origin, (0.1, 0.2, -0.05)), 0.0)
     assert 0.0 <= drift_figures(mink, integrate_geodesic(mink, radial, 1.0, 20))[2] < 1e-12
     # the figure is |L - L_0| / (r_0 c): a 1e-6 kick to the last u^phi reads L / r_0 * 1e-6
-    last = traj.states[-1]
-    kicked = replace(last, u=FourVector(last.u.t, last.u.x, last.u.y, last.u.z * (1.0 + 1e-6)))
-    bumped = replace(traj, states=traj.states[:-1] + (kicked,))
-    lz = last.x.x**2 * last.u.z
+    kicked = traj.u.copy()
+    kicked[-1, 3] *= 1.0 + 1e-6
+    bumped = Trajectory(traj.tau, traj.x, kicked)
+    lz = traj.x[-1, 1] ** 2 * traj.u[-1, 3]
     assert drift_figures(sch, bumped)[2] == pytest.approx(1e-6 * lz / 20.0, rel=1e-6)
 
 

@@ -524,6 +524,14 @@ def test_load_rejects_bad_header_fields(units, tmp_path, frame, edit):
     assert isinstance(info.value.__cause__, (KeyError, ValueError, TypeError, AttributeError))
 
 
+def test_load_names_a_metric_kind_that_is_not_a_string(units, tmp_path):
+    head, payload = _edited_header(
+        _saved_bytes(units, tmp_path), lambda h: h["branches"][0]["metric"].update(kind=["a"])
+    )
+    with pytest.raises(BadContainer, match=r"bad header field: .*unknown metric kind \['a'\]"):
+        _load_bytes(tmp_path, head + payload)
+
+
 @pytest.mark.parametrize("frame", [Frame.R, Frame.P])
 def test_saved_records_hold_each_branch_metric_once(units, tmp_path, frame):
     s = two_branch_state(units)
