@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,6 @@ from .qrf import check_qlif_metric, from_qlif, to_qlif
 from .qstate import (
     Branch,
     GridSpec,
-    SuperposedState,
     gaussian_psi,
     inner_product,
     make_state,
@@ -43,7 +42,6 @@ from .qstate import (
 )
 from .spacetime import (
     FourVector,
-    MetricField,
     Minkowski,
     Schwarzschild,
     UnitSystem,
@@ -66,6 +64,20 @@ def _check_keys(mapping, allowed, required, where):
     missing = set(required) - set(mapping)
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+
+
+def _reject_booleans(raw) -> None:
+    """No config key takes a boolean, which float() and int() would read as 1 or 0.
+    The walk keeps its own stack: YAML nests deeper than Python recurses."""
+    stack = [("", raw)]
+    while stack:
+        where, node = stack.pop()
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, value in items:
+            path = f"{where}[{key}]" if isinstance(node, list) else f"{where}.{key}" if where else str(key)
+            if isinstance(key, bool) or isinstance(value, bool):
+                raise ConfigError(f"{path}: no key takes a boolean (YAML reads yes/no, on/off, true/false as one)")
+            stack.append((path, value))
 
 
 def _convert(where: str, convert, value):
@@ -157,28 +169,17 @@ SELFTEST_TOLERANCES = {
 }
 
 
-@dataclass(frozen=True)
-class BranchSpec:
-    """One configured branch; its wavefunction is a ``gaussian_psi`` packet."""
-
-    label: str
-    amplitude: complex
-    metric: MetricField
-    mass_position: FourVector
-    center: tuple[float, float, float]
-    sigma: tuple[float, float, float]
-    momentum: tuple[float, float, float] | None
-
-
 class Scenario:
     """Validated configuration: every value is converted here, once.
 
     Any key or value problem raises ConfigError; the subcommands read only
-    the typed attributes.
+    the typed attributes.  ``state`` is the normalized ``SuperposedState``
+    of the branches, or None when the config has none.
     """
 
     def __init__(self, raw: dict):
         _check_keys(raw, TOP_KEYS, {"units"}, "config")
+        _reject_booleans(raw)
         self.units = _parse_units(raw["units"])
         self.seed = _convert("seed", _count, raw.get("seed", 0))
         metrics = raw.get("metrics") or {}
@@ -195,7 +196,12 @@ class Scenario:
         branches = raw.get("branches") or []
         if not isinstance(branches, list):
             raise ConfigError("branches: expected a list")
-        self.branches = [self._branch(i, b) for i, b in enumerate(branches)]
+        if branches and self.grid is None:
+            raise ConfigError("branches: the packets need a 'grid' section")
+        branches = [self._branch(i, b) for i, b in enumerate(branches)]
+        self.state = None
+        if branches:
+            self.state = _convert("branches", lambda bs: make_state(bs, self.grid, units=self.units), branches)
 
         transform = raw.get("transform", {})
         _check_keys(transform, {"tolerances", "check_radii"}, set(), "transform")
@@ -214,21 +220,19 @@ class Scenario:
 
         # the distribution record as written is echoed in the collapse summary
         collapse = raw.get("collapse")
-        self.distribution = self.distribution_spec = self.separations = self.axis = None
+        self.distribution = self.distribution_spec = self.separations = None
         if collapse is not None:
-            _check_keys(collapse, {"distribution", "separations", "axis"}, {"distribution", "separations"}, "collapse")
+            _check_keys(collapse, {"distribution", "separations"}, {"distribution", "separations"}, "collapse")
             self.distribution_spec = collapse["distribution"]
             self.distribution = _parse_distribution(self.distribution_spec)
             self.separations = _convert("collapse.separations", _distances, collapse["separations"])
-            self.axis = _convert("collapse.axis", _vector, collapse.get("axis", (0.0, 0.0, 1.0)))
-            if not any(self.axis):
-                raise ConfigError("collapse.axis: must not be zero")
 
         selftest = raw.get("selftest", {})
         _check_keys(selftest, {"tolerances"}, set(), "selftest")
         self.selftest_tolerances = _parse_tolerances(selftest, SELFTEST_TOLERANCES, "selftest.tolerances")
 
-    def _branch(self, i: int, b) -> BranchSpec:
+    def _branch(self, i: int, b) -> Branch:
+        """One configured branch; its wavefunction is a ``gaussian_psi`` packet on the grid."""
         where = f"branches[{i}]"
         required = {"label", "metric", "mass_position", "packet"}
         _check_keys(b, required | {"amplitude"}, required, where)
@@ -237,22 +241,19 @@ class Scenario:
             raise ConfigError(f"{where}: metric id {b['metric']!r} not defined")
         pk = b["packet"]
         _check_keys(pk, {"center", "sigma", "momentum"}, {"center", "sigma"}, f"{where}.packet")
-        return BranchSpec(
-            label=str(b["label"]),
+        return Branch(
             amplitude=_convert(f"{where}.amplitude", _amplitude, b.get("amplitude", 1.0)),
-            metric=metric,
+            mass_label=str(b["label"]),
             mass_position=_convert(f"{where}.mass_position", FourVector.from_array, b["mass_position"]),
-            center=_convert(f"{where}.packet.center", _vector, pk["center"]),
-            sigma=_convert(f"{where}.packet.sigma", _widths, pk["sigma"]),
-            momentum=_convert(f"{where}.packet.momentum", lambda m: m if m is None else _vector(m), pk.get("momentum")),
+            metric=metric,
+            psi=gaussian_psi(
+                self.grid,
+                _convert(f"{where}.packet.center", _vector, pk["center"]),
+                _convert(f"{where}.packet.sigma", _widths, pk["sigma"]),
+                _convert(f"{where}.packet.momentum", lambda m: m if m is None else _vector(m), pk.get("momentum")),
+                self.units.hbar,
+            ),
         )
-
-    def build_state(self) -> SuperposedState:
-        if self.grid is None or not self.branches:
-            raise ConfigError("this command needs 'grid' and 'branches' sections")
-        psi = [gaussian_psi(self.grid, b.center, b.sigma, b.momentum, self.units.hbar) for b in self.branches]
-        branches = [Branch(b.amplitude, b.label, b.mass_position, b.metric, p) for b, p in zip(self.branches, psi)]
-        return make_state(branches, self.grid, units=self.units)
 
 
 def _parse_distribution(spec):
@@ -292,8 +293,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def cmd_transform(scn: Scenario, out: Path) -> int:
     tol = scn.transform_tolerances
-    state = scn.build_state()
-    transformed, report = to_qlif(state)
+    if scn.state is None:
+        raise ConfigError("this command needs 'grid' and 'branches' sections")
+    transformed, report = to_qlif(scn.state)
     save_state(transformed, out / "state_qlif.qst")
 
     checks = {
@@ -316,12 +318,13 @@ def cmd_transform(scn: Scenario, out: Path) -> int:
 def cmd_geodesics(scn: Scenario, out: Path) -> int:
     if scn.dtau is None or scn.steps is None:
         raise ConfigError("geodesics: 'dtau' and 'steps' are required")
-    state = scn.build_state()
-    results = geodesic_superposition(state, scn.local_velocity, scn.dtau, scn.steps)
+    if scn.state is None:
+        raise ConfigError("this command needs 'grid' and 'branches' sections")
+    results = geodesic_superposition(scn.state, scn.local_velocity, scn.dtau, scn.steps)
     c = scn.units.c
 
     summary = []
-    for idx, (branch, bt) in enumerate(zip(state.branches, results)):
+    for idx, (branch, bt) in enumerate(zip(scn.state.branches, results)):
         name = f"geodesic_{idx}_{bt.mass_label}.csv"
         tr = bt.trajectory
         rows = np.column_stack([tr.tau, tr.x[:, 0] / c, tr.x[:, 1:], tr.u]).tolist()
@@ -347,7 +350,7 @@ def cmd_geodesics(scn: Scenario, out: Path) -> int:
 def cmd_collapse(scn: Scenario, out: Path) -> int:
     if scn.distribution is None:
         raise ConfigError("this command needs a 'collapse' section")
-    rows = collapse_mod.separation_sweep(scn.distribution, scn.separations, scn.units, axis=scn.axis)
+    rows = collapse_mod.separation_sweep(scn.distribution, scn.separations, scn.units)
 
     u = scn.units
     table = []

@@ -211,7 +211,7 @@ _QUAD_LIMIT = 200
 _QUAD_RTOL = 1e-10
 
 
-def _pair_quadrature(a: _Distribution, b: _Distribution, d: float, rtol: float = _QUAD_RTOL) -> float:
+def _pair_quadrature(a: _Distribution, b: _Distribution, d: float) -> float:
     hi = b.outer_radius
     rho = b.radial()[0]
     _, V, I = a.radial()
@@ -228,14 +228,14 @@ def _pair_quadrature(a: _Distribution, b: _Distribution, d: float, rtol: float =
             return scale * r * rho(r) * (I(d + r) - I(abs(d - r)))
 
     # quadpack refuses tolerances below machine precision; ask for what it
-    # can deliver and hold the result to the caller's tolerance ourselves
+    # can deliver and hold the result to _QUAD_RTOL ourselves
     integrate = _scipy().integrate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, abserr = integrate.quad(
-            integrand, 0.0, hi, limit=_QUAD_LIMIT, epsrel=max(rtol, 1e-13), epsabs=0.0
+            integrand, 0.0, hi, limit=_QUAD_LIMIT, epsrel=max(_QUAD_RTOL, 1e-13), epsabs=0.0
         )
-    if abserr > max(rtol * abs(val), 1e-300):
+    if abserr > max(_QUAD_RTOL * abs(val), 1e-300):
         raise QuadratureNonConvergence(
             f"pair term error estimate {abserr:.3e} exceeds tolerance for value {val:.6e}"
         )
@@ -248,7 +248,7 @@ def _pair_terms(a: _Distribution, b: _Distribution, d: np.ndarray) -> np.ndarray
         return _pair_uniform_equal(a.mass, b.mass, a.radius, d)
     if isinstance(a, Gaussian) and isinstance(b, Gaussian):
         return _pair_gaussian(a.mass, b.mass, a.width, b.width, d)
-    return np.array([_pair_quadrature(a, b, x, _QUAD_RTOL) for x in d.tolist()])
+    return np.array([_pair_quadrature(a, b, x) for x in d.tolist()])
 
 
 def _energies(a: _Distribution, b: _Distribution, d: np.ndarray, units: UnitSystem) -> np.ndarray:
@@ -318,24 +318,18 @@ def collapse_time(a: _Distribution, b: _Distribution, units: UnitSystem) -> floa
 
 
 def separation_sweep(
-    template_a: _Distribution,
-    separations,
-    units: UnitSystem,
-    axis=(0.0, 0.0, 1.0),
+    template_a: _Distribution, separations, units: UnitSystem
 ) -> list[tuple[float, float, float | None]]:
-    """(d, E, t) rows for a copy of ``template_a`` displaced along ``axis``.
+    """(d, E, t) rows for ``template_a`` and a copy of it a distance d away.
 
-    ``t`` is None on rows with zero self-energy (the infinite-lifetime
-    case, marked explicitly by the CLI).  Each row is evaluated at its
-    requested d, all rows in one pass of ``_energies`` (a copy has the
-    template's shape, so every row has a closed form); d = inf is the
-    far-field row, E = G (W_aa + W_bb).  ValueError unless d >= 0 (NaN
-    included) and unless ``axis`` is a finite nonzero 3-vector.
+    Every catalog distribution is spherically symmetric, so a row depends
+    on d alone, not on the direction of the displacement.  ``t`` is None
+    on rows with zero self-energy (the infinite-lifetime case, marked
+    explicitly by the CLI).  Each row is evaluated at its requested d, all
+    rows in one pass of ``_energies`` (a copy has the template's shape, so
+    every row has a closed form); d = inf is the far-field row,
+    E = G (W_aa + W_bb).  ValueError unless d >= 0 (NaN included).
     """
-    axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis) if axis.shape == (3,) else math.nan
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"axis must be a finite nonzero 3-vector, got {axis.tolist()!r}")
     separations = list(separations)
     for d in separations:
         if not d >= 0.0:

@@ -304,7 +304,6 @@ def _full_config():
     payload["collapse"] = {
         "distribution": {"kind": "uniform_sphere", "mass": 1.0, "radius": 1.0},
         "separations": [0.0, 0.5],
-        "axis": [0.0, 0.0, 1.0],
     }
     return payload
 
@@ -334,8 +333,6 @@ MALFORMED = [
     ("collapse", ("collapse", "separations"), ["near"]),
     ("collapse", ("collapse", "separations"), [-1.0]),
     ("collapse", ("collapse", "distribution", "kind"), ["uniform_sphere"]),  # unhashable: a TypeError escaped
-    ("collapse", ("collapse", "axis"), [0, 0]),
-    ("collapse", ("collapse", "axis"), [0, 0, 0]),
     # non-finite numbers
     ("transform", ("metrics", "g_left", "soft"), float("inf")),
     ("transform", ("grid", "lo"), [float("-inf"), -3.0, -3.0]),
@@ -347,7 +344,6 @@ MALFORMED = [
     ("transform", ("transform", "check_radii"), [float("inf")]),
     ("geodesics", ("geodesics", "local_velocity"), [float("nan"), 0.0, 0.0]),
     ("geodesics", ("geodesics", "dtau"), float("inf")),
-    ("collapse", ("collapse", "axis"), [0, 0, float("inf")]),
     # tolerances: finite and >= 0 (nan would fail every check, inf would switch one off)
     ("transform", ("transform", "tolerances", "roundtrip"), float("nan")),
     ("transform", ("transform", "tolerances", "roundtrip"), float("inf")),
@@ -384,6 +380,81 @@ def test_a_metric_kind_that_is_not_a_string_is_unknown(tmp_path):
     assert main(["transform", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == {"kind": "config", "message": "metrics.g_left: unknown metric kind ['a']"}
+
+
+def _error(out):
+    return json.loads((out / "error.json").read_text())["error"]
+
+
+@pytest.mark.parametrize("command", ["transform", "geodesics"])
+@pytest.mark.parametrize("spoil", ["same-label-and-metric", "all-amplitudes-zero"])
+def test_branches_no_state_can_hold_are_config_errors(tmp_path, command, spoil):
+    # make_state's ValueError used to escape the config guard: exit 1 with a traceback and no error.json
+    payload = _full_config()
+    if spoil == "same-label-and-metric":
+        payload["branches"][1].update(label="L", metric="g_left")
+    else:
+        for branch in payload["branches"]:
+            branch["amplitude"] = 0
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    error = _error(out)
+    assert error["kind"] == "config"
+    assert error["message"].startswith("branches: ")
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_branches_without_a_grid_are_a_config_error_for_every_command(tmp_path, command):
+    payload = _full_config()
+    del payload["grid"]
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    error = _error(out)
+    assert error["kind"] == "config"
+    assert "grid" in error["message"]
+
+
+# (subcommand, key path, a YAML 1.1 spelling of a boolean); each was read as 1 or 0
+BOOLEANS = [
+    ("geodesics", ("metrics", "g_left", "mass"), "true"),
+    ("geodesics", ("geodesics", "steps"), "yes"),
+    ("geodesics", ("seed",), "on"),
+    ("geodesics", ("branches", 0, "packet", "center", 0), "off"),
+    ("collapse", ("collapse", "distribution", "mass"), "True"),
+]
+
+
+@pytest.mark.parametrize("command, path, word", BOOLEANS, ids=[f"{'.'.join(map(str, p))}={w}" for _, p, w in BOOLEANS])
+def test_booleans_are_config_errors_that_name_the_key_path(tmp_path, command, path, word):
+    payload = _full_config()
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "BOOLEAN"
+    text = yaml.safe_dump(payload).replace("BOOLEAN", word)
+    node = yaml.safe_load(text)
+    for key in path:
+        node = node[key]
+    assert isinstance(node, bool)
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+    error = _error(out)
+    assert error["kind"] == "config"
+    assert error["message"].startswith(f"{where}: ")
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="the pure-Python YAML composer recurses per level")
+def test_a_value_nested_deeper_than_python_recurses_is_a_config_error(tmp_path):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("units: geometric\nseed: " + "[" * 5000 + "]" * 5000 + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["selftest", "--config", str(cfg), "--out", str(out)]) == 2
+    error = _error(out)
+    assert error["kind"] == "config"
+    assert error["message"].startswith("seed: ")
 
 
 @pytest.mark.parametrize(

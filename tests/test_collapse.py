@@ -49,13 +49,6 @@ def test_collapse_time_infinite_for_identical(units, spheres):
         collapse_time(a, a, units)
 
 
-def test_analytic_matches_monte_carlo_spheres(units, spheres):
-    a, b = spheres
-    analytic = delta_self_energy(a, b, units)
-    mc = delta_self_energy_monte_carlo(a, b, units, n_samples=4_000_000, seed=20405)
-    assert abs(analytic - mc) / analytic < 0.005
-
-
 def test_analytic_matches_monte_carlo_gaussians(units):
     a = Gaussian(mass=2.0, width=0.7)
     b = Gaussian(mass=2.0, width=0.7, center=(0.0, 0.0, 2.0))
@@ -213,13 +206,6 @@ def test_sweep_rejects_a_separation_that_is_not_nonnegative(units, spheres, d):
         separation_sweep(spheres[0], [d], units)
 
 
-@pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (0.0, 0.0, np.inf), (np.nan, 0.0, 1.0), (0.0, 1.0)])
-def test_sweep_rejects_an_axis_that_is_not_a_finite_nonzero_3_vector(units, spheres, axis):
-    # each would give rows of NaN
-    with pytest.raises(ValueError, match="axis must be a finite nonzero 3-vector"):
-        separation_sweep(spheres[0], [0.5], units, axis=axis)
-
-
 @pytest.mark.parametrize(
     "make, match",
     [
@@ -266,10 +252,9 @@ def test_each_kind_carries_its_forms(kind):
     assert np.allclose(np.mean(points, axis=0), dist.center, rtol=0.0, atol=0.02)
 
 
-@pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (1.0, -1.0, 0.0)])
-def test_sweep_far_field_row_is_the_sum_of_the_self_energies(units, spheres, axis):
+def test_sweep_far_field_row_is_the_sum_of_the_self_energies(units, spheres):
     a, _ = spheres
-    ((d, e, t),) = separation_sweep(a, [np.inf], units, axis=axis)
+    ((d, e, t),) = separation_sweep(a, [np.inf], units)
     assert d == np.inf
     assert e == units.G * 2.0 * _pair_uniform_equal(a.mass, a.mass, a.radius, np.zeros(1))[0]
     assert t == units.hbar / e
