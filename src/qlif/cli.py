@@ -241,18 +241,22 @@ class Scenario:
             raise ConfigError(f"{where}: metric id {b['metric']!r} not defined")
         pk = b["packet"]
         _check_keys(pk, {"center", "sigma", "momentum"}, {"center", "sigma"}, f"{where}.packet")
+        center = _convert(f"{where}.packet.center", _vector, pk["center"])
+        psi = gaussian_psi(
+            self.grid,
+            center,
+            _convert(f"{where}.packet.sigma", _widths, pk["sigma"]),
+            _convert(f"{where}.packet.momentum", lambda m: m if m is None else _vector(m), pk.get("momentum")),
+            self.units.hbar,
+        )
+        if not np.any(psi):
+            raise ConfigError(f"{where}.packet: zero at every grid point (center {list(center)} lies off the grid)")
         return Branch(
             amplitude=_convert(f"{where}.amplitude", _amplitude, b.get("amplitude", 1.0)),
             mass_label=str(b["label"]),
             mass_position=_convert(f"{where}.mass_position", FourVector.from_array, b["mass_position"]),
             metric=metric,
-            psi=gaussian_psi(
-                self.grid,
-                _convert(f"{where}.packet.center", _vector, pk["center"]),
-                _convert(f"{where}.packet.sigma", _widths, pk["sigma"]),
-                _convert(f"{where}.packet.momentum", lambda m: m if m is None else _vector(m), pk.get("momentum")),
-                self.units.hbar,
-            ),
+            psi=psi,
         )
 
 

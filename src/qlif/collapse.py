@@ -31,17 +31,17 @@ the brute-force oracle they are tested against; ``n_samples`` must be an
 int >= 1.  Every energy and lifetime these functions return is a Python
 float.
 
-scipy (``special.erf`` and ``integrate.quad``) is imported on first use,
-once per process, by the Gaussian and quadrature routes only: equal-sphere
-pairs, and so every sample config, never load it.
+No route needs scipy: the Gaussian forms take ``math.erf``, and the
+quadrature route is the package's own adaptive 21-point Gauss-Kronrod rule,
+``_gauss_kronrod``, the rule and error estimate of QUADPACK's ``qk21``.
 """
 
 from __future__ import annotations
 
-import functools
+import heapq
 import math
-import warnings
 from dataclasses import dataclass, fields
+from operator import mul
 
 import numpy as np
 
@@ -49,15 +49,6 @@ from .errors import InfiniteLifetime, QuadratureNonConvergence
 from .spacetime import UnitSystem, _set_parameters
 
 CONVENTION = "E = G * iint d3r d3r' drho(r) drho(r') / |r - r'|"
-
-
-@functools.cache
-def _scipy():
-    """scipy with its ``special`` and ``integrate`` modules, imported once on first use."""
-    import scipy.integrate
-    import scipy.special
-
-    return scipy
 
 
 @dataclass(frozen=True)
@@ -131,20 +122,21 @@ class Gaussian(_Distribution):
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def radial(self):
-        M, w, erf = self.mass, self.width, _scipy().special.erf
-        coef, two_w2 = M * (2.0 * np.pi * w**2) ** -1.5, 2.0 * w**2
-        small, v0 = 1e-12 * w, M * np.sqrt(2.0 / np.pi) / w
-        sw = np.sqrt(2.0) * w
-        sw2, tail = sw**2, sw / np.sqrt(np.pi)
+        # math functions on Python floats: one call per point, no numpy scalars
+        M, w, exp, erf = self.mass, self.width, math.exp, math.erf
+        coef, two_w2 = M * (2.0 * math.pi * w**2) ** -1.5, 2.0 * w**2
+        small, v0 = 1e-12 * w, M * math.sqrt(2.0 / math.pi) / w
+        sw = math.sqrt(2.0) * w
+        sw2, tail = sw * sw, sw / math.sqrt(math.pi)
 
         def rho(r):
-            return coef * np.exp(-(r * r) / two_w2)
+            return coef * exp(-(r * r) / two_w2)
 
         def V(s):
             return v0 if s < small else M * erf(s / sw) / s
 
         def I(s):
-            return M * (s * erf(s / sw) + tail * (np.exp(-(s * s) / sw2) - 1.0))
+            return M * (s * erf(s / sw) + tail * (exp(-(s * s) / sw2) - 1.0))
 
         return rho, V, I
 
@@ -195,17 +187,95 @@ def _pair_uniform_equal(m1: float, m2: float, R: float, d: np.ndarray) -> np.nda
 
 def _pair_gaussian(m1: float, m2: float, w1: float, w2: float, d: np.ndarray) -> np.ndarray:
     # Two Gaussian clouds interact like a point and a cloud of combined
-    # width sqrt(w1^2 + w2^2); d = 0 takes the limit.
+    # width sqrt(w1^2 + w2^2); d = 0 takes the limit.  erf goes row by row,
+    # and erf(x) / d is formed first: m1 m2 erf(x) can leave the normal
+    # range at tiny d where the quotient does not.
     s = np.sqrt(w1**2 + w2**2)
+    erf = np.array([math.erf(x) for x in (d / (np.sqrt(2.0) * s)).tolist()])
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = m1 * m2 * _scipy().special.erf(d / (np.sqrt(2.0) * s)) / d
+        w = m1 * m2 * (erf / d)
     return np.where(d == 0.0, m1 * m2 * np.sqrt(2.0 / np.pi) / s, w)
+
+
+# Globally adaptive quadrature: QUADPACK's 21-point Gauss-Kronrod rule
+# (qk21: the 10-point Gauss-Legendre rule and its Kronrod extension, with
+# QUADPACK's error estimate), bisecting the interval of largest estimated
+# error until the summed estimate meets the tolerance, as qag does.
+# Nodes on [-1, 1] in descending order; the Gauss nodes are every other
+# one, starting from the second (the centre is a Kronrod node only).
+
+_GK21_X = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_GK21_WK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208767098272, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+)
+_GK21_WK0 = 0.149445554002916905664936468389821
+_GK21_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_GK21_NODES = (*_GK21_X, 0.0, *(-x for x in reversed(_GK21_X)))
+_GK21_KRONROD = (*_GK21_WK, _GK21_WK0, *reversed(_GK21_WK))
+_GK21_GAUSS = (*_GK21_WG, *reversed(_GK21_WG))
+_EPS, _TINY = 2.0**-52, 2.0**-1022  # QUADPACK's epmach and uflow
+
+
+def _gk21(f, a: float, b: float) -> tuple[float, float]:
+    """(integral, error estimate) of f over [a, b], a < b, by one 21-point Gauss-Kronrod rule."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fv = [f(c + h * x) for x in _GK21_NODES]
+    resk = sum(map(mul, _GK21_KRONROD, fv))
+    resg = sum(map(mul, _GK21_GAUSS, fv[1::2]))
+    half = 0.5 * resk
+    # sum w |f| is the Kronrod sum itself, term for term, when no value is negative
+    resabs = h * (resk if min(fv) >= 0.0 else sum(map(mul, _GK21_KRONROD, map(abs, fv))))
+    resasc = h * sum(map(mul, _GK21_KRONROD, [abs(v - half) for v in fv]))
+    err = h * abs(resk - resg)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > _TINY / (50.0 * _EPS):
+        err = max(50.0 * _EPS * resabs, err)
+    return resk * h, err
+
+
+def _gauss_kronrod(f, a: float, b: float, rtol: float, limit: int) -> tuple[float, float]:
+    """(integral, error estimate) of the scalar function f over [a, b], a < b.
+
+    Starts from one 21-point rule on [a, b] and bisects the interval with
+    the largest error estimate while the summed estimate exceeds
+    rtol |integral| and there are fewer than ``limit`` intervals.  Every
+    interval costs 21 calls of f.
+    """
+    val, err = _gk21(f, a, b)
+    pending = [(-err, a, b, val)]
+    total, errsum = val, err
+    while errsum > rtol * abs(total) and len(pending) < limit:
+        neg_err, lo, hi, v = heapq.heappop(pending)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = _gk21(f, lo, mid)
+        v2, e2 = _gk21(f, mid, hi)
+        heapq.heappush(pending, (-e1, lo, mid, v1))
+        heapq.heappush(pending, (-e2, mid, hi, v2))
+        total += (v1 + v2) - v
+        errsum += (e1 + e2) + neg_err
+    return math.fsum(p[3] for p in pending), math.fsum(-p[0] for p in pending)
 
 
 # W_xy(d) = (2 pi / d) * int_0^inf r rho_y(r) [ I_x(d + r) - I_x(|d - r|) ] dr
 # with I_x(s) = int_0^s u V_x(u) du and V_x the Coulomb potential of x;
 # for d = 0 the angular average collapses to W = int 4 pi r^2 rho_y V_x dr.
-# The quadrature route holds each pair term to _QUAD_RTOL.
+# The quadrature route holds each pair term to _QUAD_RTOL within
+# _QUAD_LIMIT intervals.
 
 _QUAD_LIMIT = 200
 _QUAD_RTOL = 1e-10
@@ -227,14 +297,7 @@ def _pair_quadrature(a: _Distribution, b: _Distribution, d: float) -> float:
         def integrand(r):
             return scale * r * rho(r) * (I(d + r) - I(abs(d - r)))
 
-    # quadpack refuses tolerances below machine precision; ask for what it
-    # can deliver and hold the result to _QUAD_RTOL ourselves
-    integrate = _scipy().integrate
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, abserr = integrate.quad(
-            integrand, 0.0, hi, limit=_QUAD_LIMIT, epsrel=max(_QUAD_RTOL, 1e-13), epsabs=0.0
-        )
+    val, abserr = _gauss_kronrod(integrand, 0.0, hi, _QUAD_RTOL, _QUAD_LIMIT)
     if abserr > max(_QUAD_RTOL * abs(val), 1e-300):
         raise QuadratureNonConvergence(
             f"pair term error estimate {abserr:.3e} exceeds tolerance for value {val:.6e}"

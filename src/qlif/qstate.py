@@ -248,9 +248,14 @@ def make_state(
         raise ValueError("state needs at least one branch")
     if units is None:
         units = branches[0].metric.units
-    keys = [b.key for b in branches]
-    if len(set(keys)) != len(keys):
-        raise ValueError(f"duplicate branch keys: {keys}")
+    first = {}
+    for i, b in enumerate(branches):
+        j = first.setdefault(b.key, i)
+        if j != i:
+            raise ValueError(
+                f"duplicate branch keys: branches[{j}] and branches[{i}] both have mass label "
+                f"{b.mass_label!r} and metric {b.metric.label}"
+            )
 
     normalized = []
     weights = []

@@ -13,9 +13,8 @@ from itertools import permutations
 
 import numpy as np
 import scipy.integrate
-import scipy.special
 
-from qlif.collapse import UniformSphere
+from qlif.collapse import UniformSphere, _gauss_kronrod
 from qlif.dynamics import GeodesicState, Trajectory
 from qlif.errors import QlifError
 from qlif.spacetime import sqrt_neg_det_diagonal
@@ -191,6 +190,22 @@ def gaussian_delta_energy(G: float, mass: float, width: float, d: float) -> floa
     return G * 2.0 * (w0 - wd)
 
 
+def gaussian_delta_energy_series(G: float, mass: float, width: float, d: float, terms: int = 12) -> float:
+    """Difference self-energy of two equal Gaussian clouds a small distance d apart, from a series.
+
+    With u = d / (2 width), W(0) - W(d) = m^2 / (width sqrt(pi)) * sum_{n >= 1}
+    (-1)^(n+1) u^(2n) / (n! (2n + 1)), the Taylor series of erf(u) / u, so
+    no erf is evaluated and nothing cancels; for u < 1 twelve terms are
+    exact to rounding.
+    """
+    u2 = (d / (2.0 * width)) ** 2
+    total, power = 0.0, -1.0
+    for n in range(1, terms + 1):
+        power *= -u2 / n  # (-1)^(n+1) u^(2n) / n!
+        total += power / (2 * n + 1)
+    return G * 2.0 * mass * mass / (width * math.sqrt(math.pi)) * total
+
+
 def eigh_tetrad(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(b, f) of (N, 4, 4) metrics by eigendecomposition, eigenvector signs fixed.
 
@@ -336,7 +351,15 @@ def whole_grid_metric_on_grid(metric, grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The radial closed forms as 0-d array code: the reference that the scalar
-# closures of each kind's ``radial()`` must equal bit for bit.
+# closures of each kind's ``radial()`` must equal bit for bit.  Their exp and
+# erf are the math module's, applied element by element, as in the closures:
+# numpy's exp can differ from libm's by an ulp.
+
+
+def _elementwise(fn, x) -> np.ndarray:
+    """The math-module function ``fn`` of every element of ``x``, in x's shape."""
+    x = np.asarray(x, dtype=float)
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def array_coulomb_potential(dist, s: np.ndarray) -> np.ndarray:
@@ -352,7 +375,7 @@ def array_coulomb_potential(dist, s: np.ndarray) -> np.ndarray:
     out = np.empty_like(s)
     small = s < 1e-12 * w
     out[small] = M * np.sqrt(2.0 / np.pi) / w
-    out[~small] = M * scipy.special.erf(s[~small] / (np.sqrt(2.0) * w)) / s[~small]
+    out[~small] = M * _elementwise(math.erf, s[~small] / (np.sqrt(2.0) * w)) / s[~small]
     return out
 
 
@@ -366,7 +389,8 @@ def array_potential_integral(dist, s: np.ndarray) -> np.ndarray:
         return inner + M * np.maximum(s - R, 0.0)
     M, w = dist.mass, dist.width
     sw = np.sqrt(2.0) * w
-    return M * (s * scipy.special.erf(s / sw) + sw / np.sqrt(np.pi) * (np.exp(-(s**2) / sw**2) - 1.0))
+    erf_term = s * _elementwise(math.erf, s / sw)
+    return M * (erf_term + sw / np.sqrt(np.pi) * (_elementwise(math.exp, -(s**2) / sw**2) - 1.0))
 
 
 def array_radial_density(dist, r: np.ndarray) -> np.ndarray:
@@ -375,12 +399,11 @@ def array_radial_density(dist, r: np.ndarray) -> np.ndarray:
         rho0 = dist.mass / (4.0 / 3.0 * np.pi * dist.radius**3)
         return np.where(r <= dist.radius, rho0, 0.0)
     w = dist.width
-    return dist.mass * (2.0 * np.pi * w**2) ** -1.5 * np.exp(-(r**2) / (2.0 * w**2))
+    return dist.mass * (2.0 * np.pi * w**2) ** -1.5 * _elementwise(math.exp, -(r**2) / (2.0 * w**2))
 
 
-def array_pair_quadrature(a, b, d: float, rtol: float = 1e-10) -> float:
-    """The quadrature pair term W_ab(d) over the array closed forms above,
-    with the quadpack call of ``collapse._pair_quadrature``."""
+def _array_integrand(a, b, d: float):
+    """The integrand of the pair term W_ab(d) over the array closed forms above, and its upper limit."""
     hi = b.radius if isinstance(b, UniformSphere) else 12.0 * b.width
     if d == 0.0:
 
@@ -393,6 +416,20 @@ def array_pair_quadrature(a, b, d: float, rtol: float = 1e-10) -> float:
             shells = array_potential_integral(a, d + r) - array_potential_integral(a, abs(d - r))
             return (2.0 * np.pi / d) * r * array_radial_density(b, r) * shells
 
+    return integrand, hi
+
+
+def array_pair_quadrature(a, b, d: float, rtol: float = 1e-10) -> float:
+    """The quadrature pair term W_ab(d) over the array closed forms above,
+    with the Gauss-Kronrod call of ``collapse._pair_quadrature``."""
+    integrand, hi = _array_integrand(a, b, d)
+    val, _ = _gauss_kronrod(integrand, 0.0, hi, rtol, 200)
+    return float(val)
+
+
+def scipy_pair_quadrature(a, b, d: float, rtol: float = 1e-10) -> float:
+    """The pair term W_ab(d) over the array closed forms above, by QUADPACK's qagse (``scipy.integrate.quad``)."""
+    integrand, hi = _array_integrand(a, b, d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
         val, _ = scipy.integrate.quad(integrand, 0.0, hi, limit=200, epsrel=max(rtol, 1e-13), epsabs=0.0)

@@ -403,6 +403,31 @@ def test_branches_no_state_can_hold_are_config_errors(tmp_path, command, spoil):
     assert error["message"].startswith("branches: ")
 
 
+def test_duplicate_branch_keys_name_the_colliding_branches(tmp_path):
+    # the message used to list every key with each metric's full repr and name no branch
+    payload = _full_config()
+    payload["branches"][1].update(label="L", metric="g_left")
+    out = tmp_path / "out"
+    assert main(["transform", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    error = _error(out)
+    assert error["kind"] == "config"
+    assert error["message"].startswith("branches: duplicate branch keys: branches[0] and branches[1] ")
+    assert "'L'" in error["message"] and "weak_field_point_mass" in error["message"]
+    assert "WeakFieldPointMass(" not in error["message"]
+
+
+@pytest.mark.parametrize("command", ["transform", "geodesics"])
+def test_a_packet_off_the_grid_is_a_config_error(tmp_path, command):
+    # a packet that underflows to zero on every grid point used to exit 2 with kind ZeroNorm
+    payload = _full_config()
+    payload["branches"][1]["packet"]["center"] = [1e6, 0.0, 0.0]
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    error = _error(out)
+    assert error["kind"] == "config"
+    assert error["message"].startswith("branches[1].packet: ")
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_branches_without_a_grid_are_a_config_error_for_every_command(tmp_path, command):
     payload = _full_config()
@@ -562,16 +587,59 @@ print(json.dumps(loaded))
 """
 
 
-def test_sample_runs_leave_scipy_unimported(tmp_path):
-    # scipy serves only the Gaussian and quadrature collapse routes, which no
-    # sample config reaches; importing it took most of each run's start-up
+def _run_fresh(code: str, *args) -> dict:
+    """The JSON that ``code`` prints last, run with ``args`` in a fresh interpreter on this package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", _SAMPLE_RUNS_IN_A_FRESH_PROCESS, str(CONFIGS), str(tmp_path)],
+        [sys.executable, "-c", code, *map(str, args)],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
-    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_sample_runs_leave_scipy_unimported(tmp_path):
+    # scipy is a test oracle only; importing it took most of each run's start-up
+    loaded = _run_fresh(_SAMPLE_RUNS_IN_A_FRESH_PROCESS, CONFIGS, tmp_path)
     assert loaded == dict.fromkeys(
         ["import qlif", "import qlif.cli", "transform", "geodesics", "collapse", "selftest"], False
     )
+
+
+_COLLAPSE_ROUTES_WITH_SCIPY_BLOCKED = """
+import importlib.abc, json, sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"import of {name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+import qlif.cli
+from qlif.collapse import Gaussian, UniformSphere, delta_self_energy, delta_self_energy_monte_carlo
+from qlif.spacetime import UnitSystem
+
+units = UnitSystem.geometric()
+sphere, gaussian = UniformSphere(2.0, 1.0), Gaussian(1.5, 0.5, (0.0, 0.0, 0.8))
+done = {
+    "collapse": qlif.cli.main(["collapse", "--config", sys.argv[1], "--out", sys.argv[2]]),
+    "unequal spheres": delta_self_energy(sphere, UniformSphere(2.0, 0.5, (0.0, 0.0, 1.2)), units) > 0.0,
+    "sphere / gaussian": delta_self_energy(sphere, gaussian, units) > 0.0,
+    "monte carlo": delta_self_energy_monte_carlo(sphere, gaussian, units, n_samples=1000, seed=1) > 0.0,
+}
+done["scipy loaded"] = "scipy" in sys.modules
+print(json.dumps(done))
+"""
+
+
+def test_every_collapse_route_runs_with_scipy_blocked(tmp_path):
+    # the Gaussian forms and the quadrature route once imported scipy on first use
+    payload = collapse_config()
+    payload["collapse"]["distribution"] = GAUSSIAN
+    done = _run_fresh(_COLLAPSE_ROUTES_WITH_SCIPY_BLOCKED, write_config(tmp_path, payload), tmp_path / "out")
+    assert done == {
+        "collapse": 0, "unequal spheres": True, "sphere / gaussian": True, "monte carlo": True, "scipy loaded": False,
+    }

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 from oracles import (
     array_coulomb_potential,
@@ -12,6 +14,8 @@ from oracles import (
     array_radial_density,
     decimal_distance,
     gaussian_delta_energy,
+    gaussian_delta_energy_series,
+    scipy_pair_quadrature,
     uniform_sphere_delta_energy,
 )
 from qlif.collapse import (
@@ -24,7 +28,15 @@ from qlif.collapse import (
     separation_sweep,
 )
 from qlif import collapse
-from qlif.collapse import _pair_quadrature, _pair_uniform_equal, _row_norms, _separation  # internal cross-checks
+from qlif.collapse import (  # internal cross-checks
+    _GK21_GAUSS,
+    _GK21_KRONROD,
+    _GK21_NODES,
+    _pair_quadrature,
+    _pair_uniform_equal,
+    _row_norms,
+    _separation,
+)
 from qlif.errors import InfiniteLifetime, QuadratureNonConvergence
 from qlif.spacetime import UnitSystem
 
@@ -188,16 +200,66 @@ def test_row_norms_equal_linalg_norm():
     assert np.array_equal(_row_norms(v), np.linalg.norm(v, axis=1))
 
 
-@pytest.mark.parametrize("kinds", ["sphere-gaussian", "gaussian-sphere", "sphere-sphere", "gaussian-gaussian"])
-@pytest.mark.parametrize("where", ["zero", "inside", "touching", "apart"])
-def test_quadrature_equals_the_array_integrand_route(kinds, where):
+def _quadrature_case(kinds, where):
     make = {"sphere": UniformSphere, "gaussian": Gaussian}
     first, second = kinds.split("-")
     a, b = make[first](2.0, 1.0), make[second](1.5, 0.6)
     d = {"zero": 0.0, "inside": 0.45, "touching": 1.6, "apart": 4.8}[where]
-    b = dataclasses.replace(b, center=(0.0, 0.0, d))
+    return a, dataclasses.replace(b, center=(0.0, 0.0, d)), d
+
+
+QUADRATURE_KINDS = ["sphere-gaussian", "gaussian-sphere", "sphere-sphere", "gaussian-gaussian"]
+QUADRATURE_WHERE = ["zero", "inside", "touching", "apart"]
+
+
+@pytest.mark.parametrize("kinds", QUADRATURE_KINDS)
+@pytest.mark.parametrize("where", QUADRATURE_WHERE)
+def test_quadrature_equals_the_array_integrand_route(kinds, where):
+    a, b, d = _quadrature_case(kinds, where)
     assert _pair_quadrature(a, b, d) == array_pair_quadrature(a, b, d)
     assert _pair_quadrature(b, a, d) == array_pair_quadrature(b, a, d)
+
+
+@pytest.mark.parametrize("kinds", QUADRATURE_KINDS)
+@pytest.mark.parametrize("where", QUADRATURE_WHERE)
+def test_quadrature_agrees_with_quadpack(kinds, where):
+    # scipy's quad (QUADPACK qagse) on the array integrand: another
+    # implementation of the rule, with extrapolation, on other code
+    a, b, d = _quadrature_case(kinds, where)
+    assert _pair_quadrature(a, b, d) == pytest.approx(scipy_pair_quadrature(a, b, d), rel=1e-12, abs=0.0)
+    assert _pair_quadrature(b, a, d) == pytest.approx(scipy_pair_quadrature(b, a, d), rel=1e-12, abs=0.0)
+
+
+def test_gauss_kronrod_rule_integrates_polynomials_exactly():
+    # the 10-point Gauss rule is exact to degree 19 and its 21-point Kronrod
+    # extension to degree 31: a wrong digit in a node or weight shows here
+    gauss_nodes = _GK21_NODES[1::2]
+    assert np.allclose(sorted(gauss_nodes), np.polynomial.legendre.leggauss(10)[0], rtol=0.0, atol=1e-15)
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        kronrod = math.fsum(w * x**k for w, x in zip(_GK21_KRONROD, _GK21_NODES))
+        assert kronrod == pytest.approx(exact, rel=0.0, abs=1e-15)
+        if k < 20:
+            gauss = math.fsum(w * x**k for w, x in zip(_GK21_GAUSS, gauss_nodes))
+            assert gauss == pytest.approx(exact, rel=0.0, abs=1e-15)
+
+
+def test_math_erf_agrees_with_scipy_erf():
+    # the Gaussian forms take math.erf; scipy's cephes erf is an independent implementation
+    x = np.logspace(-310.0, 1.0, 3111)
+    ours, theirs = [math.erf(v) for v in x.tolist()], scipy.special.erf(x).tolist()
+    assert max(abs(p - q) / math.ulp(q) for p, q in zip(ours, theirs)) <= 2.0
+
+
+def test_gaussian_sweep_at_tiny_separations_keeps_the_cross_term_normal():
+    # m1 m2 erf(x) / d left to right underflowed m1 m2 erf(x) to a subnormal
+    # and read 1.7e-3 and 1.0 times the far-field E at d = 1e-300 and 1e-310
+    si = UnitSystem.si()
+    g = Gaussian(1e-14, 1e-7)
+    rows = separation_sweep(g, [1e-300, 1e-310, np.inf], si)
+    far = rows[-1][1]
+    for d, e, _ in rows[:2]:
+        assert abs(e - gaussian_delta_energy_series(si.G, g.mass, g.width, d)) <= 1e-15 * far
 
 
 @pytest.mark.parametrize("d", [-1.0, np.nan])
