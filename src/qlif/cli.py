@@ -3,8 +3,9 @@
 Configs are YAML, parsed strictly (unknown keys are errors: a silently
 ignored typo in a physics config produces wrong science).  All outputs are
 plain structured text (JSON reports, CSV tables, the binary state
-container) with deterministic formatting: running the same config and seed
-twice produces byte-identical files.
+container) with deterministic formatting: the config file is a run's whole
+input (its ``seed`` included), so running it twice produces byte-identical
+files.
 
 Exit codes: 0 success, 1 tolerance failure, 2 precondition/config error.
 """
@@ -148,24 +149,21 @@ def _tolerance(value) -> float:
     return v
 
 
-def _parse_tolerances(section: dict, defaults: dict, where: str) -> dict:
-    given = section.get("tolerances") or {}
-    _check_keys(given, defaults, set(), where)
-    return {**defaults, **{k: _convert(f"{where}.{k}", _tolerance, v) for k, v in given.items()}}
-
-
-TOP_KEYS = {"units", "seed", "metrics", "grid", "branches", "transform", "geodesics", "collapse", "selftest"}
+TOP_KEYS = {"units", "seed", "metrics", "grid", "branches", "transform", "geodesics", "collapse"}
 
 # Default tolerances; a config may override any of these keys and no other.
 TRANSFORM_TOLERANCES = {"metric_deviation": 1e-10, "roundtrip": 1e-8, "norm_drift": 1e-8}
-SELFTEST_TOLERANCES = {
+
+# The selftest's fixed bounds, by row: a value passes below its bound, or
+# inside its (lo, hi) range, end points included.
+SELFTEST_BOUNDS = {
     "tetrad_eta": 1e-10,
     "tetrad_duality": 1e-12,
     "unitarity": 1e-8,
     "roundtrip": 1e-8,
-    "rk4_ratio_lo": 12.0,
-    "rk4_ratio_hi": 20.0,
-    "scaling": 1e-10,
+    "rk4_order_ratio": (12.0, 20.0),
+    "energy_mass_scaling": 1e-10,
+    "translation_commutator": 1e-10,
 }
 
 
@@ -205,7 +203,10 @@ class Scenario:
 
         transform = raw.get("transform", {})
         _check_keys(transform, {"tolerances", "check_radii"}, set(), "transform")
-        self.transform_tolerances = _parse_tolerances(transform, TRANSFORM_TOLERANCES, "transform.tolerances")
+        tolerances = transform.get("tolerances") or {}
+        _check_keys(tolerances, TRANSFORM_TOLERANCES, set(), "transform.tolerances")
+        given = {k: _convert(f"transform.tolerances.{k}", _tolerance, v) for k, v in tolerances.items()}
+        self.transform_tolerances = {**TRANSFORM_TOLERANCES, **given}
         self.check_radii = _convert("transform.check_radii", _distances, transform.get("check_radii") or [])
         if not np.all(np.isfinite(self.check_radii)):
             raise ConfigError(f"transform.check_radii: expected finite radii, got {list(self.check_radii)!r}")
@@ -226,10 +227,6 @@ class Scenario:
             self.distribution_spec = collapse["distribution"]
             self.distribution = _parse_distribution(self.distribution_spec)
             self.separations = _convert("collapse.separations", _distances, collapse["separations"])
-
-        selftest = raw.get("selftest", {})
-        _check_keys(selftest, {"tolerances"}, set(), "selftest")
-        self.selftest_tolerances = _parse_tolerances(selftest, SELFTEST_TOLERANCES, "selftest.tolerances")
 
     def _branch(self, i: int, b) -> Branch:
         """One configured branch; its wavefunction is a ``gaussian_psi`` packet on the grid."""
@@ -267,11 +264,10 @@ def _parse_distribution(spec):
     if cls is None:
         raise ConfigError(f"{where}: unknown kind {kind!r}")
     _, size, _ = cls.__dataclass_fields__  # mass, size, center
-    _check_keys(spec, {"kind", "mass", size, "center"}, {"kind", "mass", size}, where)
+    _check_keys(spec, {"kind", "mass", size}, {"kind", "mass", size}, where)
     mass = _convert(f"{where}.mass", _positive, spec["mass"])
     extent = _convert(f"{where}.{size}", _positive, spec[size])
-    center = _convert(f"{where}.center", _vector, spec.get("center", (0.0, 0.0, 0.0)))
-    return cls(mass, extent, center=center)
+    return cls(mass, extent)
 
 
 def _fmt(x) -> str:
@@ -389,12 +385,10 @@ def cmd_collapse(scn: Scenario, out: Path) -> int:
     return 0
 
 
-def _selftest_checks(scn: Scenario):
-    """(name, value, threshold, passed) rows for the built-in invariant suite."""
-    tol = scn.selftest_tolerances
+def _selftest_checks(seed: int):
+    """Yield the (name, value) rows of the built-in invariant suite; ``SELFTEST_BOUNDS`` judges them."""
     u = UnitSystem.geometric()
-    rng = np.random.default_rng(scn.seed)
-    rows = []
+    rng = np.random.default_rng(seed)
 
     # Frame invariants over the catalog.
     fields = [
@@ -411,8 +405,8 @@ def _selftest_checks(scn: Scenario):
             b, f = build_tetrad(field, x)
             worst_eta = max(worst_eta, float(diagonal_frame_deviation(field.diagonal_at(x)[None, :])[0]))
             worst_dual = max(worst_dual, float(np.max(np.abs(f * b - 1.0))))
-    rows.append(("tetrad_eta", worst_eta, tol["tetrad_eta"], worst_eta < tol["tetrad_eta"]))
-    rows.append(("tetrad_duality", worst_dual, tol["tetrad_duality"], worst_dual < tol["tetrad_duality"]))
+    yield "tetrad_eta", worst_eta
+    yield "tetrad_duality", worst_dual
 
     # QLIF unitarity and round trip on a small two-branch state.
     # Metrics are values: the ones built for the second state are the keys
@@ -435,10 +429,8 @@ def _selftest_checks(scn: Scenario):
     a, b = rand_state(), rand_state()
     ta, _ = to_qlif(a)
     tb, rep = to_qlif(b)
-    unit_err = abs(inner_product(ta, tb) - inner_product(a, b))
-    rows.append(("unitarity", unit_err, tol["unitarity"], unit_err < tol["unitarity"]))
-    rt = abs(inner_product(b, from_qlif(tb)) - 1.0)
-    rows.append(("roundtrip", rt, tol["roundtrip"], rt < tol["roundtrip"]))
+    yield "unitarity", abs(inner_product(ta, tb) - inner_product(a, b))
+    yield "roundtrip", abs(inner_product(b, from_qlif(tb)) - 1.0)
 
     # RK4 convergence order on a Schwarzschild arc.
     sch = Schwarzschild(u, mass=1.0)
@@ -452,14 +444,7 @@ def _selftest_checks(scn: Scenario):
 
     ref = endpoint(4096)
     ratio = np.linalg.norm(endpoint(64) - ref) / np.linalg.norm(endpoint(128) - ref)
-    rows.append(
-        (
-            "rk4_order_ratio",
-            float(ratio),
-            (tol["rk4_ratio_lo"], tol["rk4_ratio_hi"]),
-            tol["rk4_ratio_lo"] <= ratio <= tol["rk4_ratio_hi"],
-        )
-    )
+    yield "rk4_order_ratio", float(ratio)
 
     # Quadratic mass scaling of the difference self-energy.
     s1 = UniformSphere(mass=2.0, radius=1.0)
@@ -468,8 +453,7 @@ def _selftest_checks(scn: Scenario):
     e4 = delta_self_energy(
         UniformSphere(mass=4.0, radius=1.0), UniformSphere(mass=4.0, radius=1.0, center=(0, 0, 1.5)), u
     )
-    scal = abs(e4 / 4.0 - e1) / e1
-    rows.append(("energy_mass_scaling", scal, tol["scaling"], scal < tol["scaling"]))
+    yield "energy_mass_scaling", abs(e4 / 4.0 - e1) / e1
 
     # Translation-evolution commutation (flat-space stationarity core) on a
     # one-branch flat state, thin in y and z; |psi|^2 has rms width 1 along x.
@@ -477,26 +461,25 @@ def _selftest_checks(scn: Scenario):
     psi = gaussian_psi(line, (0.0, 0.0, 0.0), (np.sqrt(2.0), 1.0, 1.0))
     flat = make_state([Branch(1.0, "free", FourVector(0, 0, 0, 0), Minkowski(u), psi)], line, units=u)
     comm = translation_covariance_check(flat, (5 * line.spacing[0], 0.0, 0.0), 2.0, 1.0)
-    rows.append(("translation_commutator", comm, 1e-10, comm < 1e-10))
-    return rows
+    yield "translation_commutator", comm
 
 
 def cmd_selftest(scn: Scenario, out: Path) -> int:
-    rows = _selftest_checks(scn)
-    ok = True
     report = []
-    for name, value, threshold, passed in rows:
-        ok &= passed
+    for name, value in _selftest_checks(scn.seed):
+        threshold = SELFTEST_BOUNDS[name]
+        passed = threshold[0] <= value <= threshold[1] if isinstance(threshold, tuple) else value < threshold
         print(f"[{'PASS' if passed else 'FAIL'}] {name}: {value!r} (threshold {threshold!r})")
         report.append(
             {
                 "check": name,
                 "value": float(value),
-                "threshold": list(threshold) if isinstance(threshold, tuple) else float(threshold),
+                "threshold": threshold,
                 "passed": bool(passed),
             }
         )
-    _write_json(out / "selftest_report.json", {"checks": report, "passed": bool(ok), "seed": scn.seed})
+    ok = all(row["passed"] for row in report)
+    _write_json(out / "selftest_report.json", {"checks": report, "passed": ok, "seed": scn.seed})
     return 0 if ok else 1
 
 
@@ -524,7 +507,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="YAML scenario file")
     parser.add_argument("--out", required=True, help="output directory (created if missing)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
@@ -546,10 +528,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        scn = Scenario(raw if raw is not None else {})
-        if args.seed is not None:
-            scn.seed = _convert("--seed", _count, args.seed)
-        return COMMANDS[args.command](scn, out)
+        return COMMANDS[args.command](Scenario(raw if raw is not None else {}), out)
     except ConfigError as exc:
         _error_record(out, "config", str(exc))
         return 2

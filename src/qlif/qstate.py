@@ -224,6 +224,36 @@ def _measure(branch: Branch, grid: GridSpec, frame: Frame) -> np.ndarray | float
     return branch_sqrt_neg_det(branch, grid) if frame == Frame.R else 1.0
 
 
+def _root_sum_sq(a: np.ndarray, weight=1.0, dvol: float = 1.0):
+    """sqrt(sum(weight |a|^2) dvol).  Where that sum is not finite, or at most
+    a.size * tiny, so that terms rounded to subnormals could move it by an ulp,
+    it runs over a / max|a| instead and the root is scaled back."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = float(np.sum(weight * np.abs(a) ** 2).real * dvol)
+        if a.size * np.finfo(float).tiny < sq < math.inf:
+            return np.sqrt(sq)
+        scale = np.max(np.abs(a))
+        if not 0.0 < scale < math.inf:  # all zero, or already past the float range
+            return scale
+        return scale * np.sqrt(float(np.sum(weight * np.abs(a / scale) ** 2).real * dvol))
+
+
+def _check_branch_values(branches, error) -> None:
+    """Raise ``error`` for two branches with one (mass_label, metric) key, a non-finite amplitude or sample."""
+    first = {}
+    for i, b in enumerate(branches):
+        j = first.setdefault(b.key, i)
+        if j != i:
+            raise error(
+                f"duplicate branch keys: branches[{j}] and branches[{i}] both have mass label "
+                f"{b.mass_label!r} and metric {b.metric.label}"
+            )
+        if not np.isfinite(complex(b.amplitude)):
+            raise error(f"branch {b.key}: amplitude {b.amplitude!r} is not finite")
+        if not np.all(np.isfinite(b.psi)):
+            raise error(f"branch {b.key}: psi has non-finite samples")
+
+
 def make_state(
     branches,
     grid: GridSpec,
@@ -237,25 +267,18 @@ def make_state(
     satisfies <state|state> = 1.  The absorbed overall constant is recorded
     as ``prefactor``.
 
-    Raises ZeroNorm for an identically-zero wavefunction, GridMismatch for
+    Raises ZeroNorm for a wavefunction of zero norm, GridMismatch for
     a wavefunction of the wrong shape, and ValueError for non-finite
     samples or amplitudes, a metric in other units than ``units`` (which
-    defaults to the first branch's), duplicate (mass_label, metric) pairs
-    or amplitudes that are all zero.
+    defaults to the first branch's), duplicate (mass_label, metric) pairs,
+    amplitudes that are all zero, or norms past the float range.
     """
     branches = list(branches)
     if not branches:
         raise ValueError("state needs at least one branch")
     if units is None:
         units = branches[0].metric.units
-    first = {}
-    for i, b in enumerate(branches):
-        j = first.setdefault(b.key, i)
-        if j != i:
-            raise ValueError(
-                f"duplicate branch keys: branches[{j}] and branches[{i}] both have mass label "
-                f"{b.mass_label!r} and metric {b.metric.label}"
-            )
+    _check_branch_values(branches, ValueError)
 
     normalized = []
     weights = []
@@ -265,23 +288,18 @@ def make_state(
         psi = np.asarray(b.psi, dtype=complex)
         if psi.shape != grid.shape:
             raise GridMismatch(f"psi shape {psi.shape} != grid shape {grid.shape}")
-        if not np.all(np.isfinite(psi)):
-            raise ValueError(f"branch {b.key}: psi has non-finite samples")
-        if not np.isfinite(complex(b.amplitude)):
-            raise ValueError(f"branch {b.key}: amplitude {b.amplitude!r} is not finite")
-        if not np.any(psi):
-            raise ZeroNorm(f"branch {b.key}: psi is identically zero")
-        nrm_sq = float(np.sum(_measure(b, grid, frame) * np.abs(psi) ** 2).real * grid.dvol)
-        if nrm_sq <= 0.0:
+        nrm = _root_sum_sq(psi, _measure(b, grid, frame), grid.dvol)
+        if nrm == 0.0:
             raise ZeroNorm(f"branch {b.key}: zero measure-weighted norm")
-        nrm = np.sqrt(nrm_sq)
         normalized.append(replace(b, psi=_freeze(psi / nrm)))
         weights.append(complex(b.amplitude) * nrm)
 
     weights = np.asarray(weights)
-    total = np.sqrt(np.sum(np.abs(weights) ** 2))
+    total = _root_sum_sq(weights)
     if total == 0.0:
         raise ValueError("all branch amplitudes are zero")
+    if not np.isfinite(total):  # a branch norm or the amplitude total past the float range
+        raise ValueError("the branch norms or the amplitude total exceed the float range")
     final = tuple(
         replace(b, amplitude=complex(w / total)) for b, w in zip(normalized, weights)
     )
@@ -423,7 +441,7 @@ def load_state(path) -> SuperposedState:
 
     Raises BadContainer for a wrong magic or format version, a short or
     unreadable header, a missing or invalid header field, a truncated
-    payload and trailing bytes.
+    payload, trailing bytes and the branches ``make_state`` refuses.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -473,6 +491,7 @@ def load_state(path) -> SuperposedState:
         for rec in records:
             psi = np.fromfile(fh, dtype="<c16", count=count).astype(complex, copy=False)
             branches.append(Branch(psi=_freeze(psi.reshape(grid.shape)), **rec))
+    _check_branch_values(branches, BadContainer)
     return SuperposedState(
         branches=tuple(branches), grid=grid, frame=frame, units=units, prefactor=prefactor
     )

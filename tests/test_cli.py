@@ -197,7 +197,7 @@ def test_collapse_table(tmp_path):
 
 def test_gaussian_collapse_table_rows_equal_the_sweep(tmp_path):
     payload = collapse_config()
-    payload["collapse"]["distribution"] = dict(GAUSSIAN, center=[0.0, 3e-7, 0.0])
+    payload["collapse"]["distribution"] = dict(GAUSSIAN)
     separations = [0.0, 1e-9, 5e-8, 1e-7, 2e-7, 4e-7, float("inf")]
     payload["collapse"]["separations"] = separations
     out = tmp_path / "out"
@@ -205,7 +205,7 @@ def test_gaussian_collapse_table_rows_equal_the_sweep(tmp_path):
     _, *rows = csv.reader(open(out / "collapse_table.csv"))
     # the table prints each float by its shortest round-trip repr and an infinite lifetime as inf
     got = [(float(d), float(e), None if t == "inf" else float(t)) for d, e, t, *_ in rows]
-    assert got == separation_sweep(Gaussian(1e-14, 1e-7, (0.0, 3e-7, 0.0)), separations, UnitSystem.si())
+    assert got == separation_sweep(Gaussian(1e-14, 1e-7), separations, UnitSystem.si())
     assert json.loads((out / "collapse_summary.json").read_text())["distribution"]["kind"] == "gaussian"
 
 
@@ -232,6 +232,8 @@ def test_selftest_passes(tmp_path, capsys):
     assert all(line.startswith("[PASS]") for line in lines)
     report = json.loads((out / "selftest_report.json").read_text())
     assert report["passed"] is True
+    # every row the suite yields has a bound, and every bound judges a row
+    assert [check["check"] for check in report["checks"]] == list(cli.SELFTEST_BOUNDS)
 
 
 def test_selftest_tetrad_eta_equals_the_matrix_route_bit_for_bit(tmp_path, capsys, monkeypatch):
@@ -253,10 +255,52 @@ def test_selftest_tetrad_eta_equals_the_matrix_route_bit_for_bit(tmp_path, capsy
     assert value == max(frame_defect(np.diag(bf[1]), metric_matrices(f, x.array[None, :])[0]) for f, x, bf in frames)
 
 
-def test_selftest_injected_zero_tolerance_fails(tmp_path):
-    payload = {"units": "geometric", "selftest": {"tolerances": {"unitarity": 0.0}}}
+def test_selftest_injected_zero_tolerance_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli.SELFTEST_BOUNDS, "unitarity", 0.0)
     out = tmp_path / "out"
-    assert main(["selftest", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+    assert main(["selftest", "--config", write_config(tmp_path, {"units": "geometric"}), "--out", str(out)]) == 1
+    assert "[FAIL] unitarity: " in capsys.readouterr().out
+
+
+def test_selftest_range_passes_its_end_points(tmp_path, capsys, monkeypatch):
+    rows = [("at_lo", 12.0), ("at_hi", 20.0), ("below", 11.5), ("above", 20.5), ("at_bound", 1e-10)]
+    monkeypatch.setattr(cli, "_selftest_checks", lambda seed: iter(rows))
+    bounds = {"at_lo": (12.0, 20.0), "at_hi": (12.0, 20.0), "below": (12.0, 20.0), "above": (12.0, 20.0)}
+    monkeypatch.setattr(cli, "SELFTEST_BOUNDS", {**bounds, "at_bound": 1e-10})
+    out = tmp_path / "out"
+    assert main(["selftest", "--config", write_config(tmp_path, {"units": "geometric"}), "--out", str(out)]) == 1
+    capsys.readouterr()
+    checks = json.loads((out / "selftest_report.json").read_text())["checks"]
+    assert {c["check"]: c["passed"] for c in checks} == {
+        "at_lo": True, "at_hi": True, "below": False, "above": False, "at_bound": False,
+    }
+    assert checks[0]["threshold"] == [12.0, 20.0]
+
+
+@pytest.mark.parametrize(
+    "section, edit, key",
+    [
+        ("selftest", lambda p: p.update(selftest={"tolerances": {"unitarity": 1e-8}}), "selftest"),
+        ("collapse", lambda p: p["collapse"]["distribution"].update(center=[0.0, 0.0, 0.0]), "center"),
+    ],
+    ids=["selftest-section", "distribution-center"],
+)
+def test_removed_keys_are_config_errors(tmp_path, section, edit, key):
+    payload = collapse_config()
+    edit(payload)
+    out = tmp_path / "out"
+    assert main([section, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error["kind"] == "config" and key in error["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_seed_flag_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"units": "geometric"})
+    with pytest.raises(SystemExit) as info:
+        main(["selftest", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "1"])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_missing_config_is_usage_error(tmp_path):
@@ -281,9 +325,6 @@ def test_unknown_keys_rejected(tmp_path):
     assert main(["transform", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
     assert "roundtip" in json.loads((out / "error.json").read_text())["error"]["message"]
     assert not (out / "transform_report.json").exists()
-    payload = {"units": "geometric", "selftest": {"tolerances": {"unitarty": 0.0}}}
-    assert main(["selftest", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
-    assert "unitarty" in json.loads((out / "error.json").read_text())["error"]["message"]
 
 
 def test_non_numeric_tolerances_rejected(tmp_path):
@@ -291,15 +332,12 @@ def test_non_numeric_tolerances_rejected(tmp_path):
     payload = two_branch_config()
     payload["transform"]["tolerances"] = {"roundtrip": None}
     assert main(["transform", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
-    payload = {"units": "geometric", "selftest": {"tolerances": {"unitarity": "tight"}}}
-    assert main(["selftest", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
     assert json.loads((out / "error.json").read_text())["error"]["kind"] == "config"
 
 
 def _full_config():
     payload = two_branch_config()
     payload["transform"]["tolerances"] = {"roundtrip": 1e-8}
-    payload["selftest"] = {"tolerances": {"unitarity": 1e-8}}
     payload["geodesics"] = {"local_velocity": [0.0, 0.0, 0.0], "dtau": 0.5, "steps": 2}
     payload["collapse"] = {
         "distribution": {"kind": "uniform_sphere", "mass": 1.0, "radius": 1.0},
@@ -348,9 +386,6 @@ MALFORMED = [
     ("transform", ("transform", "tolerances", "roundtrip"), float("nan")),
     ("transform", ("transform", "tolerances", "roundtrip"), float("inf")),
     ("transform", ("transform", "tolerances", "roundtrip"), -1.0),
-    ("selftest", ("selftest", "tolerances", "unitarity"), float("nan")),
-    ("selftest", ("selftest", "tolerances", "unitarity"), float("-inf")),
-    ("selftest", ("selftest", "tolerances", "unitarity"), -1.0),
 ]
 
 
@@ -549,24 +584,6 @@ def test_runs_are_byte_identical(tmp_path):
     assert main(["collapse", "--config", ccfg, "--out", str(out3)]) == 0
     assert main(["collapse", "--config", ccfg, "--out", str(out4)]) == 0
     assert (out3 / "collapse_table.csv").read_bytes() == (out4 / "collapse_table.csv").read_bytes()
-
-
-def test_seed_flag_overrides_config(tmp_path):
-    cfg = write_config(tmp_path, {"units": "geometric", "seed": 1})
-    out = tmp_path / "out"
-    assert main(["selftest", "--config", cfg, "--out", str(out), "--seed", "42"]) == 0
-    report = json.loads((out / "selftest_report.json").read_text())
-    assert report["seed"] == 42
-
-
-def test_negative_seed_flag_is_config_error(tmp_path):
-    cfg = write_config(tmp_path, {"units": "geometric", "seed": 1})
-    out = tmp_path / "out"
-    assert main(["selftest", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
-    record = json.loads((out / "error.json").read_text())
-    assert record["error"]["kind"] == "config"
-    assert "--seed" in record["error"]["message"]
-    assert not (out / "selftest_report.json").exists()
 
 
 _SAMPLE_RUNS_IN_A_FRESH_PROCESS = """

@@ -300,6 +300,32 @@ def test_make_state_errors(units, grid):
             make_state([flat_branch(units, grid, amplitude=amplitude), flat_branch(units, grid, label="B")], grid)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200, 1e300, 1e-300])
+def test_make_state_normalizes_samples_whose_squares_leave_the_float_range(units, scale):
+    # |psi|^2 overflows to inf, or underflows to subnormals (1e-160) or to 0;
+    # the state must still be the unscaled one
+    grid = GridSpec(lo=(-2, -2, -2), hi=(2, 2, 2), n=(9, 9, 9))
+    branches = [
+        flat_branch(units, grid, label="A", sigma=1.0),
+        replace(_weak_branch(units, grid), amplitude=0.5j),
+    ]
+    want = make_state(branches, grid)
+    got = make_state([replace(b, psi=b.psi * scale) for b in branches], grid)
+    for g, w in zip(got.branches, want.branches, strict=True):
+        np.testing.assert_allclose(g.psi, w.psi, rtol=1e-15, atol=0)
+        assert np.isfinite(g.amplitude)
+        assert g.amplitude == pytest.approx(w.amplitude, rel=1e-15)
+    assert got.prefactor == pytest.approx(want.prefactor * scale, rel=1e-14)
+    assert state_norm(got) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_make_state_rejects_norms_beyond_the_float_range(units):
+    # samples of 1e308 at 729 points of volume 0.125: the norm, 9.5e308, is past the largest float
+    grid = GridSpec(lo=(-2, -2, -2), hi=(2, 2, 2), n=(9, 9, 9))
+    with pytest.raises(ValueError, match="exceed the float range"):
+        make_state([replace(flat_branch(units, grid), psi=np.full(grid.shape, 1e308, complex))], grid)
+
+
 def test_inner_product_conjugate_symmetry(units):
     rng = np.random.default_rng(8)
     a = two_branch_state(units, rng=rng)
@@ -542,6 +568,30 @@ def test_saved_records_hold_each_branch_metric_once(units, tmp_path, frame):
     for rec, b in zip(header["branches"], s.branches, strict=True):
         assert rec["metric"] == json.loads(json.dumps(b.metric.describe()))
         assert set(rec) == {"amplitude", "mass_label", "mass_position", "metric"}
+
+
+def test_load_rejects_a_non_finite_amplitude(units, tmp_path):
+    # json reads the token NaN; make_state refuses the same amplitude
+    head, payload = _edited_header(
+        _saved_bytes(units, tmp_path), lambda h: h["branches"][1].update(amplitude=[np.nan, 0.0])
+    )
+    with pytest.raises(BadContainer, match=r"branch \('R', .*amplitude \(nan\+0j\) is not finite"):
+        _load_bytes(tmp_path, head + payload)
+
+
+def test_load_rejects_a_non_finite_sample(units, tmp_path):
+    data = bytearray(_saved_bytes(units, tmp_path))
+    data[-16:-8] = np.array(np.nan, "<f8").tobytes()  # the real part of the last sample of the last branch
+    with pytest.raises(BadContainer, match=r"branch \('R', .*psi has non-finite samples"):
+        _load_bytes(tmp_path, bytes(data))
+
+
+def test_load_rejects_a_branch_record_listed_twice(units, tmp_path):
+    head, payload = _edited_header(
+        _saved_bytes(units, tmp_path), lambda h: h["branches"].__setitem__(1, h["branches"][0])
+    )
+    with pytest.raises(BadContainer, match=r"duplicate branch keys: branches\[0\] and branches\[1\] .* mass label 'L'"):
+        _load_bytes(tmp_path, head + payload)
 
 
 def test_load_rejects_grid_whose_point_count_overflows_int64(units, tmp_path):
