@@ -239,13 +239,10 @@ class Scenario:
         pk = b["packet"]
         _check_keys(pk, {"center", "sigma", "momentum"}, {"center", "sigma"}, f"{where}.packet")
         center = _convert(f"{where}.packet.center", _vector, pk["center"])
-        psi = gaussian_psi(
-            self.grid,
-            center,
-            _convert(f"{where}.packet.sigma", _widths, pk["sigma"]),
-            _convert(f"{where}.packet.momentum", lambda m: m if m is None else _vector(m), pk.get("momentum")),
-            self.units.hbar,
-        )
+        sigma = _convert(f"{where}.packet.sigma", _widths, pk["sigma"])
+        momentum = _convert(f"{where}.packet.momentum", lambda m: m if m is None else _vector(m), pk.get("momentum"))
+        # the packet's values are checked above: what fails here is a point count past numpy's size limit
+        psi = _convert("grid.n", lambda g: gaussian_psi(g, center, sigma, momentum, self.units.hbar), self.grid)
         if not np.any(psi):
             raise ConfigError(f"{where}.packet: zero at every grid point (center {list(center)} lies off the grid)")
         return Branch(

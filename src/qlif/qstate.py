@@ -64,7 +64,10 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
-        n = tuple(int(v) for v in self.n)
+        try:
+            n = tuple(int(v) for v in self.n)
+        except OverflowError:  # int(inf)
+            n = None
         if n != tuple(self.n):
             raise ValueError(f"point counts must be whole numbers, got {self.n!r}")
         object.__setattr__(self, "n", n)
@@ -436,6 +439,19 @@ def save_state(s: SuperposedState, path) -> None:
             fh.write(np.ascontiguousarray(b.psi, dtype="<c16").data)
 
 
+def _header_complex(value) -> complex:
+    """A header's [re, im] pair of JSON numbers; ValueError for anything else ("" and [] would read as 0j)."""
+    if not (isinstance(value, list) and len(value) == 2 and all(type(v) in (int, float) for v in value)):
+        raise ValueError(f"expected [re, im], got {value!r}")
+    return complex(*value)
+
+
+def _header_label(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"mass_label must be a string, got {value!r}")
+    return value
+
+
 def load_state(path) -> SuperposedState:
     """Read a state container written by ``save_state``.
 
@@ -468,11 +484,13 @@ def load_state(path) -> SuperposedState:
             grid = GridSpec(lo=tuple(g["lo"]), hi=tuple(g["hi"]), n=tuple(g["n"]), t0=g["t0"])
             units = UnitSystem(**header["units"])
             frame = Frame(header["frame"])
-            prefactor = complex(*header["prefactor"])
+            prefactor = _header_complex(header["prefactor"])
+            if not np.isfinite(prefactor):
+                raise ValueError(f"prefactor {prefactor!r} is not finite")
             records = [
                 dict(
-                    amplitude=complex(*rec["amplitude"]),
-                    mass_label=rec["mass_label"],
+                    amplitude=_header_complex(rec["amplitude"]),
+                    mass_label=_header_label(rec["mass_label"]),
                     mass_position=FourVector.from_array(rec["mass_position"]),
                     metric=metric_from_dict(rec["metric"], units),
                 )

@@ -359,6 +359,7 @@ MALFORMED = [
     ("transform", ("seed",), "x"),
     ("transform", ("seed",), 1.5),
     ("transform", ("grid", "n"), [16.7, 16, 16]),
+    ("transform", ("grid", "n"), [2**70, 8, 8]),  # past numpy's size limit: a traceback with exit 1
     ("transform", ("metrics", "g"), 5),
     ("transform", ("units",), {"c": "fast", "G": 1.0, "hbar": 1.0}),
     ("geodesics", ("geodesics", "dtau"), "short"),

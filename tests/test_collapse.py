@@ -81,7 +81,43 @@ def test_monte_carlo_is_reproducible(units, spheres):
 def test_monte_carlo_value_is_frozen(units, spheres):
     # the draws, their order and their chunking are part of the value
     a, b = spheres
-    assert delta_self_energy_monte_carlo(a, b, units, n_samples=200_000, seed=5) == 4.3113287997408944
+    assert delta_self_energy_monte_carlo(a, b, units, n_samples=200_000, seed=5) == 4.332663211684094
+
+
+@pytest.mark.parametrize("n_samples", [1, 2**15 + 1])  # two points; one pair past a chunk
+def test_monte_carlo_edge_counts_give_repeatable_finite_floats(units, n_samples):
+    a = UniformSphere(mass=2.0, radius=1.0)
+    g = Gaussian(mass=1.5, width=0.5, center=(0.0, 0.0, 0.8))
+    v1 = delta_self_energy_monte_carlo(a, g, units, n_samples=n_samples, seed=11)
+    v2 = delta_self_energy_monte_carlo(a, g, units, n_samples=n_samples, seed=11)
+    assert type(v1) is float and math.isfinite(v1)
+    assert v1.hex() == v2.hex()
+
+
+def test_monte_carlo_samples_each_distribution_once_per_chunk(units, monkeypatch):
+    # n pairs per term in chunks of 2^15: m + 1 points of each distribution a chunk
+    calls = []
+    sample = UniformSphere.sample
+
+    def counted(self, rng, n):
+        calls.append((self.center, n))
+        return sample(self, rng, n)
+
+    monkeypatch.setattr(UniformSphere, "sample", counted)
+    a = UniformSphere(mass=2.0, radius=1.0)
+    b = UniformSphere(mass=2.0, radius=1.0, center=(0.0, 0.0, 1.5))
+    delta_self_energy_monte_carlo(a, b, units, n_samples=2**15 + 1, seed=3)
+    assert calls == [(a.center, 2**15 + 1), (b.center, 2**15 + 1), (a.center, 2), (b.center, 2)]
+
+
+@pytest.mark.parametrize("pair", ["equal spheres", "sphere and gaussian"])
+def test_monte_carlo_mean_over_seeds_is_unbiased(units, pair):
+    a = UniformSphere(mass=2.0, radius=1.0)
+    b = dataclasses.replace(a, center=(0.0, 0.0, 1.5)) if pair == "equal spheres" else Gaussian(1.5, 0.5, (0.0, 0.0, 0.8))
+    exact = delta_self_energy(a, b, units)
+    values = np.array([delta_self_energy_monte_carlo(a, b, units, n_samples=20_000, seed=s) for s in range(16)])
+    stderr = values.std(ddof=1) / math.sqrt(len(values))
+    assert abs(values.mean() - exact) < 3.0 * stderr
 
 
 @pytest.mark.parametrize("n_samples", [-5, 0, 2.5, "100"])

@@ -536,11 +536,19 @@ def _edited_header(data, edit):
         (Frame.R, lambda h: h["units"].update(c=-1.0)),
         (Frame.R, lambda h: h["branches"][1].update(amplitude=[0.5, 0.0, 0.1])),
         (Frame.P, lambda h: h["branches"][0]["metric"].update(mass=-1.0)),
+        # each of these escaped as another error or loaded
+        (Frame.R, lambda h: h["branches"][0].update(mass_label=[])),  # TypeError: unhashable
+        (Frame.R, lambda h: h["grid"].update(n=[float("inf"), 4, 4])),  # OverflowError
+        (Frame.R, lambda h: h["branches"][1].update(amplitude="")),  # loaded as 0j
+        (Frame.R, lambda h: h["branches"][1].update(amplitude=[])),  # loaded as 0j
+        (Frame.R, lambda h: h["branches"][1].update(amplitude=[True, 0.0])),  # loaded as 1
+        (Frame.R, lambda h: h.update(prefactor=[float("nan"), 0.0])),  # loaded
     ],
     ids=[
         "no-units", "no-grid", "no-grid-n", "no-metric", "frame-Q",
         "unknown-kind", "metric-not-mapping", "negative-c", "3-amplitude",
-        "p-frame-negative-mass",
+        "p-frame-negative-mass", "list-mass-label", "infinite-grid-n",
+        "empty-string-amplitude", "empty-list-amplitude", "bool-amplitude", "nan-prefactor",
     ],
 )
 def test_load_rejects_bad_header_fields(units, tmp_path, frame, edit):
