@@ -7,7 +7,8 @@ container) with deterministic formatting: the config file is a run's whole
 input (its ``seed`` included), so running it twice produces byte-identical
 files.
 
-Exit codes: 0 success, 1 tolerance failure, 2 precondition/config error.
+Exit codes: 0 success, 1 tolerance failure, 2 precondition/config error
+(an output file that cannot be written included).
 """
 
 from __future__ import annotations
@@ -272,15 +273,25 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _write_artifact(path: Path, write) -> None:
+    """``write(path)``; an OSError while writing the file is a config error that names it."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _write_artifact(path, lambda p: p.write_text(text, encoding="utf-8"))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    text = "\n".join(lines) + "\n"
+    _write_artifact(path, lambda p: p.write_text(text, encoding="utf-8", newline="\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +304,7 @@ def cmd_transform(scn: Scenario, out: Path) -> int:
     if scn.state is None:
         raise ConfigError("this command needs 'grid' and 'branches' sections")
     transformed, report = to_qlif(scn.state)
-    save_state(transformed, out / "state_qlif.qst")
+    _write_artifact(out / "state_qlif.qst", lambda p: save_state(transformed, p))
 
     checks = {
         "metric_deviation": report.max_metric_deviation_at_origin <= tol["metric_deviation"],
@@ -492,7 +503,7 @@ def _error_record(out: Path | None, kind: str, message: str) -> None:
     if out is not None:
         try:
             _write_json(out / "error.json", record)
-        except OSError:
+        except ConfigError:
             pass
 
 

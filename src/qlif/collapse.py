@@ -21,7 +21,8 @@ the one place where kinds are told apart: a closed form for equal-radius
 uniform spheres and for any pair of Gaussians, adaptive quadrature row by
 row for every other pair (mixed kinds, unequal radii).  A kind carries its
 own forms: ``radial()`` (density, potential and its integral, for the
-quadrature route), ``outer_radius`` (where that route stops) and
+quadrature route), ``kinks(d)`` (where that route's integrand changes
+form, its starting breakpoints), ``outer_radius`` (where it stops) and
 ``sample(rng, n)`` (for the Monte-Carlo route); ``DISTRIBUTION_KINDS``
 maps each ``kind`` key to its class.
 
@@ -62,8 +63,10 @@ class _Distribution:
     A kind sets ``kind`` (its ``collapse.distribution`` key) and carries its
     forms: ``radial()``, the (rho, V, I) closures of one float each (the
     density at radius r, the Coulomb potential at s and
-    I(s) = int_0^s u V(u) du); ``outer_radius``, where the quadrature route
-    stops; and ``sample(rng, n)``, n points drawn from the density.
+    I(s) = int_0^s u V(u) du); ``kinks(d)``, the radii r at which its
+    I(|d +- r|) changes form in a pair term at separation d;
+    ``outer_radius``, where the quadrature route stops; and
+    ``sample(rng, n)``, n points drawn from the density.
     """
 
     kind = ""
@@ -99,6 +102,10 @@ class UniformSphere(_Distribution):
             return at_r + M * (s - R)
 
         return rho, V, I
+
+    def kinks(self, d: float) -> tuple[float, ...]:
+        # I(s) changes form at s = R: d + r = R and |d - r| = R
+        return (abs(self.radius - d), self.radius + d)
 
     @property
     def outer_radius(self) -> float:
@@ -142,6 +149,9 @@ class Gaussian(_Distribution):
             return M * (s * erf(s / sw) + tail * (exp(-(s * s) / sw2) - 1.0))
 
         return rho, V, I
+
+    def kinks(self, d: float) -> tuple[float, ...]:
+        return ()  # I is smooth
 
     @property
     def outer_radius(self) -> float:
@@ -251,17 +261,22 @@ def _gk21(f, a: float, b: float) -> tuple[float, float]:
     return resk * h, err
 
 
-def _gauss_kronrod(f, a: float, b: float, rtol: float, limit: int) -> tuple[float, float]:
-    """(integral, error estimate) of the scalar function f over [a, b], a < b.
+def _gauss_kronrod(f, points, rtol: float, limit: int) -> tuple[float, float]:
+    """(integral, error estimate) of the scalar function f over [points[0], points[-1]].
 
-    Starts from one 21-point rule on [a, b] and bisects the interval with
-    the largest error estimate while the summed estimate exceeds
-    rtol |integral| and there are fewer than ``limit`` intervals.  Every
-    interval costs 21 calls of f.
+    ``points`` increase: the ends, and between them the integrand's kinks.
+    Starts from one 21-point rule on each interval between consecutive
+    points, as QUADPACK's qagp does, and bisects the interval with the
+    largest error estimate while the summed estimate exceeds rtol |integral|
+    and there are fewer than ``limit`` intervals.  Every interval costs 21
+    calls of f.
     """
-    val, err = _gk21(f, a, b)
-    pending = [(-err, a, b, val)]
-    total, errsum = val, err
+    pending = []
+    for lo, hi in zip(points, points[1:]):
+        val, err = _gk21(f, lo, hi)
+        pending.append((-err, lo, hi, val))
+    heapq.heapify(pending)
+    total, errsum = math.fsum(p[3] for p in pending), math.fsum(-p[0] for p in pending)
     while errsum > rtol * abs(total) and len(pending) < limit:
         neg_err, lo, hi, v = heapq.heappop(pending)
         mid = 0.5 * (lo + hi)
@@ -277,8 +292,10 @@ def _gauss_kronrod(f, a: float, b: float, rtol: float, limit: int) -> tuple[floa
 # W_xy(d) = (2 pi / d) * int_0^inf r rho_y(r) [ I_x(d + r) - I_x(|d - r|) ] dr
 # with I_x(s) = int_0^s u V_x(u) du and V_x the Coulomb potential of x;
 # for d = 0 the angular average collapses to W = int 4 pi r^2 rho_y V_x dr.
-# The quadrature route holds each pair term to _QUAD_RTOL within
-# _QUAD_LIMIT intervals.
+# The quadrature route starts from x's kinks and holds each pair term to
+# _QUAD_RTOL within _QUAD_LIMIT intervals: left to the bisection, a kink
+# inside one interval can pass its error estimate while the value is off
+# by far more than the tolerance.
 
 _QUAD_LIMIT = 200
 _QUAD_RTOL = 1e-10
@@ -300,7 +317,8 @@ def _pair_quadrature(a: _Distribution, b: _Distribution, d: float) -> float:
         def integrand(r):
             return scale * r * rho(r) * (I(d + r) - I(abs(d - r)))
 
-    val, abserr = _gauss_kronrod(integrand, 0.0, hi, _QUAD_RTOL, _QUAD_LIMIT)
+    points = (0.0, *sorted({r for r in a.kinks(d) if 0.0 < r < hi}), hi)
+    val, abserr = _gauss_kronrod(integrand, points, _QUAD_RTOL, _QUAD_LIMIT)
     if abserr > max(_QUAD_RTOL * abs(val), 1e-300):
         raise QuadratureNonConvergence(
             f"pair term error estimate {abserr:.3e} exceeds tolerance for value {val:.6e}"

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import QlifError, WrongFrame
-from .qstate import Frame, SuperposedState, _freeze, _measure, translate_state
+from .qstate import Frame, SuperposedState, _abs_sq, _freeze, _measure, translate_state
 from .spacetime import FourVector, MetricField, Minkowski
 from .tetrad import build_tetrad
 
@@ -239,7 +239,7 @@ class BranchTrajectory:
 def branch_centroid(state: SuperposedState, branch_index: int) -> FourVector:
     """Measure-weighted mean position of a branch wavefunction on its slice (flat weight in the P frame)."""
     branch = state.branches[branch_index]
-    w = _measure(branch, state.grid, state.frame) * np.abs(branch.psi) ** 2
+    w = _abs_sq(branch.psi, _measure(branch, state.grid, state.frame))
     total = float(np.sum(w))
     if total <= 0.0:
         raise ValueError("branch has zero weight")

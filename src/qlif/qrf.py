@@ -25,12 +25,18 @@ x_S, the component at probe position x is relabeled as follows:
   in the same evaluation as the measure, once per (metric, grid)
   (``qstate.metric_on_grid``), so ``to_qlif`` evaluates no metric.
 
-The round-trip figure |<input | from_qlif(output)> - 1| is computed
-branch by branch inside ``to_qlif``, without building the inverse state:
-each branch's samples psi * (-g)^(1/4) are divided by the same factor
-again (0 where it is 0) and weighed against the input branch, which are
-the operations of ``from_qlif`` followed by ``inner_product``, so the
-figure is theirs bit for bit.
+The report's sums come from one pass per branch inside ``to_qlif``, over
+the stretches in which ``qstate._pairwise`` splits the grid, with no
+whole-grid temporary and no norm taken again.  Each stretch writes its
+P-frame samples and forms two terms in the operations of
+``inner_product``: psi against itself under sqrt(-g) (``norm_before``),
+and the samples psi * (-g)^(1/4) divided by the same factor again (0
+where it is 0) and weighed against psi, which are the operations of
+``from_qlif`` followed by ``inner_product`` (the round-trip figure
+|<input | from_qlif(output)> - 1|, without building the inverse state).
+``norm_after`` sums the new samples against themselves, flat, with
+``inner_product``'s kernel over the P-frame array in its own order, which
+reverses the pass's.  Each figure is its explicit route's bit for bit.
 
 The transformation never mixes branches (it is block-diagonal in the
 (mass_label, metric) key).  It is fixed entirely by the branch metric on
@@ -53,10 +59,12 @@ from .qstate import (
     Frame,
     GridSpec,
     SuperposedState,
+    _BLOCK,
     _freeze,
+    _overlap_sum,
+    _pairwise,
     branch_sqrt_neg_det,
     metric_on_grid,
-    state_norm,
 )
 from .tetrad import frame_deviation, tetrad_arrays
 
@@ -105,47 +113,79 @@ def _reverse(a: np.ndarray) -> np.ndarray:
     return a[::-1, ::-1, ::-1]
 
 
-def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float, complex]:
-    """The P-frame branch, its certificate and its term of <input | from_qlif(output)>."""
-    support = np.asarray(branch.psi).reshape(-1) != 0
-    measure, deviation = metric_on_grid(branch.metric, grid)
-    # the cached measure is exactly 0 on the singular set and > 0 elsewhere
-    singular = support & (measure.reshape(-1) == 0)
-    if np.any(singular):
-        bad = grid.points4_at(np.array([np.argmax(singular)]))[0]
-        raise SingularRegion(
-            f"branch {branch.key}: support point {bad.tolist()} is in the "
-            f"singular set of {branch.metric.label}"
-        )
+def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float, tuple]:
+    """The P-frame branch, its certificate, and its grid sums for <input|input>,
+    <input | from_qlif(output)> and <output|output>, in that order.
 
-    # Certify f^T g f = eta where the branch has amplitude (see the module
-    # docstring); +inf marks a point without a frame, whose diagonal is
-    # evaluated again only for tetrad_arrays to raise DegenerateMetric.
-    max_dev = float(np.max(deviation.reshape(-1), where=support, initial=0.0))
-    if not np.isfinite(max_dev):
-        tetrad_arrays(branch.metric.diagonal_batch(grid.points4_at(np.flatnonzero(support))))
+    One ``_pairwise`` pass over the branch: each stretch writes its P-frame
+    samples and forms the first two terms in the operations of
+    ``inner_product`` (see the module docstring), through buffers reused
+    stretch by stretch; ``_overlap_sum`` then sums the third.
+    """
+    psi = branch.psi.reshape(-1)
+    measure, deviation = (a.reshape(-1) for a in metric_on_grid(branch.metric, grid))
+    n = psi.size
+    new = np.empty(n, dtype=complex)
+    k = min(n, _BLOCK)
+    cbuf = np.empty((4, k), dtype=complex)
+    root, masks = np.empty(k), np.empty((2, k), dtype=bool)
+    max_dev = 0.0
 
-    factor = np.sqrt(measure)
-    scaled = branch.psi * factor
-    new_branch = replace(branch, psi=_freeze(_reverse(scaled)))
+    def leaf(lo, hi):
+        nonlocal max_dev
+        m = hi - lo
+        p, w, dev = psi[lo:hi], measure[lo:hi], deviation[lo:hi]
+        conj, t, wc, fc = cbuf[:, :m]
+        support, positive = masks[:, :m]
+        f = root[:m]
+        # The cached measure is exactly 0 on the singular set and > 0 elsewhere.
+        # Certify f^T g f = eta where the branch has amplitude (see the module
+        # docstring); +inf, a point without a frame, is raised on after the pass.
+        # After the first stretch the support is needed only where a stretch
+        # has a zero measure or could raise the certificate.
+        if not (max_dev > 0.0 and np.maximum.reduce(dev) <= max_dev and np.minimum.reduce(w) > 0.0):
+            np.not_equal(p, 0, out=support)
+            if not np.all(w, where=support):
+                bad = grid.points4_at(np.array([lo + np.argmax(support & (w == 0))]))[0]
+                raise SingularRegion(
+                    f"branch {branch.key}: support point {bad.tolist()} is in the "
+                    f"singular set of {branch.metric.label}"
+                )
+            max_dev = float(np.maximum.reduce(dev, where=support, initial=max_dev))
 
-    # from_qlif's sample, back = scaled / factor (0 where factor is 0, where
-    # psi is 0 as well), and inner_product's term for it, in the same
-    # operations; the buffer of ``scaled`` is reused once the new samples are copied
-    back = np.divide(scaled, factor, out=scaled, where=factor > 0)
-    np.multiply(np.conj(branch.psi), back, out=back)
-    back *= measure
-    term = np.conj(branch.amplitude) * branch.amplitude * (np.sum(back) * grid.dvol)
-    return new_branch, max_dev, term
+        # each float factor is cast to complex once, as the ufuncs would cast it
+        wc[:] = w
+        np.sqrt(w, out=f)
+        np.greater(f, 0.0, out=positive)
+        fc[:] = f
+        np.conjugate(p, out=conj)
+        np.multiply(conj, p, out=t)
+        np.multiply(t, wc, out=t)
+        own = np.add.reduce(t)
+        np.multiply(p, fc, out=t)
+        new[n - hi : n - lo] = t[::-1]
+        # from_qlif's sample, back = scaled / factor (0 where factor is 0, where
+        # psi is 0 as well), and inner_product's term for it
+        np.divide(t, fc, out=t, where=positive)
+        np.multiply(conj, t, out=t)
+        np.multiply(t, wc, out=t)
+        return np.array([own, np.add.reduce(t)])
+
+    own, back = _pairwise(0, n, leaf)
+    if not np.isfinite(max_dev):  # evaluated again only for tetrad_arrays to raise DegenerateMetric
+        tetrad_arrays(branch.metric.diagonal_batch(grid.points4_at(np.flatnonzero(psi))))
+    # <output|output> over the P-frame samples in their own order, the reverse of this pass's
+    return replace(branch, psi=_freeze(new.reshape(grid.shape))), max_dev, (own, back, _overlap_sum(new, new))
 
 
 def to_qlif(s: SuperposedState) -> tuple[SuperposedState, QrfTransformReport]:
     """Transform an R-frame state to the locally inertial frame of the probe.
 
     Returns the P-frame state together with the certification report.
-    The report's ``roundtrip_error`` is |<s | from_qlif(out)> - 1|, summed
-    from one term per branch as that branch is transformed (see the module
-    docstring), so no inverse state is built.
+    The report's ``norm_before``, ``roundtrip_error`` and ``norm_after``
+    are summed from the grid sums of each branch's one transform pass (see
+    the module docstring), so no inverse state is built and no norm is
+    taken again.
     Raises WrongFrame unless ``s`` is R-frame, and SingularRegion if any
     nonzero-amplitude grid point of a branch lies in its metric's singular
     set.
@@ -155,12 +195,16 @@ def to_qlif(s: SuperposedState) -> tuple[SuperposedState, QrfTransformReport]:
 
     new_branches = []
     deviations = []
-    overlap = 0.0 + 0.0j
+    # <input|input>, <input | from_qlif(output)> and <output|output>, term by
+    # term as inner_product adds them; the P-frame grid has the same dvol
+    totals = [0.0 + 0.0j] * 3
     for branch in s.branches:
-        nb, dev, term = _transform_branch(branch, s.grid)
+        nb, dev, sums = _transform_branch(branch, s.grid)
         new_branches.append(nb)
         deviations.append(dev)
-        overlap += term
+        weight = np.conj(branch.amplitude) * branch.amplitude
+        totals = [total + weight * (v * s.grid.dvol) for total, v in zip(totals, sums)]
+    norm_before, overlap, norm_after = totals
 
     out = SuperposedState(
         branches=tuple(new_branches),
@@ -170,8 +214,8 @@ def to_qlif(s: SuperposedState) -> tuple[SuperposedState, QrfTransformReport]:
         prefactor=s.prefactor,
     )
     report = QrfTransformReport(
-        norm_before=state_norm(s),
-        norm_after=state_norm(out),
+        norm_before=float(np.real(norm_before)),
+        norm_after=float(np.real(norm_after)),
         max_metric_deviation_at_origin=max(deviations),
         roundtrip_error=abs(complex(overlap) - 1.0),
         branches=tuple(
@@ -257,7 +301,9 @@ def check_qlif_metric(s: SuperposedState, *radii: float) -> list[QlifMetricRow]:
     frames = []
     for branch in s.branches:
         measure = branch_sqrt_neg_det(branch, grid).reshape(-1)
-        weight = np.abs(_reverse(np.asarray(branch.psi)).reshape(-1))
+        # |psi| over the source grid: abs of the contiguous samples, then x -> -x
+        # as a view (reversing every axis of a C-order array reverses its flat order)
+        weight = np.abs(branch.psi).reshape(-1)[::-1]
         weight[measure == 0] = 0.0
         chosen = _heaviest(weight, min(CHECK_SAMPLE_POINTS, np.count_nonzero(weight)))
         anchors = grid.points4_at(chosen)

@@ -419,18 +419,30 @@ def _array_integrand(a, b, d: float):
     return integrand, hi
 
 
+def pair_kinks(a, b, d: float) -> list[float]:
+    """The radii inside (0, hi) where the pair term's integrand has a kink:
+    a uniform sphere a's I(s) changes form at s = R, so at r = |R - d| and R + d."""
+    _, hi = _array_integrand(a, b, d)
+    if not isinstance(a, UniformSphere):
+        return []
+    return sorted({r for r in (abs(a.radius - d), a.radius + d) if 0.0 < r < hi})
+
+
 def array_pair_quadrature(a, b, d: float, rtol: float = 1e-10) -> float:
     """The quadrature pair term W_ab(d) over the array closed forms above,
-    with the Gauss-Kronrod call of ``collapse._pair_quadrature``."""
+    with the Gauss-Kronrod call of ``collapse._pair_quadrature``, from the same breakpoints."""
     integrand, hi = _array_integrand(a, b, d)
-    val, _ = _gauss_kronrod(integrand, 0.0, hi, rtol, 200)
+    val, _ = _gauss_kronrod(integrand, (0.0, *pair_kinks(a, b, d), hi), rtol, 200)
     return float(val)
 
 
 def scipy_pair_quadrature(a, b, d: float, rtol: float = 1e-10) -> float:
-    """The pair term W_ab(d) over the array closed forms above, by QUADPACK's qagse (``scipy.integrate.quad``)."""
+    """The pair term W_ab(d) over the array closed forms above, by QUADPACK (``scipy.integrate.quad``:
+    qagpe given the kinks as ``points``, qagse without kinks)."""
     integrand, hi = _array_integrand(a, b, d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        val, _ = scipy.integrate.quad(integrand, 0.0, hi, limit=200, epsrel=max(rtol, 1e-13), epsabs=0.0)
+        val, _ = scipy.integrate.quad(
+            integrand, 0.0, hi, points=pair_kinks(a, b, d) or None, limit=200, epsrel=max(rtol, 1e-13), epsabs=0.0
+        )
     return float(val)

@@ -422,6 +422,17 @@ def _error(out):
     return json.loads((out / "error.json").read_text())["error"]
 
 
+@pytest.mark.parametrize("name", ["state_qlif.qst", "transform_report.json"])
+def test_an_output_file_that_cannot_be_written_is_a_config_error(tmp_path, name):
+    # a directory in the artifact's place: the write used to end in a traceback and exit 1
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["transform", "--config", write_config(tmp_path, two_branch_config()), "--out", str(out)]) == 2
+    error = _error(out)
+    assert error["kind"] == "config"
+    assert error["message"].startswith(f"cannot write output file {out / name}: ")
+
+
 @pytest.mark.parametrize("command", ["transform", "geodesics"])
 @pytest.mark.parametrize("spoil", ["same-label-and-metric", "all-amplitudes-zero"])
 def test_branches_no_state_can_hold_are_config_errors(tmp_path, command, spoil):

@@ -15,6 +15,7 @@ from oracles import (
     decimal_distance,
     gaussian_delta_energy,
     gaussian_delta_energy_series,
+    pair_kinks,
     scipy_pair_quadrature,
     uniform_sphere_delta_energy,
 )
@@ -264,6 +265,18 @@ def test_quadrature_agrees_with_quadpack(kinds, where):
     a, b, d = _quadrature_case(kinds, where)
     assert _pair_quadrature(a, b, d) == pytest.approx(scipy_pair_quadrature(a, b, d), rel=1e-12, abs=0.0)
     assert _pair_quadrature(b, a, d) == pytest.approx(scipy_pair_quadrature(b, a, d), rel=1e-12, abs=0.0)
+
+
+def test_sphere_gaussian_row_meets_its_tolerance():
+    # a collapse_sweep row (seed 3106) that the bisection alone, blind to the
+    # sphere's kinks, returned 3.7e-8 off while reporting convergence to 1e-10
+    a = UniformSphere(mass=1.4349213916362625e-14, radius=1.1541352324105535e-07)
+    b = Gaussian(mass=1.904331130579297e-14, width=9.851580755947985e-08, center=(0.0, 0.0, 1.3476573104527998e-07))
+    d = b.center[2]
+    assert pair_kinks(a, b, d) == [d - a.radius, a.radius + d]
+    assert _pair_quadrature(a, b, d) == pytest.approx(scipy_pair_quadrature(a, b, d), rel=1e-12, abs=0.0)
+    # E against the 50-digit Fourier-space reference of bench/reference.py (fourier_energy)
+    assert delta_self_energy(a, b, UnitSystem.si()) == pytest.approx(7.223856580140417e-32, rel=1e-12, abs=0.0)
 
 
 def test_gauss_kronrod_rule_integrates_polynomials_exactly():

@@ -5,11 +5,12 @@ import pytest
 
 from conftest import derived_b_xi, two_branch_state
 from oracles import grid_mesh, grid_points, loop_qlif_metric_rows, matmul_certificate, metric_matrices
-from qlif import qrf
+from qlif import qrf, qstate
 from qlif.dynamics import branch_centroid, evolve_free
 from qlif.errors import DegenerateMetric, SingularRegion, WrongFrame
 from qlif.qrf import QrfTransformReport, _heaviest, check_qlif_metric, from_qlif, to_qlif
 from qlif.qstate import (
+    _BLOCK,
     Branch,
     Frame,
     GridSpec,
@@ -411,6 +412,54 @@ def test_roundtrip_error_equals_the_inverse_state_route_bit_for_bit(units, make)
     s = make(units)
     out, report = to_qlif(s)
     assert report.roundtrip_error == abs(inner_product(s, from_qlif(out)) - 1.0)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [(17, 17, 17), (40, 40, 40), (33, 35, 37), (64, 64, 64)],
+    ids=["one-block", "40-cubed", "33x35x37", "64-cubed"],
+)
+def test_report_norms_equal_state_norm_bit_for_bit(units, n):
+    # one block, many blocks in halves, many blocks split unevenly, and the sample config's grid
+    s = two_branch_state(units, grid=GridSpec(lo=(-4, -4, -4), hi=(4, 4, 4), n=n), rng=np.random.default_rng(5))
+    out, report = to_qlif(s)
+    assert report.norm_before == state_norm(s)
+    assert report.norm_after == state_norm(out)
+    assert report.roundtrip_error == abs(inner_product(s, from_qlif(out)) - 1.0)
+    for got, branch in zip(out.branches, s.branches):
+        factor = np.sqrt(branch_sqrt_neg_det(branch, s.grid))
+        assert np.array_equal(got.psi, np.ascontiguousarray((branch.psi * factor)[::-1, ::-1, ::-1]))
+
+
+def test_to_qlif_takes_no_norm_and_no_overlap(units, monkeypatch):
+    def no_norm(*args, **kwargs):
+        raise AssertionError("state_norm or inner_product called")
+
+    for name in ("state_norm", "inner_product"):
+        monkeypatch.setattr(qstate, name, no_norm)
+        monkeypatch.setattr(qrf, name, no_norm, raising=False)
+    _, report = to_qlif(_three_branch_state(units))
+    assert report.norm_after == pytest.approx(1.0, abs=1e-12)
+
+
+_BIG_CUBE = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=(27, 27, 27))  # 19683 points, four blocks
+
+
+def test_certificate_and_singular_point_over_many_blocks(units):
+    # the support starts in the third block: the first bad point and the
+    # certificate max come from there, not from the zero-amplitude blocks
+    metric = WeakFieldPointMass(units, mass=1e-4, soft=1e-3, center=(0.5, 0.0, 0.0))
+    s = _boxed_state(metric, _BIG_CUBE, (0.2, 0.1, 0.0), 0.9, lambda x, y, z: x < 1.5)
+    assert np.flatnonzero(s.branches[0].psi)[0] > _BLOCK
+    _, report = to_qlif(s)
+    pts = grid_points(s.grid)
+    support = s.branches[0].psi.reshape(-1) != 0
+    assert report.max_metric_deviation_at_origin == matmul_certificate(metric_matrices(metric, pts[support]))
+    deep = WeakFieldPointMass(units, mass=0.3, soft=0.1, center=(2.0, 0.0, 0.0))  # singular near its centre
+    s = _boxed_state(deep, _BIG_CUBE, (1.5, 0.0, 0.0), 0.9, lambda x, y, z: x < 1.5, singular_points=True)
+    with pytest.raises(SingularRegion) as err:
+        to_qlif(s)
+    assert str(err.value) == _first_singular_support_point(s)
 
 
 def test_to_qlif_builds_no_inverse_state(units, monkeypatch):

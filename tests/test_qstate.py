@@ -24,9 +24,11 @@ from qlif.errors import (
 )
 from qlif.qrf import to_qlif
 from qlif.qstate import (
+    _BLOCK,
     Branch,
     Frame,
     GridSpec,
+    _overlap_sum,
     branch_sqrt_neg_det,
     gaussian_psi,
     inner_product,
@@ -427,6 +429,83 @@ def test_save_load_round_trip(units, tmp_path):
     assert [b.key for b in loaded.branches] == [b.key for b in s.branches]
     assert inner_product(s, loaded) == pytest.approx(1.0, abs=1e-12)
     assert state_norm(loaded) == pytest.approx(1.0, abs=1e-10)
+
+
+def _assert_reloads_equal(s, path):
+    loaded = load_state(path)
+    assert (loaded.grid, loaded.frame, loaded.units, loaded.prefactor) == (s.grid, s.frame, s.units, s.prefactor)
+    for got, want in zip(loaded.branches, s.branches, strict=True):
+        assert (got.amplitude, got.key, got.mass_position) == (want.amplitude, want.key, want.mass_position)
+        assert np.array_equal(got.psi, want.psi)
+
+
+def test_save_state_replaces_a_larger_file(units, tmp_path):
+    s = two_branch_state(units)
+    path = tmp_path / "state.qst"
+    path.write_bytes(b"\xff" * (3 * 16 * 17**3))  # longer than the container
+    save_state(s, path)
+    _assert_reloads_equal(s, path)  # load_state refuses trailing bytes
+
+
+def test_save_state_replaces_a_symlink_and_leaves_its_target(units, tmp_path):
+    s = two_branch_state(units)
+    target = tmp_path / "target.bin"
+    target.write_bytes(b"not a container")
+    link = tmp_path / "state.qst"
+    link.symlink_to(target)
+    save_state(s, link)
+    assert not link.is_symlink()
+    assert target.read_bytes() == b"not a container"
+    _assert_reloads_equal(s, link)
+
+
+def _random_fields(shape, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+    return a, b, rng.uniform(0.5, 1.5, shape)
+
+
+@pytest.mark.parametrize("shape", [(9, 6, 11), (16, 16, 16), (17, 17, 17), (20, 20, 20)])
+def test_overlap_sum_is_the_whole_array_sum_within_one_block(shape):
+    assert np.prod(shape) <= _BLOCK
+    a, b, w = _random_fields(shape, 3)
+    assert _overlap_sum(a, b, w) == np.sum(np.conj(a) * b * w)
+    assert _overlap_sum(a, b) == np.sum(np.conj(a) * b)
+
+
+@pytest.mark.parametrize("shape", [(40, 40, 40), (33, 35, 37), (64, 64, 64)])
+def test_overlap_sum_over_many_blocks_is_within_4_ulp_of_the_whole_array_sum(shape):
+    # the same terms summed in two pairwise orders differ by a few roundings of
+    # sum |term|; the kernel splits as np.sum does, so here it is closer still
+    assert np.prod(shape) > _BLOCK
+    a, b, w = _random_fields(shape, 4)
+    for weight in (w, None):
+        terms = np.conj(a) * b * (1.0 if weight is None else weight)
+        bound = 4 * np.finfo(float).eps * float(np.sum(np.abs(terms)))
+        assert abs(_overlap_sum(a, b, weight) - np.sum(terms)) <= bound
+
+
+def test_inner_product_makes_no_whole_grid_temporary(units):
+    grid = GridSpec(lo=(-4, -4, -4), hi=(4, 4, 4), n=(40, 40, 40))
+    s = two_branch_state(units, grid=grid)
+    assert state_norm(s) == pytest.approx(1.0, abs=1e-12)  # warms the measure cache
+    tracemalloc.start()
+    try:
+        inner_product(s, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one whole-grid complex product is 16 bytes a point; the block buffer and
+    # the ufunc's cast buffer for the weight take 128 KB each
+    assert peak < 16 * 40**3 / 2
+
+
+def test_gaussian_psi_equals_the_meshgrid_route_bit_for_bit_on_larger_grids():
+    # odd lengths leave SIMD tails in every in-place step
+    grid = GridSpec(lo=(-3.0, -2.5, -2.0), hi=(2.5, 3.0, 3.5), n=(33, 35, 37))
+    for momentum, hbar in ((None, 1.0), ((0.4, -1.1, 2.3), 0.37)):
+        psi = gaussian_psi(grid, (0.2, -0.3, 0.5), (0.5, 0.9, 1.3), momentum, hbar)
+        assert np.array_equal(psi, meshgrid_gaussian_psi(grid, (0.2, -0.3, 0.5), (0.5, 0.9, 1.3), momentum, hbar))
 
 
 def test_save_is_deterministic(units, tmp_path):
