@@ -206,13 +206,7 @@ def to_qlif(s: SuperposedState) -> tuple[SuperposedState, QrfTransformReport]:
         totals = [total + weight * (v * s.grid.dvol) for total, v in zip(totals, sums)]
     norm_before, overlap, norm_after = totals
 
-    out = SuperposedState(
-        branches=tuple(new_branches),
-        grid=s.grid.negated(),
-        frame=Frame.P,
-        units=s.units,
-        prefactor=s.prefactor,
-    )
+    out = SuperposedState(branches=tuple(new_branches), grid=s.grid.negated(), frame=Frame.P)
     report = QrfTransformReport(
         norm_before=float(np.real(norm_before)),
         norm_after=float(np.real(norm_after)),
@@ -242,13 +236,7 @@ def from_qlif(s: SuperposedState) -> SuperposedState:
         psi = np.zeros(grid.shape, dtype=complex)
         np.divide(_reverse(branch.psi), factor, out=psi, where=factor > 0)
         branches.append(replace(branch, psi=_freeze(psi)))
-    return SuperposedState(
-        branches=tuple(branches),
-        grid=grid,
-        frame=Frame.R,
-        units=s.units,
-        prefactor=s.prefactor,
-    )
+    return SuperposedState(branches=tuple(branches), grid=grid, frame=Frame.R)
 
 
 @dataclass(frozen=True)

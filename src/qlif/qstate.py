@@ -156,18 +156,16 @@ class Branch:
 
 @dataclass(frozen=True)
 class SuperposedState:
-    """Branches over a shared grid, tagged with the frame they refer to.
-
-    ``prefactor`` records the overall constant absorbed when the input
-    amplitudes and wavefunctions were normalized (the bookkeeping that
-    makes <state|state> = 1 the normative convention).
-    """
+    """Branches over a shared grid, tagged with the frame they refer to."""
 
     branches: tuple[Branch, ...]
     grid: GridSpec
     frame: Frame
-    units: UnitSystem
-    prefactor: complex = 1.0 + 0.0j
+
+    @property
+    def units(self) -> UnitSystem:
+        """The unit system of the branch metrics, one for all of them (``make_state``, ``load_state``)."""
+        return self.branches[0].metric.units
 
 
 class MetricOnGrid(NamedTuple):
@@ -299,7 +297,10 @@ def _overlap_sum(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None) -> c
 
 
 def _check_branch_values(branches, error) -> None:
-    """Raise ``error`` for two branches with one (mass_label, metric) key, a non-finite amplitude or sample."""
+    """Raise ``error`` for no branches, two with one (mass_label, metric) key, a non-finite
+    amplitude or sample, or amplitudes that are all zero."""
+    if not branches:
+        raise error("state needs at least one branch")
     first = {}
     for i, b in enumerate(branches):
         j = first.setdefault(b.key, i)
@@ -312,6 +313,8 @@ def _check_branch_values(branches, error) -> None:
             raise error(f"branch {b.key}: amplitude {b.amplitude!r} is not finite")
         if not np.all(np.isfinite(b.psi)):
             raise error(f"branch {b.key}: psi has non-finite samples")
+    if not any(complex(b.amplitude) for b in branches):
+        raise error("all branch amplitudes are zero")
 
 
 def make_state(
@@ -324,8 +327,7 @@ def make_state(
 
     Each branch wavefunction is normalized under its frame's measure and
     the amplitude vector is scaled to unit total weight, so the result
-    satisfies <state|state> = 1.  The absorbed overall constant is recorded
-    as ``prefactor``.
+    satisfies <state|state> = 1.
 
     Raises ZeroNorm for a wavefunction of zero norm, GridMismatch for
     a wavefunction of the wrong shape, and ValueError for non-finite
@@ -334,11 +336,9 @@ def make_state(
     amplitudes that are all zero, or norms past the float range.
     """
     branches = list(branches)
-    if not branches:
-        raise ValueError("state needs at least one branch")
+    _check_branch_values(branches, ValueError)
     if units is None:
         units = branches[0].metric.units
-    _check_branch_values(branches, ValueError)
 
     normalized = []
     weights = []
@@ -356,16 +356,14 @@ def make_state(
 
     weights = np.asarray(weights)
     total = _root_sum_sq(weights)
-    if total == 0.0:
+    if total == 0.0:  # amplitude times norm underflows on every branch
         raise ValueError("all branch amplitudes are zero")
     if not np.isfinite(total):  # a branch norm or the amplitude total past the float range
         raise ValueError("the branch norms or the amplitude total exceed the float range")
     final = tuple(
         replace(b, amplitude=complex(w / total)) for b, w in zip(normalized, weights)
     )
-    return SuperposedState(
-        branches=final, grid=grid, frame=frame, units=units, prefactor=complex(total)
-    )
+    return SuperposedState(branches=final, grid=grid, frame=frame)
 
 
 def inner_product(a: SuperposedState, b: SuperposedState) -> complex:
@@ -463,11 +461,13 @@ def gaussian_psi(grid: GridSpec, center, sigma, momentum=None, hbar: float = 1.0
 # metric's ``describe()`` record under ``metric`` in both frames; the
 # header's ``frame`` alone says how the samples are weighed, as it does in
 # memory.  So a reloaded P-frame state inverts like the one that was saved.
-# Formats 1 and 2 stored the P-frame metric differently and are not read:
+# The header's ``units`` are those of every branch metric, whose records
+# hold none.  Formats 1 and 2 stored the P-frame metric differently and
+# format 3 an overall constant that nothing read; none of them is read:
 # such files are regenerated from their config by ``qlif transform``.
 
 _MAGIC = b"QLIFSTA1"
-FORMAT = 3
+FORMAT = 4
 
 
 def _state_header(s: SuperposedState) -> dict:
@@ -476,7 +476,6 @@ def _state_header(s: SuperposedState) -> dict:
         "grid": {"lo": list(s.grid.lo), "hi": list(s.grid.hi), "n": list(s.grid.n), "t0": s.grid.t0},
         "units": {"c": s.units.c, "G": s.units.G, "hbar": s.units.hbar},
         "frame": s.frame.value,
-        "prefactor": [s.prefactor.real, s.prefactor.imag],
         "branches": [
             {
                 "amplitude": [b.amplitude.real, b.amplitude.imag],
@@ -528,7 +527,11 @@ def load_state(path) -> SuperposedState:
 
     Raises BadContainer for a wrong magic or format version, a short or
     unreadable header, a missing or invalid header field, a truncated
-    payload, trailing bytes and the branches ``make_state`` refuses.
+    payload or trailing bytes.  Of what ``make_state`` refuses it also
+    raises for an empty branch table, two records with one (mass_label,
+    metric) key, a non-finite amplitude or sample, and amplitudes that are
+    all zero.  A branch whose samples are all zero loads: its norm would
+    cost a metric evaluation over the grid at every load.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -546,7 +549,7 @@ def load_state(path) -> SuperposedState:
             version = header["format"]
         except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad UTF-8 or JSON
             raise BadContainer(f"unreadable header: {exc!r}") from exc
-        if version in (1, 2):
+        if version in (1, 2, 3):
             raise BadContainer(f"container format {version} is no longer read; regenerate the file")
         if version != FORMAT:
             raise BadContainer(f"unknown container format {version!r}")
@@ -555,9 +558,6 @@ def load_state(path) -> SuperposedState:
             grid = GridSpec(lo=tuple(g["lo"]), hi=tuple(g["hi"]), n=tuple(g["n"]), t0=g["t0"])
             units = UnitSystem(**header["units"])
             frame = Frame(header["frame"])
-            prefactor = _header_complex(header["prefactor"])
-            if not np.isfinite(prefactor):
-                raise ValueError(f"prefactor {prefactor!r} is not finite")
             records = [
                 dict(
                     amplitude=_header_complex(rec["amplitude"]),
@@ -581,6 +581,4 @@ def load_state(path) -> SuperposedState:
             psi = np.fromfile(fh, dtype="<c16", count=count).astype(complex, copy=False)
             branches.append(Branch(psi=_freeze(psi.reshape(grid.shape)), **rec))
     _check_branch_values(branches, BadContainer)
-    return SuperposedState(
-        branches=tuple(branches), grid=grid, frame=frame, units=units, prefactor=prefactor
-    )
+    return SuperposedState(branches=tuple(branches), grid=grid, frame=frame)

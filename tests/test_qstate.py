@@ -25,6 +25,7 @@ from qlif.errors import (
 from qlif.qrf import to_qlif
 from qlif.qstate import (
     _BLOCK,
+    FORMAT,
     Branch,
     Frame,
     GridSpec,
@@ -106,15 +107,6 @@ def test_two_amplitude_norm(units, grid):
     # so the amplitudes survive only to that accuracy
     assert abs(s.branches[0].amplitude) == pytest.approx(lam, rel=1e-9)
     assert abs(s.branches[1].amplitude) == pytest.approx(mu, rel=1e-9)
-    # prefactor records the absorbed constant: raw weight = amplitude * prefactor
-    raw_norm = np.sqrt(
-        np.sum(
-            branch_sqrt_neg_det(s.branches[0], grid)
-            * np.abs(gaussian_psi(grid, (0, 0, 0), 0.7)) ** 2
-        )
-        * grid.dvol
-    )
-    assert abs(s.branches[0].amplitude * s.prefactor) == pytest.approx(lam * raw_norm, rel=1e-12)
 
 
 def test_branch_measure_normalization(units, grid):
@@ -317,7 +309,6 @@ def test_make_state_normalizes_samples_whose_squares_leave_the_float_range(units
         np.testing.assert_allclose(g.psi, w.psi, rtol=1e-15, atol=0)
         assert np.isfinite(g.amplitude)
         assert g.amplitude == pytest.approx(w.amplitude, rel=1e-15)
-    assert got.prefactor == pytest.approx(want.prefactor * scale, rel=1e-14)
     assert state_norm(got) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -433,7 +424,7 @@ def test_save_load_round_trip(units, tmp_path):
 
 def _assert_reloads_equal(s, path):
     loaded = load_state(path)
-    assert (loaded.grid, loaded.frame, loaded.units, loaded.prefactor) == (s.grid, s.frame, s.units, s.prefactor)
+    assert (loaded.grid, loaded.frame, loaded.units) == (s.grid, s.frame, s.units)
     for got, want in zip(loaded.branches, s.branches, strict=True):
         assert (got.amplitude, got.key, got.mass_position) == (want.amplitude, want.key, want.mass_position)
         assert np.array_equal(got.psi, want.psi)
@@ -576,18 +567,19 @@ def test_load_rejects_unreadable_header(units, tmp_path):
 def test_load_rejects_unknown_format(units, tmp_path):
     data = _saved_bytes(units, tmp_path)
     hlen = int.from_bytes(data[8:16], "little")
-    header = data[16 : 16 + hlen].replace(b'"format": 3', b'"format": 9')
+    header = data[16 : 16 + hlen].replace(f'"format": {FORMAT}'.encode(), b'"format": 9')
     assert header != data[16 : 16 + hlen] and len(header) == hlen
     with pytest.raises(BadContainer, match="format 9"):
         _load_bytes(tmp_path, data[:16] + header + data[16 + hlen :])
 
 
 def test_load_rejects_format_1_with_a_hint(units, tmp_path):
-    # formats 1 and 2 stored the P-frame metric differently; both are regenerated
+    # formats 1 and 2 stored the P-frame metric differently and format 3 a
+    # constant that nothing read; all three are regenerated
     data = _saved_bytes(units, tmp_path)
     hlen = int.from_bytes(data[8:16], "little")
-    for version in (1, 2):
-        header = data[16 : 16 + hlen].replace(b'"format": 3', f'"format": {version}'.encode())
+    for version in (1, 2, 3):
+        header = data[16 : 16 + hlen].replace(f'"format": {FORMAT}'.encode(), f'"format": {version}'.encode())
         assert header != data[16 : 16 + hlen]
         with pytest.raises(BadContainer, match=f"format {version} is no longer read; regenerate"):
             _load_bytes(tmp_path, data[:16] + header + data[16 + hlen :])
@@ -621,13 +613,12 @@ def _edited_header(data, edit):
         (Frame.R, lambda h: h["branches"][1].update(amplitude="")),  # loaded as 0j
         (Frame.R, lambda h: h["branches"][1].update(amplitude=[])),  # loaded as 0j
         (Frame.R, lambda h: h["branches"][1].update(amplitude=[True, 0.0])),  # loaded as 1
-        (Frame.R, lambda h: h.update(prefactor=[float("nan"), 0.0])),  # loaded
     ],
     ids=[
         "no-units", "no-grid", "no-grid-n", "no-metric", "frame-Q",
         "unknown-kind", "metric-not-mapping", "negative-c", "3-amplitude",
         "p-frame-negative-mass", "list-mass-label", "infinite-grid-n",
-        "empty-string-amplitude", "empty-list-amplitude", "bool-amplitude", "nan-prefactor",
+        "empty-string-amplitude", "empty-list-amplitude", "bool-amplitude",
     ],
 )
 def test_load_rejects_bad_header_fields(units, tmp_path, frame, edit):
@@ -651,6 +642,7 @@ def test_saved_records_hold_each_branch_metric_once(units, tmp_path, frame):
     data = _saved_bytes(units, tmp_path, frame)
     hlen = int.from_bytes(data[8:16], "little")
     header = json.loads(data[16 : 16 + hlen])
+    assert set(header) == {"format", "grid", "units", "frame", "branches"}
     assert header["frame"] == frame.value
     for rec, b in zip(header["branches"], s.branches, strict=True):
         assert rec["metric"] == json.loads(json.dumps(b.metric.describe()))
@@ -671,6 +663,24 @@ def test_load_rejects_a_non_finite_sample(units, tmp_path):
     data[-16:-8] = np.array(np.nan, "<f8").tobytes()  # the real part of the last sample of the last branch
     with pytest.raises(BadContainer, match=r"branch \('R', .*psi has non-finite samples"):
         _load_bytes(tmp_path, bytes(data))
+
+
+def test_load_rejects_an_empty_branch_table(units, tmp_path):
+    # it loaded as a state without branches, on which to_qlif raised from max() of nothing
+    head, _ = _edited_header(_saved_bytes(units, tmp_path), lambda h: h.update(branches=[]))
+    with pytest.raises(BadContainer, match="state needs at least one branch"):
+        _load_bytes(tmp_path, head)
+
+
+def test_load_rejects_amplitudes_that_are_all_zero(units, tmp_path):
+    # they loaded as a state of norm 0
+    def zero(header):
+        for rec in header["branches"]:
+            rec["amplitude"] = [0.0, 0.0]
+
+    head, payload = _edited_header(_saved_bytes(units, tmp_path), zero)
+    with pytest.raises(BadContainer, match="all branch amplitudes are zero"):
+        _load_bytes(tmp_path, head + payload)
 
 
 def test_load_rejects_a_branch_record_listed_twice(units, tmp_path):
