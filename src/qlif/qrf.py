@@ -30,13 +30,22 @@ the stretches in which ``qstate._pairwise`` splits the grid, with no
 whole-grid temporary and no norm taken again.  Each stretch writes its
 P-frame samples and forms two terms in the operations of
 ``inner_product``: psi against itself under sqrt(-g) (``norm_before``),
-and the samples psi * (-g)^(1/4) divided by the same factor again (0
-where it is 0) and weighed against psi, which are the operations of
-``from_qlif`` followed by ``inner_product`` (the round-trip figure
+and the samples psi * (-g)^(1/4) with the same factor divided out again
+and weighed against psi, which are the operations of ``from_qlif``
+followed by ``inner_product`` (the round-trip figure
 |<input | from_qlif(output)> - 1|, without building the inverse state).
 ``norm_after`` sums the new samples against themselves, flat, with
 ``inner_product``'s kernel over the P-frame array in its own order, which
 reverses the pass's.  Each figure is its explicit route's bit for bit.
+
+Both ``from_qlif`` and the pass divide the factor out as a product with its
+float reciprocal on every stretch whose measure is all > 0; a stretch that
+touches the singular set keeps numpy's complex divide, which leaves 0 where
+the factor is 0.  The product equals the divide except in the sign of parts
+that are exactly 0, and such a sign cannot reach a sum: every product in a
+term that reads a zero part is itself a zero, and a zero of either sign
+added to a nonzero value leaves it unchanged, so a term, and then a sum,
+can change only in the sign of an exact 0.
 
 The transformation never mixes branches (it is block-diagonal in the
 (mass_label, metric) key).  It is fixed entirely by the branch metric on
@@ -108,9 +117,19 @@ class QrfTransformReport:
                 raise ValueError(f"report field {name} must be finite and >= 0, got {v!r}")
 
 
-def _reverse(a: np.ndarray) -> np.ndarray:
-    """Grid relabeling x -> -x (index reversal on every spatial axis)."""
-    return a[::-1, ::-1, ::-1]
+def _divide_out(x: np.ndarray, f: np.ndarray, out: np.ndarray) -> None:
+    """out = x / f for complex samples x and a float factor f >= 0, as ``from_qlif`` forms it; f is overwritten.
+
+    Where every f is > 0 this is the product with the float reciprocal
+    1 / f, at under half the cost of numpy's complex divide.  The divide
+    forms (x_r + x_i * 0) * (1 / f) and (x_i - x_r * 0) * (1 / f), so the two
+    differ only in the sign of parts that are exactly 0.  Elsewhere it is
+    the divide, and ``out`` keeps its values where f is 0.
+    """
+    if np.minimum.reduce(f) > 0.0:
+        np.multiply(x, np.divide(1.0, f, out=f), out=out)
+    else:
+        np.divide(x, f, out=out, where=f > 0.0)
 
 
 def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float, tuple]:
@@ -127,16 +146,16 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float, tu
     n = psi.size
     new = np.empty(n, dtype=complex)
     k = min(n, _BLOCK)
-    cbuf = np.empty((4, k), dtype=complex)
-    root, masks = np.empty(k), np.empty((2, k), dtype=bool)
+    cbuf = np.empty((3, k), dtype=complex)
+    root, support_buf = np.empty(k), np.empty(k, dtype=bool)
     max_dev = 0.0
 
     def leaf(lo, hi):
         nonlocal max_dev
         m = hi - lo
         p, w, dev = psi[lo:hi], measure[lo:hi], deviation[lo:hi]
-        conj, t, wc, fc = cbuf[:, :m]
-        support, positive = masks[:, :m]
+        conj, t, wc = cbuf[:, :m]
+        support = support_buf[:m]
         f = root[:m]
         # The cached measure is exactly 0 on the singular set and > 0 elsewhere.
         # Certify f^T g f = eta where the branch has amplitude (see the module
@@ -153,20 +172,18 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float, tu
                 )
             max_dev = float(np.maximum.reduce(dev, where=support, initial=max_dev))
 
-        # each float factor is cast to complex once, as the ufuncs would cast it
+        # the measure is cast to complex once, as the ufuncs would cast it
         wc[:] = w
         np.sqrt(w, out=f)
-        np.greater(f, 0.0, out=positive)
-        fc[:] = f
         np.conjugate(p, out=conj)
         np.multiply(conj, p, out=t)
         np.multiply(t, wc, out=t)
         own = np.add.reduce(t)
-        np.multiply(p, fc, out=t)
+        np.multiply(p, f, out=t)
         new[n - hi : n - lo] = t[::-1]
-        # from_qlif's sample, back = scaled / factor (0 where factor is 0, where
-        # psi is 0 as well), and inner_product's term for it
-        np.divide(t, fc, out=t, where=positive)
+        # from_qlif's sample, back = scaled / factor, in from_qlif's operations,
+        # and inner_product's term for it
+        _divide_out(t, f, t)
         np.multiply(conj, t, out=t)
         np.multiply(t, wc, out=t)
         return np.array([own, np.add.reduce(t)])
@@ -223,8 +240,9 @@ def to_qlif(s: SuperposedState) -> tuple[SuperposedState, QrfTransformReport]:
 def from_qlif(s: SuperposedState) -> SuperposedState:
     """Invert ``to_qlif`` by dividing out the branch measure (-g_i)^(1/4) over the source grid.
 
-    Points where the measure is 0 (the metric's singular set, where
-    ``to_qlif`` only admits zero amplitude) come back as 0.  Raises
+    The division runs stretch by stretch, as ``_divide_out`` (see the module
+    docstring).  Points where the measure is 0 (the metric's singular set,
+    where ``to_qlif`` only admits zero amplitude) come back as 0.  Raises
     WrongFrame unless ``s`` is P-frame.
     """
     if s.frame != Frame.P:
@@ -232,10 +250,16 @@ def from_qlif(s: SuperposedState) -> SuperposedState:
     grid = s.grid.negated()
     branches = []
     for branch in s.branches:
-        factor = np.sqrt(branch_sqrt_neg_det(branch, grid))
-        psi = np.zeros(grid.shape, dtype=complex)
-        np.divide(_reverse(branch.psi), factor, out=psi, where=factor > 0)
-        branches.append(replace(branch, psi=_freeze(psi)))
+        measure = branch_sqrt_neg_det(branch, grid).reshape(-1)
+        # x -> -x: reversing every axis of a C-order array reverses its flat order
+        scaled = branch.psi.reshape(-1)[::-1]
+        psi = np.zeros(scaled.size, dtype=complex)
+        root = np.empty(min(scaled.size, _BLOCK))
+        for lo in range(0, scaled.size, _BLOCK):
+            hi = min(lo + _BLOCK, scaled.size)
+            f = np.sqrt(measure[lo:hi], out=root[: hi - lo])
+            _divide_out(scaled[lo:hi], f, psi[lo:hi])
+        branches.append(replace(branch, psi=_freeze(psi.reshape(grid.shape))))
     return SuperposedState(branches=tuple(branches), grid=grid, frame=Frame.R)
 
 
@@ -260,6 +284,36 @@ def _heaviest(weight: np.ndarray, k: int) -> np.ndarray:
     threshold = np.partition(weight, weight.size - k)[weight.size - k]
     candidates = np.flatnonzero(weight >= threshold)
     return candidates[np.argsort(-weight[candidates], kind="stable")[:k]]
+
+
+def _anchor_indices(branch: Branch, grid: GridSpec) -> np.ndarray:
+    """Source-grid flat indices of the branch's ``CHECK_SAMPLE_POINTS`` largest |psi| off the
+    singular set, ties in index order, nonzero ones only: ``_heaviest`` of the masked weights.
+
+    Only rows (runs along the last axis) whose largest |psi| reaches the
+    k-th largest row maximum can hold one of the k, so only those rows go to
+    ``_heaviest``, in source order.  The rows are read from the P-frame
+    samples, whose row i is source row (rows - 1 - i) reversed.  Should the
+    singular-set mask leave fewer than k of their weights at that maximum,
+    every row goes.
+    """
+    k, width = CHECK_SAMPLE_POINTS, grid.shape[2]
+    p_rows = np.abs(branch.psi).reshape(-1, width)
+    top = np.maximum.reduce(p_rows, axis=1)[::-1]
+    rows = p_rows[::-1, ::-1]
+    measure = branch_sqrt_neg_det(branch, grid).reshape(rows.shape)
+    floor = np.partition(top, top.size - k)[top.size - k] if top.size > k else 0.0
+    # a row of zeros holds no anchor
+    chosen = np.flatnonzero(top >= floor) if floor > 0.0 else np.flatnonzero(top)
+    weight = rows[chosen]
+    weight[measure[chosen] == 0] = 0.0
+    if floor > 0.0 and np.count_nonzero(weight >= floor) < k:
+        chosen = np.arange(len(rows))
+        weight = rows.copy()
+        weight[measure == 0] = 0.0
+    weight = weight.reshape(-1)
+    picks = _heaviest(weight, min(k, np.count_nonzero(weight)))
+    return chosen[picks // width] * width + picks % width
 
 
 def check_qlif_metric(s: SuperposedState, *radii: float) -> list[QlifMetricRow]:
@@ -288,13 +342,7 @@ def check_qlif_metric(s: SuperposedState, *radii: float) -> list[QlifMetricRow]:
     grid = s.grid.negated()
     frames = []
     for branch in s.branches:
-        measure = branch_sqrt_neg_det(branch, grid).reshape(-1)
-        # |psi| over the source grid: abs of the contiguous samples, then x -> -x
-        # as a view (reversing every axis of a C-order array reverses its flat order)
-        weight = np.abs(branch.psi).reshape(-1)[::-1]
-        weight[measure == 0] = 0.0
-        chosen = _heaviest(weight, min(CHECK_SAMPLE_POINTS, np.count_nonzero(weight)))
-        anchors = grid.points4_at(chosen)
+        anchors = grid.points4_at(_anchor_indices(branch, grid))
         _, f = tetrad_arrays(branch.metric.diagonal_batch(anchors))
         frames.append((branch.mass_label, branch.metric, anchors, f))
 

@@ -18,6 +18,10 @@ how "macroscopically distinguishable implies orthogonal" is represented.
 Grid sums run over C-ordered (x, y, z) arrays in np.sum's pairwise order,
 stretch by stretch through one reused buffer (``_overlap_sum``), branches
 in input order; this fixed scheme makes every overlap deterministic.
+``make_state`` takes each branch's norm in one such pass over weight |psi|^2
+(``_sum_sq``), and its finiteness check rides on that sum: a NaN or
+infinite sample makes the sum NaN or inf, so only a sum that is not finite
+sends the samples through ``np.isfinite``.
 
 States are immutable: all operations return new objects and wavefunction
 arrays are frozen (writeable = False) on construction.
@@ -235,20 +239,6 @@ def _abs_sq(a: np.ndarray, weight=None) -> np.ndarray:
     return t
 
 
-def _root_sum_sq(a: np.ndarray, weight=None, dvol: float = 1.0):
-    """sqrt(sum(weight |a|^2) dvol), no weight for None.  Where that sum is not finite, or at most
-    a.size * tiny, so that terms rounded to subnormals could move it by an ulp,
-    it runs over a / max|a| instead and the root is scaled back."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = float(np.sum(_abs_sq(a, weight)) * dvol)
-        if a.size * np.finfo(float).tiny < sq < math.inf:
-            return np.sqrt(sq)
-        scale = np.max(np.abs(a))
-        if not 0.0 < scale < math.inf:  # all zero, or already past the float range
-            return scale
-        return scale * np.sqrt(float(np.sum(_abs_sq(a / scale, weight)) * dvol))
-
-
 # Points per leaf of ``_pairwise``: the products of one leaf fit a reused
 # buffer of 128 KB, inside the L2 cache, where a whole-grid product makes a
 # 4 MB temporary per operation at 64^3.  Timed on ``to_qlif`` at 64^3 (two
@@ -257,21 +247,59 @@ def _root_sum_sq(a: np.ndarray, weight=None, dvol: float = 1.0):
 _BLOCK = 1 << 13
 
 
-def _pairwise(lo: int, n: int, leaf):
-    """Sum of ``leaf(start, stop)`` over [lo, lo + n), split as np.sum splits a complex array.
+def _pairwise(lo: int, n: int, leaf, width: int = 2):
+    """Sum of ``leaf(start, stop)`` over [lo, lo + n), split as np.sum splits an array of
+    ``width`` floats a point: 2 for a complex array, 1 for a float one.
 
-    np.sum adds a contiguous complex array pairwise: a stretch of n points
-    splits after (n - n % 8) // 2 of them, down to stretches of 64 points.
-    Splitting the same way down to ``_BLOCK`` points and handing each
-    stretch to ``leaf``, which returns np.sum of its terms (or an array of
-    such sums, added element by element), gives the whole-array np.sum bit
-    for bit at every size; block sums added in a row would not.  The sum
-    takes no BLAS call, whose bits can change with its thread count.
+    np.sum adds a contiguous array pairwise, counting its floats: a stretch
+    of m floats splits after m // 2 of them, stepped back to a multiple of
+    8, down to stretches of 128 floats; for a complex array that is after
+    (n - n % 8) // 2 points.  Splitting the same way down to ``_BLOCK``
+    points and handing each stretch to ``leaf``, which returns np.sum of
+    its terms (or an array of such sums, added element by element), gives
+    the whole-array np.sum bit for bit at every size; block sums added in
+    a row would not.  The sum takes no BLAS call, whose bits can change
+    with its thread count.
     """
     if n <= _BLOCK:
         return leaf(lo, lo + n)
-    half = (n - n % 8) // 2
-    return _pairwise(lo, half, leaf) + _pairwise(lo + half, n - half, leaf)
+    half = n * width // 2
+    half = (half - half % 8) // width
+    return _pairwise(lo, half, leaf, width) + _pairwise(lo + half, n - half, leaf, width)
+
+
+def _sum_sq(a: np.ndarray, weight=None):
+    """np.sum(_abs_sq(a, weight)) bit for bit, each ``_pairwise`` stretch through one reused float buffer."""
+    a = a.reshape(-1)
+    w = None if weight is None else weight.reshape(-1)
+    buf = np.empty(min(a.size, _BLOCK))
+
+    def leaf(lo, hi):
+        t = buf[: hi - lo]
+        np.abs(a[lo:hi], out=t)
+        np.square(t, out=t)
+        if w is not None:
+            np.multiply(w[lo:hi], t, out=t)
+        return np.add.reduce(t)
+
+    return _pairwise(0, a.size, leaf, width=1)
+
+
+def _root_sum_sq(a: np.ndarray, weight=None, dvol: float = 1.0):
+    """sqrt(sum(weight |a|^2) dvol), no weight for None, from one ``_sum_sq`` pass.
+
+    A non-finite sample makes that sum NaN or inf, and the result is then
+    NaN or inf.  Where the sum is not finite, or at most a.size * tiny, so
+    that terms rounded to subnormals could move it by an ulp, it runs over
+    a / max|a| instead and the root is scaled back."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = float(_sum_sq(a, weight) * dvol)
+        if a.size * np.finfo(float).tiny < sq < math.inf:
+            return np.sqrt(sq)
+        scale = np.max(np.abs(a))
+        if not 0.0 < scale < math.inf:  # all zero, or a sample not finite or already past the float range
+            return scale
+        return scale * np.sqrt(float(_sum_sq(a / scale, weight) * dvol))
 
 
 def _overlap_sum(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None) -> complex:
@@ -298,7 +326,7 @@ def _overlap_sum(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None) -> c
 
 def _check_branch_values(branches, error) -> None:
     """Raise ``error`` for no branches, two with one (mass_label, metric) key, a non-finite
-    amplitude or sample, or amplitudes that are all zero."""
+    amplitude, or amplitudes that are all zero."""
     if not branches:
         raise error("state needs at least one branch")
     first = {}
@@ -311,10 +339,33 @@ def _check_branch_values(branches, error) -> None:
             )
         if not np.isfinite(complex(b.amplitude)):
             raise error(f"branch {b.key}: amplitude {b.amplitude!r} is not finite")
-        if not np.all(np.isfinite(b.psi)):
-            raise error(f"branch {b.key}: psi has non-finite samples")
     if not any(complex(b.amplitude) for b in branches):
         raise error("all branch amplitudes are zero")
+
+
+def _check_finite_samples(b: Branch, error) -> None:
+    if not np.all(np.isfinite(b.psi)):
+        raise error(f"branch {b.key}: psi has non-finite samples")
+
+
+def _ldexp(z: complex, k: int) -> complex:
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
+def _scaled_weights(amplitudes, norms) -> np.ndarray:
+    """amplitude * norm per branch, all times the power of two that brings the largest into [1/4, 1).
+
+    For weights whose plain products underflow: each is the product of the
+    mantissas of its two factors, scaled by its exponent less the largest,
+    so the ratios that make the amplitudes keep full precision.
+    """
+    parts = []
+    for a, n in zip(amplitudes, norms):
+        ea = math.frexp(abs(a))[1]
+        mn, en = math.frexp(n)
+        parts.append((_ldexp(a, -ea) * mn, ea + en))
+    top = max(e for m, e in parts if m)
+    return np.asarray([_ldexp(m, e - top) for m, e in parts])
 
 
 def make_state(
@@ -341,7 +392,7 @@ def make_state(
         units = branches[0].metric.units
 
     normalized = []
-    weights = []
+    norms = []
     for b in branches:
         if b.metric.units != units:
             raise ValueError(f"branch {b.key}: metric units differ from the state's {units}")
@@ -349,15 +400,19 @@ def make_state(
         if psi.shape != grid.shape:
             raise GridMismatch(f"psi shape {psi.shape} != grid shape {grid.shape}")
         nrm = _root_sum_sq(psi, _measure(b, grid, frame), grid.dvol)
+        if not np.isfinite(nrm):  # a non-finite sample, or finite samples whose norm is past the float range
+            _check_finite_samples(b, ValueError)
         if nrm == 0.0:
             raise ZeroNorm(f"branch {b.key}: zero measure-weighted norm")
         normalized.append(replace(b, psi=_freeze(psi / nrm)))
-        weights.append(complex(b.amplitude) * nrm)
+        norms.append(nrm)
 
-    weights = np.asarray(weights)
+    amplitudes = [complex(b.amplitude) for b in branches]
+    weights = np.asarray([a * nrm for a, nrm in zip(amplitudes, norms)])
     total = _root_sum_sq(weights)
-    if total == 0.0:  # amplitude times norm underflows on every branch
-        raise ValueError("all branch amplitudes are zero")
+    if total < np.finfo(float).tiny:  # amplitude times norm underflows on every branch
+        weights = _scaled_weights(amplitudes, norms)
+        total = _root_sum_sq(weights)
     if not np.isfinite(total):  # a branch norm or the amplitude total past the float range
         raise ValueError("the branch norms or the amplitude total exceed the float range")
     final = tuple(
@@ -581,4 +636,6 @@ def load_state(path) -> SuperposedState:
             psi = np.fromfile(fh, dtype="<c16", count=count).astype(complex, copy=False)
             branches.append(Branch(psi=_freeze(psi.reshape(grid.shape)), **rec))
     _check_branch_values(branches, BadContainer)
+    for b in branches:
+        _check_finite_samples(b, BadContainer)
     return SuperposedState(branches=tuple(branches), grid=grid, frame=frame)

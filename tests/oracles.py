@@ -315,6 +315,31 @@ def loop_qlif_metric_rows(state, radius: float, sample_points: int = 16) -> list
     return rows
 
 
+def argsort_anchor_indices(state, branch, sample_points: int = 16) -> np.ndarray:
+    """Source-grid flat indices of a P-frame branch's ``check_qlif_metric`` anchors by a full stable sort.
+
+    |psi| of the contiguous P-frame samples, reversed into source order, is
+    set to 0 where the measure is 0; the anchors are the first
+    min(sample_points, nonzero count) indices of its stable descending sort.
+    """
+    measure, _ = whole_grid_metric_on_grid(branch.metric, state.grid.negated())
+    weight = np.abs(branch.psi).reshape(-1)[::-1]
+    weight[measure.reshape(-1) == 0] = 0.0
+    return np.argsort(-weight, kind="stable")[: min(sample_points, np.count_nonzero(weight))]
+
+
+def divide_from_qlif(state) -> list[np.ndarray]:
+    """Each P-frame branch's ``from_qlif`` samples by numpy's complex divide, 0 where the measure is 0."""
+    out = []
+    for branch in state.branches:
+        measure, _ = whole_grid_metric_on_grid(branch.metric, state.grid.negated())
+        factor = np.sqrt(measure)
+        psi = np.zeros(factor.shape, dtype=complex)
+        np.divide(np.asarray(branch.psi)[::-1, ::-1, ::-1], factor, out=psi, where=factor > 0)
+        out.append(psi)
+    return out
+
+
 def meshgrid_gaussian_psi(grid, center, sigma, momentum=None, hbar: float = 1.0) -> np.ndarray:
     """``gaussian_psi`` as first written, on the three whole meshgrid arrays."""
     center = np.broadcast_to(np.asarray(center, dtype=float), (3,))

@@ -1,10 +1,19 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import derived_b_xi, two_branch_state
-from oracles import grid_mesh, grid_points, loop_qlif_metric_rows, matmul_certificate, metric_matrices
+from oracles import (
+    argsort_anchor_indices,
+    divide_from_qlif,
+    grid_mesh,
+    grid_points,
+    loop_qlif_metric_rows,
+    matmul_certificate,
+    metric_matrices,
+)
 from qlif import qrf, qstate
 from qlif.dynamics import branch_centroid, evolve_free
 from qlif.errors import DegenerateMetric, SingularRegion, WrongFrame
@@ -14,6 +23,8 @@ from qlif.qstate import (
     Branch,
     Frame,
     GridSpec,
+    SuperposedState,
+    _freeze,
     branch_sqrt_neg_det,
     gaussian_psi,
     inner_product,
@@ -429,6 +440,91 @@ def test_report_norms_equal_state_norm_bit_for_bit(units, n):
     for got, branch in zip(out.branches, s.branches):
         factor = np.sqrt(branch_sqrt_neg_det(branch, s.grid))
         assert np.array_equal(got.psi, np.ascontiguousarray((branch.psi * factor)[::-1, ::-1, ::-1]))
+
+
+def _underflowing_momentum_state(units):
+    # exp(-r^2 / (2 * 0.1^2)) is 0 beyond r = 3.9, so the momentum phase leaves
+    # +-0 real and imaginary parts there
+    grid = GridSpec(lo=(-4, -4, -4), hi=(4, 4, 4), n=(40, 40, 40))
+    metric = WeakFieldPointMass(units, mass=1e-4, soft=1e-3, center=(0.5, 0.0, 0.0))
+    psi = gaussian_psi(grid, (0.1, -0.2, 0.3), 0.1, momentum=(7.0, -5.0, 3.0))
+    return make_state([Branch(0.6 - 0.8j, "U", FourVector(0, 0.5, 0.0, 0.0), metric, psi)], grid)
+
+
+def test_reciprocal_product_keeps_every_sum_of_the_divide_route(units):
+    s = _underflowing_momentum_state(units)
+    parts = s.branches[0].psi.view(float)
+    assert np.any((parts == 0) & np.signbit(parts)) and np.any((parts == 0) & ~np.signbit(parts))
+    out, report = to_qlif(s)
+    assert report.roundtrip_error == abs(inner_product(s, from_qlif(out)) - 1.0)
+    assert report.norm_before == state_norm(s)
+    assert report.norm_after == state_norm(out)
+    # to_qlif's samples, and their negation, whose -0 parts the reciprocal keeps and the divide can flip
+    negated = replace(out, branches=tuple(replace(b, psi=_freeze(-b.psi)) for b in out.branches))
+    for p_frame in (out, negated):
+        back = from_qlif(p_frame)
+        want = divide_from_qlif(p_frame)
+        divided = replace(back, branches=tuple(replace(b, psi=_freeze(w)) for b, w in zip(back.branches, want)))
+        assert state_norm(back) == state_norm(divided)
+        assert inner_product(s, back) == inner_product(s, divided)
+        for got, w in zip(back.branches, want):
+            g, w = got.psi.view(float), w.view(float)
+            assert np.array_equal(g, w)  # equal values, +0 == -0
+            nonzero = w != 0
+            assert np.array_equal(g.view(np.uint64)[nonzero], w.view(np.uint64)[nonzero])
+
+
+def _plane_wave_state(units):
+    # samples 1, i, -1, -i: one modulus at every point, so every weight ties
+    grid = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=(13, 11, 9))
+    i, j, k = np.indices(grid.shape)
+    psi = np.array([1, 1j, -1, -1j])[(i + 2 * j + 3 * k) % 4]
+    return make_state([Branch(1.0, "M", FourVector(0, 0, 0, 0), Minkowski(units), psi)], grid)
+
+
+def _sparse_state(units):
+    # 5 nonzero samples, fewer than the anchors asked for
+    grid = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=(15, 15, 15))
+    psi = np.zeros(grid.shape, dtype=complex)
+    psi[3, 4, 5], psi[3, 4, 6], psi[7, 7, 7], psi[12, 1, 0], psi[14, 14, 14] = 0.5, 0.5j, 1.0, -0.5, 0.25
+    metric = WeakFieldPointMass(units, mass=1e-4, soft=1e-3, center=(0.5, 0.0, 0.0))
+    return make_state([Branch(1.0, "M", FourVector(0, 0.5, 0, 0), metric, psi)], grid)
+
+
+def _p_frame(make):
+    return lambda units: to_qlif(make(units))[0]
+
+
+def _schwarzschild_p_frame_with_amplitude_on_the_singular_set(units):
+    # built by hand: the largest samples sit where the measure is 0, so the
+    # rows with the largest maxima hold no anchor
+    sch = Schwarzschild(units, mass=1.0)
+    source = GridSpec(lo=(1.0, 0.0, 0.5), hi=(9.0, 2.0, 4.5), n=(17, 9, 7))
+    valid = sch.valid_mask(grid_points(source)).reshape(source.shape)
+    psi = np.where(valid, gaussian_psi(source, (6.0, 1.4, 2.5), 1.0), 10.0)
+    branch = Branch(1.0, "S", FourVector(0, 6.0, 1.4, 2.5), sch, _freeze(psi[::-1, ::-1, ::-1]))
+    return SuperposedState((branch,), source.negated(), Frame.P)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _p_frame(_plane_wave_state),
+        _p_frame(_schwarzschild_through_horizon_and_pole),
+        _p_frame(_sparse_state),
+        _p_frame(two_branch_state),
+        _schwarzschild_p_frame_with_amplitude_on_the_singular_set,
+    ],
+    ids=["plane-wave", "schwarzschild-singular", "five-samples", "two-branch", "amplitude-on-singular-set"],
+)
+def test_anchors_and_rows_equal_the_full_sort_route(units, make, monkeypatch):
+    out = make(units)
+    for branch in out.branches:
+        got = qrf._anchor_indices(branch, out.grid.negated())
+        assert np.array_equal(got, argsort_anchor_indices(out, branch))
+    rows = check_qlif_metric(out, 0.0, 0.05, 0.1)
+    monkeypatch.setattr(qrf, "_anchor_indices", lambda branch, grid: argsort_anchor_indices(out, branch))
+    assert rows == check_qlif_metric(out, 0.0, 0.05, 0.1)
 
 
 def test_to_qlif_takes_no_norm_and_no_overlap(units, monkeypatch):

@@ -29,7 +29,9 @@ from qlif.qstate import (
     Branch,
     Frame,
     GridSpec,
+    _abs_sq,
     _overlap_sum,
+    _sum_sq,
     branch_sqrt_neg_det,
     gaussian_psi,
     inner_product,
@@ -317,6 +319,53 @@ def test_make_state_rejects_norms_beyond_the_float_range(units):
     grid = GridSpec(lo=(-2, -2, -2), hi=(2, 2, 2), n=(9, 9, 9))
     with pytest.raises(ValueError, match="exceed the float range"):
         make_state([replace(flat_branch(units, grid), psi=np.full(grid.shape, 1e308, complex))], grid)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_make_state_keeps_weights_whose_products_underflow(units, count):
+    # amplitude times norm is about 1e-400 on every branch, 0 in floats
+    grid = GridSpec(lo=(-2, -2, -2), hi=(2, 2, 2), n=(9, 9, 9))
+    branches = [flat_branch(units, grid, sigma=1.0), replace(_weak_branch(units, grid), amplitude=0.5j)][:count]
+    want = make_state(branches, grid)
+    got = make_state([replace(b, amplitude=b.amplitude * 1e-200, psi=b.psi * 1e-200) for b in branches], grid)
+    for g, w in zip(got.branches, want.branches, strict=True):
+        np.testing.assert_allclose(g.psi, w.psi, rtol=1e-15, atol=0)
+        assert g.amplitude == pytest.approx(w.amplitude, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(17, 17, 17), (40, 40, 40), (33, 35, 37), (64, 64, 64), (128, 64, 64)],
+    ids=["one-block", "40-cubed", "33x35x37", "64-cubed", "128x64x64"],
+)
+def test_block_norm_is_the_whole_array_sum_bit_for_bit(shape):
+    # the R frame's weight, and none in the P frame
+    a, _, w = _random_fields(shape, 6)
+    for weight in (w, None):
+        assert _sum_sq(a, weight) == np.sum(_abs_sq(a, weight))
+
+
+def test_make_state_normalizes_by_the_whole_array_sum_bit_for_bit(units):
+    grid = GridSpec(lo=(-4, -4, -4), hi=(4, 4, 4), n=(64, 64, 64))
+    s = two_branch_state(units, grid=grid, rng=np.random.default_rng(9))
+    for frame in (Frame.R, Frame.P):
+        got = make_state(s.branches, grid, frame)
+        for g, b in zip(got.branches, s.branches):
+            weight = branch_sqrt_neg_det(b, grid) if frame == Frame.R else None
+            nrm = np.sqrt(float(np.sum(_abs_sq(b.psi, weight)) * grid.dvol))
+            assert np.array_equal(g.psi.view(np.uint64), (b.psi / nrm).view(np.uint64))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag-minus-inf"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_make_state_rejects_a_non_finite_sample_in_any_stretch(units, value, where):
+    grid = GridSpec(lo=(-4, -4, -4), hi=(4, 4, 4), n=(64, 64, 64))
+    psi = gaussian_psi(grid, (0, 0, 0), 0.7)
+    psi.reshape(-1)[{"first": 0, "middle": psi.size // 2, "last": psi.size - 1}[where]] = value
+    branch = Branch(1.0, "A", FourVector(0, 0, 0, 0), Minkowski(units), psi)
+    for frame in (Frame.R, Frame.P):
+        with pytest.raises(ValueError, match=r"branch \('A', .*psi has non-finite samples"):
+            make_state([branch], grid, frame)
 
 
 def test_inner_product_conjugate_symmetry(units):
