@@ -15,9 +15,16 @@ own volume weight sqrt(-g_i) d^3x in the R frame, d^3x in the P frame
 and branches with different labels are orthogonal by construction, which is
 how "macroscopically distinguishable implies orthogonal" is represented.
 
+A branch of a is matched by comparing mass labels first and the metric,
+field by field, only where the labels agree; a state holds each key once
+(``make_state`` and ``load_state`` refuse duplicates), so the first match is
+the only one, and nothing is hashed per call.
+
 Grid sums run over C-ordered (x, y, z) arrays in np.sum's pairwise order,
-stretch by stretch through one reused buffer (``_overlap_sum``), branches
-in input order; this fixed scheme makes every overlap deterministic.
+branches in a's order; this fixed scheme makes every overlap deterministic.
+A grid of at most ``_BLOCK`` points is one stretch, summed as the plain
+expression on one temporary; a larger one goes stretch by stretch through
+one reused buffer (``_overlap_sum``).
 ``make_state`` takes each branch's norm in one such pass over weight |psi|^2
 (``_sum_sq``), and its finiteness check rides on that sum: a NaN or
 infinite sample makes the sum NaN or inf, so only a sum that is not finite
@@ -56,9 +63,10 @@ class Frame(str, Enum):
 class GridSpec:
     """Uniform spatial grid: per-axis bounds (inclusive) and point counts.
 
-    Spacing is (hi - lo) / (n - 1) per axis; samples are stored row-major
-    with axis order (x, y, z).  ``t0`` is the fixed coordinate time of the
-    slice (as x0 = c*t0).
+    Spacing is (hi - lo) / (n - 1) per axis, and ValueError unless every
+    spacing and the cell volume dx dy dz are finite and > 0; samples are
+    stored row-major with axis order (x, y, z).  ``t0`` is the fixed
+    coordinate time of the slice (as x0 = c*t0).
     """
 
     lo: tuple[float, float, float]
@@ -86,6 +94,11 @@ class GridSpec:
                 raise ValueError("point counts must be >= 2")
             if not (hi > lo):
                 raise ValueError("bounds must satisfy hi > lo")
+        # finite bounds can still give cells past the float range or below it
+        if not all(0.0 < v < math.inf for v in (*self.spacing, self.dvol)):
+            raise ValueError(
+                f"grid cells must be finite and > 0, got spacing {self.spacing!r} and cell volume {self.dvol!r}"
+            )
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -302,24 +315,33 @@ def _root_sum_sq(a: np.ndarray, weight=None, dvol: float = 1.0):
         return scale * np.sqrt(float(_sum_sq(a / scale, weight) * dvol))
 
 
+def _overlap_terms_sum(t: np.ndarray, b: np.ndarray, w: np.ndarray | None):
+    """np.sum(t * b * w) with t = conj(a) already in ``t``, the products in place on ``t``."""
+    np.multiply(t, b, out=t)
+    if w is not None:
+        np.multiply(t, w, out=t)
+    return np.add.reduce(t)  # np.sum's reduction, without its wrapper
+
+
 def _overlap_sum(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None) -> complex:
     """sum(conj(a) * b * w) over all points of equal-shape grids, no weight for None.
 
-    The products of each ``_pairwise`` stretch go through one reused
-    buffer, in the operand order of ``np.conj(a) * b * w``, so the value is
-    that expression's np.sum bit for bit with no whole-grid temporary.
+    The products run in the operand order of ``np.conj(a) * b * w``, in
+    place, so the value is that expression's np.sum bit for bit.  A grid of
+    at most ``_BLOCK`` points is one stretch: its products run in place on
+    the one temporary of ``np.conjugate(a)``, with no buffer, closure or
+    recursion.  A larger grid goes stretch by stretch through ``_pairwise``
+    and one reused buffer, so no whole-grid temporary exists.
     """
     a, b = a.reshape(-1), b.reshape(-1)
     w = None if w is None else w.reshape(-1)
-    buf = np.empty(min(a.size, _BLOCK), dtype=complex)
+    if a.size <= _BLOCK:
+        return _overlap_terms_sum(np.conjugate(a), b, w)
+    buf = np.empty(_BLOCK, dtype=complex)
 
     def leaf(lo, hi):
-        t = buf[: hi - lo]
-        np.conjugate(a[lo:hi], out=t)
-        np.multiply(t, b[lo:hi], out=t)
-        if w is not None:
-            np.multiply(t, w[lo:hi], out=t)
-        return np.add.reduce(t)  # np.sum's reduction, without its wrapper
+        t = np.conjugate(a[lo:hi], out=buf[: hi - lo])
+        return _overlap_terms_sum(t, b[lo:hi], None if w is None else w[lo:hi])
 
     return _pairwise(0, a.size, leaf)
 
@@ -424,22 +446,25 @@ def make_state(
 def inner_product(a: SuperposedState, b: SuperposedState) -> complex:
     """<a|b> with the frame's per-branch measure and branch-label orthogonality.
 
-    Branches are matched on their (mass_label, metric) key; unmatched
-    branches contribute exactly zero.  Raises GridMismatch if the grids
-    differ and WrongFrame if the frame tags differ.
+    Branches are matched on their (mass_label, metric) key, labels first
+    (see the module notes); unmatched branches contribute exactly zero.
+    Raises GridMismatch if the grids differ and WrongFrame if the frame
+    tags differ.
     """
     if a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
     if a.frame != b.frame:
         raise WrongFrame(f"cannot overlap a {a.frame.value}-frame with a {b.frame.value}-frame state")
+    dvol = a.grid.dvol
     out = 0.0 + 0.0j
-    b_by_key = {br.key: br for br in b.branches}
     for br_a in a.branches:
-        br_b = b_by_key.get(br_a.key)
-        if br_b is None:
+        for br_b in b.branches:
+            if br_b.mass_label == br_a.mass_label and br_b.metric == br_a.metric:
+                break
+        else:
             continue
-        s = _overlap_sum(br_a.psi, br_b.psi, _measure(br_a, a.grid, a.frame)) * a.grid.dvol
-        out += np.conj(br_a.amplitude) * br_b.amplitude * s
+        s = _overlap_sum(br_a.psi, br_b.psi, _measure(br_a, a.grid, a.frame)) * dvol
+        out += br_a.amplitude.conjugate() * br_b.amplitude * s
     return complex(out)
 
 
@@ -451,9 +476,11 @@ def translate_state(s: SuperposedState, d) -> SuperposedState:
     """Rigid spatial translation psi(x) -> psi(x - d), exact on the grid.
 
     ``d`` must be an integer number of grid steps per axis (no
-    interpolation); samples wrap periodically, and ValueError unless it is a
-    finite 3-vector.  The sqrt(-g) weight is not uniform on curved branches,
-    so the norm is exactly preserved only on flat ones.
+    interpolation), and a step count within the float range, or
+    OffGridTranslation; samples wrap periodically, and ValueError unless
+    it is a finite 3-vector.  The
+    sqrt(-g) weight is not uniform on curved branches, so the norm is
+    exactly preserved only on flat ones.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (3,):
@@ -461,8 +488,10 @@ def translate_state(s: SuperposedState, d) -> SuperposedState:
     if not np.all(np.isfinite(d)):
         raise ValueError(f"translation must be finite, got {d.tolist()}")
     shifts = []
-    for i, (di, h) in enumerate(zip(d, s.grid.spacing)):
+    for i, (di, h) in enumerate(zip(d.tolist(), s.grid.spacing)):
         steps = di / h
+        if not math.isfinite(steps):  # a finite shift over a small spacing can pass the float range
+            raise OffGridTranslation(f"axis {i}: {di!r} is more grid steps than a float holds")
         rounded = np.rint(steps)
         if abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
             raise OffGridTranslation(

@@ -375,6 +375,31 @@ def whole_grid_metric_on_grid(metric, grid) -> tuple[np.ndarray, np.ndarray]:
     return measure.reshape(grid.shape), deviation.reshape(grid.shape)
 
 
+def _whole_array_overlap(x: np.ndarray, y: np.ndarray, w) -> complex:
+    terms = np.conj(x) * y
+    return np.sum(terms if w is None else terms * w)
+
+
+def explicit_inner_product(a, b, branch_sum=_whole_array_overlap) -> complex:
+    """<a|b> with branches matched on (mass_label, metric) keys through a dict.
+
+    Each matched pair is summed by ``branch_sum(psi_a, psi_b, w)``, by
+    default np.sum(np.conj(psi_a) * psi_b * w) over the whole grid, with w
+    the ``whole_grid_metric_on_grid`` measure in the R frame and None (no
+    weight) in the P frame; the amplitudes enter as
+    np.conj(amp_a) * amp_b * sum * dV, added in a's branch order.
+    """
+    by_key = {(br.mass_label, br.metric): br for br in b.branches}
+    out = 0.0 + 0.0j
+    for br in a.branches:
+        other = by_key.get((br.mass_label, br.metric))
+        if other is None:
+            continue
+        w = whole_grid_metric_on_grid(br.metric, a.grid)[0] if a.frame.value == "R" else None
+        out += np.conj(br.amplitude) * other.amplitude * (branch_sum(br.psi, other.psi, w) * a.grid.dvol)
+    return complex(out)
+
+
 # The radial closed forms as 0-d array code: the reference that the scalar
 # closures of each kind's ``radial()`` must equal bit for bit.  Their exp and
 # erf are the math module's, applied element by element, as in the closures:

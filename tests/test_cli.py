@@ -475,6 +475,24 @@ def test_a_packet_off_the_grid_is_a_config_error(tmp_path, command):
     assert error["message"].startswith("branches[1].packet: ")
 
 
+@pytest.mark.parametrize(
+    "lo, hi, n",
+    [(-1e308, 1e308, 4), (0.0, 1e-110, 2)],
+    ids=["infinite-spacing", "zero-cell-volume"],
+)
+def test_a_grid_whose_cells_are_not_finite_and_positive_is_a_config_error(tmp_path, lo, hi, n):
+    # infinite cells exited 2 with "psi has non-finite samples" after numpy warnings,
+    # cells of volume 0 with kind ZeroNorm
+    payload = _full_config()
+    payload["grid"] = {"lo": [lo] * 3, "hi": [hi] * 3, "n": [n] * 3}
+    out = tmp_path / "out"
+    assert main(["transform", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    error = _error(out)
+    assert error["kind"] == "config"
+    assert error["message"].startswith("grid: grid cells must be finite and > 0")
+    assert "spacing" in error["message"] and "cell volume" in error["message"]
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_branches_without_a_grid_are_a_config_error_for_every_command(tmp_path, command):
     payload = _full_config()

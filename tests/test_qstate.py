@@ -1,4 +1,5 @@
 import json
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import two_branch_state
 from oracles import (
+    explicit_inner_product,
     gaussian_translate_overlap,
     grid_points,
     matmul_deviation,
@@ -73,6 +75,17 @@ def test_grid_spec_basics():
             GridSpec(lo=(bad, 0, 0), hi=(1, 1, 1), n=(4, 4, 4))
         with pytest.raises(ValueError, match="hi must be finite"):
             GridSpec(lo=(0, 0, 0), hi=(1, bad, 1), n=(4, 4, 4))
+
+
+@pytest.mark.parametrize(
+    "lo, hi, n",
+    [(-1e308, 1e308, 4), (-1e200, 1e200, 3), (0.0, 1e-110, 2)],
+    ids=["infinite-spacing", "infinite-cell-volume", "zero-cell-volume"],
+)
+def test_grid_cells_must_be_finite_and_positive(lo, hi, n):
+    # finite bounds whose cells leave the float range: the spacing or dx dy dz is inf or 0
+    with pytest.raises(ValueError, match=r"grid cells must be finite and > 0, got spacing .* and cell volume (inf|0\.0)"):
+        GridSpec(lo=(lo,) * 3, hi=(hi,) * 3, n=(n,) * 3)
 
 
 def test_points4_at_equals_the_meshgrid_points_bit_for_bit():
@@ -458,6 +471,14 @@ def test_translate_rejects_a_non_finite_shift(units, grid, bad):
         translate_state(s, (0.0, bad, 0.0))
 
 
+def test_translate_rejects_a_step_count_past_the_float_range(units):
+    # it raised a bare OverflowError from int(inf), after two RuntimeWarnings
+    s = two_branch_state(units)
+    assert s.grid.spacing == (0.375,) * 3
+    with pytest.raises(OffGridTranslation, match="axis 0: 1e"):
+        translate_state(s, (1e308, 0.0, 0.0))
+
+
 def test_save_load_round_trip(units, tmp_path):
     rng = np.random.default_rng(12)
     s = two_branch_state(units, rng=rng)
@@ -538,6 +559,77 @@ def test_inner_product_makes_no_whole_grid_temporary(units):
     # one whole-grid complex product is 16 bytes a point; the block buffer and
     # the ufunc's cast buffer for the weight take 128 KB each
     assert peak < 16 * 40**3 / 2
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _in_frame(s, frame):
+    return to_qlif(s)[0] if frame == Frame.P else s
+
+
+def _assert_oracle_overlaps(pairs, **oracle):
+    for a, b in pairs:
+        assert _bits(inner_product(a, b)) == _bits(explicit_inner_product(a, b, **oracle))
+
+
+@pytest.mark.parametrize("frame", [Frame.R, Frame.P])
+@pytest.mark.parametrize("shape", [(17, 17, 17), (9, 6, 11)])
+def test_inner_product_is_the_explicit_oracle_bit_for_bit(units, shape, frame):
+    grid = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=shape)
+    rng = np.random.default_rng(35)
+    a, b = (
+        _in_frame(two_branch_state(units, grid=grid, rng=rng, amplitudes=rng.normal(size=2) + 1j * rng.normal(size=2)), frame)
+        for _ in range(2)
+    )
+    permuted = replace(b, branches=b.branches[::-1])
+    _assert_oracle_overlaps([(a, b), (b, a), (a, a), (a, permuted), (permuted, a)])
+    assert _bits(inner_product(a, permuted)) == _bits(inner_product(a, b))
+
+
+@pytest.mark.parametrize("frame", [Frame.R, Frame.P])
+def test_inner_product_skips_branches_unmatched_on_either_side(units, frame):
+    s = two_branch_state(units, rng=np.random.default_rng(36))
+    extra = flat_branch(units, s.grid, label="C", center=(0.4, -0.2, 0.1), amplitude=0.5 - 0.25j)
+    wide = _in_frame(make_state([*s.branches, extra], s.grid), frame)
+    narrow = _in_frame(make_state(s.branches[::-1], s.grid), frame)
+    alone = _in_frame(make_state([extra], s.grid), frame)
+    _assert_oracle_overlaps([(wide, narrow), (narrow, wide), (wide, alone), (alone, wide)])
+    assert inner_product(alone, narrow) == 0j and inner_product(narrow, alone) == 0j
+
+
+@pytest.mark.parametrize("frame", [Frame.R, Frame.P])
+def test_branches_that_share_a_label_are_matched_on_their_metric(units, frame):
+    grid = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=(17, 17, 17))
+    near = WeakFieldPointMass(units, mass=1e-3, soft=0.2, center=(-1.0, 0, 0))
+    far = WeakFieldPointMass(units, mass=1e-3, soft=0.2, center=(1.0, 0, 0))
+
+    def state(specs):
+        return _in_frame(make_state([
+            Branch(amp, "M", FourVector(0, m.center[0], 0, 0), m, gaussian_psi(grid, c, 0.6))
+            for amp, m, c in specs
+        ], grid), frame)
+
+    a = state([(1.0, near, (0.2, 0, 0)), (0.5j, far, (-0.3, 0.1, 0))])
+    b = state([(0.3, far, (0.1, 0, 0.2)), (1.0 - 1j, near, (0, -0.2, 0))])
+    only_far = state([(0.3, far, (0.1, 0, 0.2))])
+    _assert_oracle_overlaps([(a, b), (b, a), (a, only_far), (only_far, a)])
+    # a's "near" branch has no partner in only_far: its term is absent, not paired with "far"
+    far_term = explicit_inner_product(replace(a, branches=a.branches[1:]), only_far)
+    assert _bits(inner_product(a, only_far)) == _bits(far_term)
+
+
+@pytest.mark.parametrize("frame", [Frame.R, Frame.P])
+def test_inner_product_over_many_stretches_is_the_oracle_on_the_kernel_sum(units, frame):
+    # np.sum and the stretch sums differ in the last bits here, so the oracle
+    # takes the kernel's per-branch sum and checks the matching and the amplitudes
+    grid = GridSpec(lo=(-4, -4, -4), hi=(4, 4, 4), n=(40, 40, 40))
+    assert np.prod(grid.shape) > _BLOCK
+    rng = np.random.default_rng(37)
+    a, b = (_in_frame(two_branch_state(units, grid=grid, rng=rng, amplitudes=(1.0, 0.6 + 0.8j)), frame) for _ in range(2))
+    permuted = replace(b, branches=b.branches[::-1])
+    _assert_oracle_overlaps([(a, b), (b, a), (a, permuted)], branch_sum=_overlap_sum)
 
 
 def test_gaussian_psi_equals_the_meshgrid_route_bit_for_bit_on_larger_grids():
@@ -737,6 +829,18 @@ def test_load_rejects_a_branch_record_listed_twice(units, tmp_path):
         _saved_bytes(units, tmp_path), lambda h: h["branches"].__setitem__(1, h["branches"][0])
     )
     with pytest.raises(BadContainer, match=r"duplicate branch keys: branches\[0\] and branches\[1\] .* mass label 'L'"):
+        _load_bytes(tmp_path, head + payload)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(-1e308, 1e308), (0.0, 1e-110)],
+    ids=["infinite-spacing", "zero-cell-volume"],
+)
+def test_load_rejects_a_grid_whose_cells_are_not_finite_and_positive(units, tmp_path, lo, hi):
+    # both loaded; the first gave inf weights and overlaps, the second cells of volume 0
+    head, payload = _edited_header(_saved_bytes(units, tmp_path), lambda h: h["grid"].update(lo=[lo] * 3, hi=[hi] * 3))
+    with pytest.raises(BadContainer, match="bad header field: .*spacing .* cell volume"):
         _load_bytes(tmp_path, head + payload)
 
 
