@@ -32,7 +32,7 @@ from .dynamics import (
     timelike_velocity,
     translation_covariance_check,
 )
-from .errors import QlifError
+from .errors import QlifError, ZeroNorm
 from .qrf import check_qlif_metric, from_qlif, to_qlif
 from .qstate import (
     Branch,
@@ -40,6 +40,7 @@ from .qstate import (
     gaussian_psi,
     inner_product,
     make_state,
+    metric_on_grid,
     save_state,
 )
 from .spacetime import (
@@ -192,15 +193,22 @@ class Scenario:
         if "grid" in raw:
             _check_keys(raw["grid"], {"lo", "hi", "n", "t0"}, {"lo", "hi", "n"}, "grid")
             self.grid = _convert("grid", lambda g: GridSpec(**{**g, "t0": float(g.get("t0", 0.0))}), raw["grid"])
-        branches = raw.get("branches") or []
-        if not isinstance(branches, list):
+        specs = raw.get("branches") or []
+        if not isinstance(specs, list):
             raise ConfigError("branches: expected a list")
-        if branches and self.grid is None:
+        if specs and self.grid is None:
             raise ConfigError("branches: the packets need a 'grid' section")
-        branches = [self._branch(i, b) for i, b in enumerate(branches)]
+        branches = [self._branch(i, b) for i, b in enumerate(specs)]
         self.state = None
         if branches:
-            self.state = _convert("branches", lambda bs: make_state(bs, self.grid, units=self.units), branches)
+            try:
+                self.state = _convert("branches", lambda bs: make_state(bs, self.grid, units=self.units), branches)
+            except ZeroNorm:  # a packet with every sample in its metric's singular set (or a norm underflow)
+                weighs = [np.any(metric_on_grid(b.metric, self.grid).measure, where=b.psi != 0) for b in branches]
+                if all(weighs):
+                    raise
+                i = weighs.index(False)
+                raise ConfigError(f"branches[{i}]: the packet lies in the singular set of metric {specs[i]['metric']!r}")
 
         transform = raw.get("transform", {})
         _check_keys(transform, {"tolerances", "check_radii"}, set(), "transform")
@@ -245,6 +253,8 @@ class Scenario:
         # the packet's values are checked above: what fails here is a point count past numpy's size limit
         psi = _convert("grid.n", lambda g: gaussian_psi(g, center, sigma, momentum, self.units.hbar), self.grid)
         if not np.any(psi):
+            if all(lo <= c <= hi for lo, c, hi in zip(self.grid.lo, center, self.grid.hi)):
+                raise ConfigError(f"{where}.packet: sigma {list(sigma)} underflows it to zero at every grid point")
             raise ConfigError(f"{where}.packet: zero at every grid point (center {list(center)} lies off the grid)")
         return Branch(
             amplitude=_convert(f"{where}.amplitude", _amplitude, b.get("amplitude", 1.0)),

@@ -49,7 +49,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import InfiniteLifetime, QuadratureNonConvergence
+from .errors import InfiniteLifetime, QlifError, QuadratureNonConvergence
 from .spacetime import UnitSystem, _set_parameters
 
 CONVENTION = "E = G * iint d3r d3r' drho(r) drho(r') / |r - r'|"
@@ -336,11 +336,15 @@ def _pair_terms(a: _Distribution, b: _Distribution, d: np.ndarray) -> np.ndarray
 
 
 def _energies(a: _Distribution, b: _Distribution, d: np.ndarray, units: UnitSystem) -> np.ndarray:
-    """E = G max(W_aa + W_bb - 2 W_ab(d), 0) at each separation in ``d``;
-    d = inf puts b out of reach of a: W_ab = 0."""
+    """E = G max(W_aa + W_bb - 2 W_ab(d), 0) at each separation in ``d``, QlifError naming the pair
+    where a term passes the float range; d = inf puts b out of reach of a: W_ab = 0."""
     at_zero = np.zeros(1)
-    w_self = _pair_terms(a, a, at_zero) + _pair_terms(b, b, at_zero)
-    return units.G * np.maximum(w_self - 2.0 * _pair_terms(a, b, d), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_self = _pair_terms(a, a, at_zero) + _pair_terms(b, b, at_zero)
+        e = units.G * np.maximum(w_self - 2.0 * _pair_terms(a, b, d), 0.0)
+    if not np.all(np.isfinite(e)):
+        raise QlifError(f"{a} and {b}: the difference self-energy is not finite (a term passes the float range)")
+    return e
 
 
 def delta_self_energy(a: _Distribution, b: _Distribution, units: UnitSystem) -> float:

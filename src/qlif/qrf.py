@@ -22,8 +22,8 @@ x_S, the component at probe position x is relabeled as follows:
   per-branch locally inertial property, verified and reported rather
   than assumed.  The certificate is max |f^T g_i f - eta| over the
   support, read from the diagonals (``tetrad.diagonal_frame_deviation``)
-  in the same evaluation as the measure, once per (metric, grid)
-  (``qstate.metric_on_grid``), so ``to_qlif`` evaluates no metric.
+  as one maximum per stretch of the pass below (``qstate.metric_on_grid``),
+  or, where psi has zeros, from the stretch's support points evaluated again.
 
 The report's sums come from one pass per branch inside ``to_qlif``, over
 the stretches in which ``qstate._pairwise`` splits the grid, with no
@@ -75,7 +75,7 @@ from .qstate import (
     branch_sqrt_neg_det,
     metric_on_grid,
 )
-from .tetrad import frame_deviation, tetrad_arrays
+from .tetrad import diagonal_frame_deviation, frame_deviation, tetrad_arrays
 
 # Highest-amplitude support points probed per branch by ``check_qlif_metric``.
 CHECK_SAMPLE_POINTS = 16
@@ -142,7 +142,8 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float, tu
     stretch by stretch; ``_overlap_sum`` then sums the third.
     """
     psi = branch.psi.reshape(-1)
-    measure, deviation = (a.reshape(-1) for a in metric_on_grid(branch.metric, grid))
+    measure, deviation = metric_on_grid(branch.metric, grid)
+    measure, tops = measure.reshape(-1), iter(deviation.tolist())
     n = psi.size
     new = np.empty(n, dtype=complex)
     k = min(n, _BLOCK)
@@ -153,7 +154,7 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float, tu
     def leaf(lo, hi):
         nonlocal max_dev
         m = hi - lo
-        p, w, dev = psi[lo:hi], measure[lo:hi], deviation[lo:hi]
+        p, w, top = psi[lo:hi], measure[lo:hi], next(tops)
         conj, t, wc = cbuf[:, :m]
         support = support_buf[:m]
         f = root[:m]
@@ -161,8 +162,8 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float, tu
         # Certify f^T g f = eta where the branch has amplitude (see the module
         # docstring); +inf, a point without a frame, is raised on after the pass.
         # After the first stretch the support is needed only where a stretch
-        # has a zero measure or could raise the certificate.
-        if not (max_dev > 0.0 and np.maximum.reduce(dev) <= max_dev and np.minimum.reduce(w) > 0.0):
+        # has a zero measure or its maximum ``top`` could raise the certificate.
+        if not (max_dev > 0.0 and top <= max_dev and np.minimum.reduce(w) > 0.0):
             np.not_equal(p, 0, out=support)
             if not np.all(w, where=support):
                 bad = grid.points4_at(np.array([lo + np.argmax(support & (w == 0))]))[0]
@@ -170,7 +171,10 @@ def _transform_branch(branch: Branch, grid: GridSpec) -> tuple[Branch, float, tu
                     f"branch {branch.key}: support point {bad.tolist()} is in the "
                     f"singular set of {branch.metric.label}"
                 )
-            max_dev = float(np.maximum.reduce(dev, where=support, initial=max_dev))
+            if not top <= max_dev and not np.all(support):  # the maximum over the support alone
+                pts = grid.points4_at(lo + np.flatnonzero(support))
+                top = np.maximum.reduce(diagonal_frame_deviation(branch.metric.diagonal_batch(pts)), initial=-np.inf)
+            max_dev = float(np.maximum(max_dev, top))
 
         # the measure is cast to complex once, as the ufuncs would cast it
         wc[:] = w
@@ -293,23 +297,27 @@ def _anchor_indices(branch: Branch, grid: GridSpec) -> np.ndarray:
     Only rows (runs along the last axis) whose largest |psi| reaches the
     k-th largest row maximum can hold one of the k, so only those rows go to
     ``_heaviest``, in source order.  The rows are read from the P-frame
-    samples, whose row i is source row (rows - 1 - i) reversed.  Should the
-    singular-set mask leave fewer than k of their weights at that maximum,
-    every row goes.
+    samples, whose row i is source row (rows - 1 - i) reversed, their maxima
+    through one buffer of ``_BLOCK`` points.  Should the singular-set mask
+    leave fewer than k of their weights at that maximum, every row goes.
     """
     k, width = CHECK_SAMPLE_POINTS, grid.shape[2]
-    p_rows = np.abs(branch.psi).reshape(-1, width)
-    top = np.maximum.reduce(p_rows, axis=1)[::-1]
-    rows = p_rows[::-1, ::-1]
+    p_rows = branch.psi.reshape(-1, width)
+    step = max(1, _BLOCK // width)
+    buf, top = np.empty((min(step, len(p_rows)), width)), np.empty(len(p_rows))
+    for r in range(0, len(p_rows), step):
+        block = p_rows[r : r + step]
+        np.maximum.reduce(np.abs(block, out=buf[: len(block)]), axis=1, out=top[r : r + step])
+    top, rows = top[::-1], p_rows[::-1, ::-1]
     measure = branch_sqrt_neg_det(branch, grid).reshape(rows.shape)
     floor = np.partition(top, top.size - k)[top.size - k] if top.size > k else 0.0
     # a row of zeros holds no anchor
     chosen = np.flatnonzero(top >= floor) if floor > 0.0 else np.flatnonzero(top)
-    weight = rows[chosen]
+    weight = np.abs(rows[chosen])
     weight[measure[chosen] == 0] = 0.0
     if floor > 0.0 and np.count_nonzero(weight >= floor) < k:
         chosen = np.arange(len(rows))
-        weight = rows.copy()
+        weight = np.abs(rows)
         weight[measure == 0] = 0.0
     weight = weight.reshape(-1)
     picks = _heaviest(weight, min(k, np.count_nonzero(weight)))

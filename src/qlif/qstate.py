@@ -186,12 +186,12 @@ class SuperposedState:
 
 
 class MetricOnGrid(NamedTuple):
-    """Per-point figures of one metric over one grid, each shape grid.shape and read-only.
+    """Read-only figures of one metric over one grid.
 
-    ``measure`` is sqrt(-g), 0 inside the singular set; ``deviation`` is the
-    QLIF certificate max |f^T g f - eta| of the point's frame
-    (``diagonal_frame_deviation``), +inf inside the singular set and where
-    no frame exists.
+    ``measure`` is sqrt(-g) per point, shape grid.shape, 0 inside the singular set.
+    ``deviation`` holds one QLIF certificate max |f^T g f - eta| per ``_pairwise``
+    stretch of the flat grid, in ``to_qlif``'s order: the largest of its points'
+    frames (``diagonal_frame_deviation``), +inf if it holds a singular or frameless point.
     """
 
     measure: np.ndarray
@@ -204,29 +204,35 @@ MEASURE_CACHE_SIZE = 8
 
 @functools.lru_cache(maxsize=MEASURE_CACHE_SIZE)
 def metric_on_grid(metric: MetricField, grid: GridSpec) -> MetricOnGrid:
-    """The measure and the certificate of ``metric`` over ``grid``, from one diagonal evaluation.
+    """The measure and the stretch certificates of ``metric`` over ``grid``, from one diagonal evaluation.
 
     Memoized on the metric's value and the grid, so equal metrics built
     separately share one evaluation, and every sqrt(-g) of the package
     (make_state, overlaps, norms, centroids, the QLIF transform and its
     inverse) and every certificate of ``to_qlif`` comes from it.
 
-    The grid is evaluated one slab (one index along axis 0) at a time, in
-    place into the two outputs, so no whole-grid point array exists; every
-    kernel works point by point, so the figures are those of one
+    The grid is evaluated one slab (one index along axis 0) at a time, the measure
+    in place into its output and the certificates reduced to the maxima of the
+    stretches that meet the slab, so no whole-grid point or certificate array
+    exists; every kernel works point by point, so the figures are those of one
     whole-grid evaluation, bit for bit.
     """
-    measure = np.zeros(grid.shape)
-    deviation = np.full(grid.shape, np.inf)
-    slab = grid.shape[1] * grid.shape[2]
-    for i in range(grid.shape[0]):
-        pts = grid.points4_at(np.arange(i * slab, (i + 1) * slab))
+    size, slab = math.prod(grid.shape), grid.shape[1] * grid.shape[2]
+    starts = np.array(_pairwise(0, size, lambda lo, hi: [lo]))
+    measure = np.zeros(size)
+    top = np.full(len(starts), -np.inf)
+    for lo in range(0, size, slab):
+        pts = grid.points4_at(np.arange(lo, lo + slab))
         valid = metric.valid_mask(pts)
+        dev = np.full(slab, np.inf)
         if np.any(valid):
             d = metric.diagonal_batch(pts[valid])
-            measure[i].reshape(-1)[valid] = sqrt_neg_det_diagonal(d)
-            deviation[i].reshape(-1)[valid] = diagonal_frame_deviation(d)
-    return MetricOnGrid(_freeze(measure), _freeze(deviation))
+            measure[lo : lo + slab][valid] = sqrt_neg_det_diagonal(d)
+            dev[valid] = diagonal_frame_deviation(d)
+        # the stretches that meet the slab, cut where they start inside it
+        first, end = np.searchsorted(starts, [lo, lo + slab - 1], side="right") - [1, 0]
+        top[first:end] = np.maximum(top[first:end], np.maximum.reduceat(dev, np.maximum(starts[first:end] - lo, 0)))
+    return MetricOnGrid(_freeze(measure.reshape(grid.shape)), _freeze(top))
 
 
 def branch_sqrt_neg_det(branch: Branch, grid: GridSpec) -> np.ndarray:
@@ -522,7 +528,8 @@ def gaussian_psi(grid: GridSpec, center, sigma, momentum=None, hbar: float = 1.0
     # each whole-grid step runs in place on the one float and the one complex
     # temporary, with the ufuncs and operand order of the plain expressions
     x, y, z = grid.open_mesh()
-    q = ((x - center[0]) / sigma[0]) ** 2 + ((y - center[1]) / sigma[1]) ** 2 + ((z - center[2]) / sigma[2]) ** 2
+    with np.errstate(over="ignore"):  # a width so small that q passes the float range: exp(-inf) = 0
+        q = ((x - center[0]) / sigma[0]) ** 2 + ((y - center[1]) / sigma[1]) ** 2 + ((z - center[2]) / sigma[2]) ** 2
     np.multiply(-0.5, q, out=q)
     psi = np.exp(q, out=q).astype(complex)
     if momentum is not None:

@@ -279,7 +279,8 @@ class WeakFieldPointMass(MetricField):
         return d
 
     def valid_mask(self, points):
-        return np.abs(2.0 * self._phi_over_c2(points)) < 1.0 - 1e-12
+        with np.errstate(over="ignore"):  # a potential past the float range is past signature loss
+            return np.abs(2.0 * self._phi_over_c2(points)) < 1.0 - 1e-12
 
     def christoffel_batch(self, points):
         # static and diagonal, with phi = Phi/c^2:

@@ -375,6 +375,26 @@ def whole_grid_metric_on_grid(metric, grid) -> tuple[np.ndarray, np.ndarray]:
     return measure.reshape(grid.shape), deviation.reshape(grid.shape)
 
 
+def pairwise_starts(n: int, block: int) -> np.ndarray:
+    """Flat start of every stretch of at most ``block`` points, in order, into which np.sum's
+    pairwise split cuts an array of n complex points: m points split after (m - m % 8) // 2."""
+    starts, todo = [], [(0, n)]
+    while todo:
+        lo, m = todo.pop()
+        if m <= block:
+            starts.append(lo)
+        else:
+            h = (m - m % 8) // 2
+            todo += [(lo + h, m - h), (lo, h)]
+    return np.array(starts)
+
+
+def stretch_maxima(deviation: np.ndarray, block: int) -> np.ndarray:
+    """The largest per-point ``deviation`` in each ``pairwise_starts`` stretch of the flat grid."""
+    flat = deviation.reshape(-1)
+    return np.maximum.reduceat(flat, pairwise_starts(flat.size, block))
+
+
 def _whole_array_overlap(x: np.ndarray, y: np.ndarray, w) -> complex:
     terms = np.conj(x) * y
     return np.sum(terms if w is None else terms * w)

@@ -475,6 +475,47 @@ def test_a_packet_off_the_grid_is_a_config_error(tmp_path, command):
     assert error["message"].startswith("branches[1].packet: ")
 
 
+@pytest.mark.parametrize("command", ["transform", "geodesics"])
+def test_a_packet_whose_width_underflows_is_not_blamed_on_its_centre(tmp_path, command):
+    # the centre is on the grid: the message used to say it lay off the grid, after an overflow warning
+    payload = _full_config()
+    payload["branches"][0]["packet"]["sigma"] = 1e-320
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    error = _error(out)
+    assert error["kind"] == "config"
+    want = "branches[0].packet: sigma [1e-320, 1e-320, 1e-320] underflows it to zero at every grid point"
+    assert error["message"] == want
+
+
+@pytest.mark.parametrize("command", ["transform", "geodesics"])
+@pytest.mark.parametrize("mass, sigma", [(1e308, 0.5), (1.5, 0.02)], ids=["every-grid-point", "packet-support"])
+def test_a_packet_in_the_singular_set_names_its_metric(tmp_path, command, mass, sigma):
+    # read as kind ZeroNorm ("zero measure-weighted norm"); at mass 1e308 G M / r
+    # passes the float range, so every point is singular, after an overflow warning
+    payload = _full_config()
+    payload["metrics"]["g_right"]["mass"] = mass
+    payload["branches"][1]["packet"]["sigma"] = sigma
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    error = _error(out)
+    assert error["kind"] == "config"
+    assert error["message"] == "branches[1]: the packet lies in the singular set of metric 'g_right'"
+
+
+def test_an_overflowing_collapse_row_is_an_error_not_an_infinite_lifetime(tmp_path):
+    # a uniform sphere of 1e153 kg wrote E_delta = nan and t_delta = inf on every row and exited 0
+    payload = collapse_config()
+    payload["collapse"]["distribution"]["mass"] = 1e153
+    out = tmp_path / "out"
+    assert main(["collapse", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    error = _error(out)
+    assert error["kind"] == "QlifError"
+    assert error["message"].startswith("UniformSphere(mass=1e+153, radius=1e-07, center=(0.0, 0.0, 0.0)) and ")
+    assert "not finite" in error["message"]
+
+
 @pytest.mark.parametrize(
     "lo, hi, n",
     [(-1e308, 1e308, 4), (0.0, 1e-110, 2)],

@@ -38,7 +38,7 @@ from qlif.collapse import (  # internal cross-checks
     _row_norms,
     _separation,
 )
-from qlif.errors import InfiniteLifetime, QuadratureNonConvergence
+from qlif.errors import InfiniteLifetime, QlifError, QuadratureNonConvergence
 from qlif.spacetime import UnitSystem
 
 
@@ -309,6 +309,31 @@ def test_gaussian_sweep_at_tiny_separations_keeps_the_cross_term_normal():
     far = rows[-1][1]
     for d, e, _ in rows[:2]:
         assert abs(e - gaussian_delta_energy_series(si.G, g.mass, g.width, d)) <= 1e-15 * far
+
+
+_HEAVY = {
+    "spheres": (UniformSphere(1e153, 1e-7), UniformSphere(1e153, 1e-7, center=(0.0, 0.0, 5e-8))),
+    "gaussians": (Gaussian(1e153, 1e-7), Gaussian(1e153, 1e-7, center=(0.0, 0.0, 5e-8))),
+    "mixed": (UniformSphere(1e153, 1e-7), Gaussian(1e153, 1e-7, center=(0.0, 0.0, 5e-8))),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_HEAVY))
+def test_an_overflowing_pair_term_is_an_error_that_names_the_pair(pair):
+    # G m^2 / R past the float range made E = inf - inf = nan, with RuntimeWarnings
+    a, b = _HEAVY[pair]
+    with pytest.raises(QlifError, match="not finite") as err:
+        delta_self_energy(a, b, UnitSystem.si())
+    assert repr(a) in str(err.value) and repr(b) in str(err.value)
+
+
+@pytest.mark.parametrize("pair", ["spheres", "gaussians"])
+def test_an_overflowing_sweep_is_an_error_not_a_row_that_never_collapses(pair):
+    # every row read E = nan, which the sweep maps to t = None: "never collapses"
+    template = _HEAVY[pair][0]
+    with pytest.raises(QlifError, match="not finite") as err:
+        separation_sweep(template, [0.0, 5e-8, 1e-6, np.inf], UnitSystem.si())
+    assert repr(template) in str(err.value)
 
 
 @pytest.mark.parametrize("d", [-1.0, np.nan])

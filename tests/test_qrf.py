@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -309,6 +310,23 @@ def _schwarzschild_through_horizon_and_pole(units):
     return _boxed_state(Schwarzschild(units, mass=1.0), grid, (6.0, 1.4, 2.5), 1.0, box, singular_points=True)
 
 
+def _narrow_packets(units, n, sigma, ball=None):
+    # momentum packets zero past about 38.6 sigma from their centres; with
+    # ``ball`` the left metric loses its signature around it, off the support
+    # but in stretches the support shares, whose cached maximum is then +inf
+    grid = GridSpec(lo=(-4, -4, -4), hi=(4, 4, 4), n=n)
+    rng = np.random.default_rng(sum(n))
+    branches = []
+    for label, x in (("L", -1.5), ("R", 1.5)):
+        metric = WeakFieldPointMass(units, mass=1e-3, soft=0.05, center=(x, 0.0, 0.0))
+        center = rng.uniform(-1, 1, 3)
+        if ball is not None and label == "L":
+            metric, center = WeakFieldPointMass(units, mass=0.3, soft=0.1, center=ball), (0.0, -0.5, 0.0)
+        psi = gaussian_psi(grid, center, sigma, momentum=rng.uniform(-20, 20, 3))
+        branches.append(Branch(complex(*rng.normal(size=2)), label, FourVector(0, x, 0, 0), metric, psi))
+    return make_state(branches, grid)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -319,6 +337,23 @@ def _schwarzschild_through_horizon_and_pole(units):
         _weak_field_singular_centre,
         _schwarzschild_sub_box,
         _schwarzschild_through_horizon_and_pole,
+        partial(_narrow_packets, n=(40, 40, 40), sigma=0.04),
+        partial(_narrow_packets, n=(33, 35, 37), sigma=0.06),
+        partial(_narrow_packets, n=(64, 64, 64), sigma=0.08),
+        partial(_narrow_packets, n=(40, 40, 40), sigma=0.02, ball=(0.0, 2.0, 0.0)),
+    ],
+    ids=[
+        "two_branch_state",
+        "_schwarzschild_state",
+        "_minkowski_state",
+        "_weak_field_sub_box",
+        "_weak_field_singular_centre",
+        "_schwarzschild_sub_box",
+        "_schwarzschild_through_horizon_and_pole",
+        "narrow-packets-40^3",
+        "narrow-packets-33x35x37",
+        "narrow-packets-64^3",
+        "narrow-packets-singular-off-support",
     ],
 )
 def test_certificate_equals_the_matmul_route_bit_for_bit(units, make):
@@ -506,6 +541,22 @@ def _schwarzschild_p_frame_with_amplitude_on_the_singular_set(units):
     return SuperposedState((branch,), source.negated(), Frame.P)
 
 
+def _tied_moduli_p_frame(units, shape, hot_singular_points):
+    # tied moduli 0, 0.5 and 1 on a weak field that loses its signature within
+    # r = 2 of the centre, built by hand in the P frame; with
+    # ``hot_singular_points`` the singular points carry the largest modulus,
+    # so the rows with the largest maxima hold no anchor and every row goes
+    source = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=shape)
+    metric = WeakFieldPointMass(units, mass=1.0, soft=0.1)
+    psi = np.array([0, 1, -1, 1j, 0.5, -0.5j])[np.random.default_rng(sum(shape)).integers(0, 6, shape)]
+    singular = ~metric.valid_mask(grid_points(source)).reshape(shape)
+    if hot_singular_points:
+        psi[singular] = 2.0
+        assert np.count_nonzero(np.any(singular, axis=2)) > qrf.CHECK_SAMPLE_POINTS
+    branch = Branch(1.0, "M", FourVector(0, 0, 0, 0), metric, _freeze(psi[::-1, ::-1, ::-1]))
+    return SuperposedState((branch,), source.negated(), Frame.P)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -514,8 +565,22 @@ def _schwarzschild_p_frame_with_amplitude_on_the_singular_set(units):
         _p_frame(_sparse_state),
         _p_frame(two_branch_state),
         _schwarzschild_p_frame_with_amplitude_on_the_singular_set,
+        partial(_tied_moduli_p_frame, shape=(2, 3, 9000), hot_singular_points=False),
+        partial(_tied_moduli_p_frame, shape=(7, 37, 300), hot_singular_points=False),
+        partial(_tied_moduli_p_frame, shape=(7, 37, 300), hot_singular_points=True),
+        partial(_tied_moduli_p_frame, shape=(9, 11, 13), hot_singular_points=True),
     ],
-    ids=["plane-wave", "schwarzschild-singular", "five-samples", "two-branch", "amplitude-on-singular-set"],
+    ids=[
+        "plane-wave",
+        "schwarzschild-singular",
+        "five-samples",
+        "two-branch",
+        "amplitude-on-singular-set",
+        "ties-rows-wider-than-a-block",
+        "ties-over-blocks",
+        "every-row-goes-over-blocks",
+        "every-row-goes-in-one-block",
+    ],
 )
 def test_anchors_and_rows_equal_the_full_sort_route(units, make, monkeypatch):
     out = make(units)
@@ -525,6 +590,21 @@ def test_anchors_and_rows_equal_the_full_sort_route(units, make, monkeypatch):
     rows = check_qlif_metric(out, 0.0, 0.05, 0.1)
     monkeypatch.setattr(qrf, "_anchor_indices", lambda branch, grid: argsort_anchor_indices(out, branch))
     assert rows == check_qlif_metric(out, 0.0, 0.05, 0.1)
+
+
+def test_check_qlif_metric_makes_no_whole_grid_temporary(units):
+    # with a warm measure cache the peak stays under a quarter of one whole-grid
+    # float array: |psi'| is taken block by block and over the chosen rows only
+    n = 48
+    out, _ = to_qlif(two_branch_state(units, grid=GridSpec(lo=(-4, -4, -4), hi=(4, 4, 4), n=(n, n, n))))
+    rows = check_qlif_metric(out, 0.05, 0.1)
+    tracemalloc.start()
+    try:
+        assert check_qlif_metric(out, 0.05, 0.1) == rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n**3 * 8 // 4
 
 
 def test_to_qlif_takes_no_norm_and_no_overlap(units, monkeypatch):

@@ -14,6 +14,8 @@ from oracles import (
     matmul_deviation,
     meshgrid_gaussian_psi,
     metric_matrices,
+    pairwise_starts,
+    stretch_maxima,
     whole_grid_metric_on_grid,
 )
 from qlif.dynamics import branch_centroid
@@ -181,11 +183,16 @@ def test_measure_cache_keys_on_units_and_grid(units, grid):
     other_grid = GridSpec(lo=grid.lo, hi=grid.hi, n=(25, 25, 24))
     w_grid, dev_grid = metric_on_grid(metric, other_grid)
     assert w_grid is not w and dev_grid is not dev
-    assert w_grid.shape == dev_grid.shape == other_grid.shape
+    # one certificate per stretch: 15000 points are two
+    assert w_grid.shape == other_grid.shape and dev_grid.shape == (2,) and dev.shape == (2,)
+    assert np.array_equal(dev_grid, stretch_maxima(whole_grid_metric_on_grid(metric, other_grid)[1], _BLOCK))
 
 
 def _grid_cases(units, catalog):
-    """(metric, grid, whether the grid has singular points) for every catalog kind."""
+    """(metric, grid, whether the grid has singular points) for every catalog kind.
+
+    The last two grids hold several ``_pairwise`` stretches: on the first a
+    stretch spans slabs, on the second a slab spans stretches."""
     cube = GridSpec(lo=(-3, -3, -3), hi=(3, 3, 3), n=(13, 13, 13))
     return [
         (catalog["minkowski"], cube, False),
@@ -193,6 +200,8 @@ def _grid_cases(units, catalog):
         (WeakFieldPointMass(units, mass=0.3, soft=0.1), cube, True),  # loses its signature near the centre
         (catalog["schwarzschild"], GridSpec(lo=(1.0, 0.6, 0.1), hi=(8.0, 2.5, 5.0), n=(15, 7, 7)), True),
         (catalog["schwarzschild"], GridSpec(lo=(2.0, 0.0, 0.0), hi=(9.0, np.pi, 6.0), n=(8, 9, 5)), True),  # poles
+        (WeakFieldPointMass(units, mass=0.3, soft=0.1, center=(2.5, 0, 0)), replace(cube, n=(23, 29, 31)), True),
+        (catalog["schwarzschild"], GridSpec(lo=(1.0, 0.0, 0.0), hi=(8.0, np.pi, 6.0), n=(3, 121, 100)), True),
     ]
 
 
@@ -207,15 +216,19 @@ def test_measure_is_zero_exactly_on_the_singular_set(units, catalog):
 
 
 def test_cached_figures_equal_the_pointwise_routes(units, catalog):
-    # the measure bit for bit with sqrt_neg_det_batch, the certificate with
-    # the matrix product f^T g f - eta, +inf on the singular set
+    # the measure bit for bit with sqrt_neg_det_batch, each stretch's
+    # certificate with the largest matrix product f^T g f - eta in it, +inf
+    # where the stretch holds a point of the singular set
     for metric, grid, _ in _grid_cases(units, catalog):
         measure, deviation = metric_on_grid(metric, grid)
         pts = grid_points(grid)
         valid = metric.valid_mask(pts)
         assert measure.reshape(-1)[valid].tobytes() == sqrt_neg_det_batch(metric, pts[valid]).tobytes()
-        assert np.array_equal(deviation.reshape(-1)[valid], matmul_deviation(metric_matrices(metric, pts[valid])))
-        assert np.all(np.isinf(deviation.reshape(-1)[~valid]))
+        per_point = np.full(len(pts), np.inf)
+        per_point[valid] = matmul_deviation(metric_matrices(metric, pts[valid]))
+        starts = pairwise_starts(len(pts), _BLOCK)
+        assert np.array_equal(deviation, np.maximum.reduceat(per_point, starts)), metric.label
+        assert np.all(np.isinf(deviation[np.logical_or.reduceat(~valid, starts)]))
 
 
 def test_slab_evaluation_equals_the_whole_grid_route_bit_for_bit(units, catalog):
@@ -224,13 +237,14 @@ def test_slab_evaluation_equals_the_whole_grid_route_bit_for_bit(units, catalog)
         measure, deviation = metric_on_grid(metric, grid)
         want_measure, want_deviation = whole_grid_metric_on_grid(metric, grid)
         assert np.array_equal(measure, want_measure), metric.label
-        assert np.array_equal(deviation, want_deviation), metric.label
+        assert deviation.shape == pairwise_starts(measure.size, _BLOCK).shape
+        assert deviation.tobytes() == stretch_maxima(want_deviation, _BLOCK).tobytes(), metric.label
         assert np.any(np.isinf(deviation)) == has_singular_points
 
 
 @pytest.mark.parametrize("kind", ["weak_field", "schwarzschild"])
 def test_cold_metric_on_grid_peak_memory_is_a_few_output_arrays(catalog, kind):
-    # no whole-grid point array: the peak stays within 3x the two outputs (12.6 MB at 64^3)
+    # no whole-grid point or certificate array: the peak stays within 3x the measure (6.3 MB at 64^3)
     box = {"weak_field": ((-4.01,) * 3, (4.01,) * 3), "schwarzschild": ((3.0, 0.5, 0.0), (9.0, 2.5, 6.0))}[kind]
     grid = GridSpec(lo=box[0], hi=box[1], n=(64, 64, 64))  # a grid no other test evaluates: a cold cache
     tracemalloc.start()
@@ -239,7 +253,7 @@ def test_cold_metric_on_grid_peak_memory_is_a_few_output_arrays(catalog, kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * (measure.nbytes + deviation.nbytes)
+    assert deviation.nbytes < 1024 and peak < 3 * measure.nbytes
 
 
 def test_gaussian_psi_equals_the_meshgrid_route_bit_for_bit():
